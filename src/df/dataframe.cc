@@ -34,91 +34,132 @@ double NumericAt(const Column& col, int64_t row) {
   return static_cast<double>(col.int64s()[row]);
 }
 
-uint64_t HashKey(const std::vector<int64_t>& key) {
-  uint64_t h = 1469598103934665603ull;
-  for (int64_t k : key) {
-    h ^= static_cast<uint64_t>(k);
-    h *= 1099511628211ull;
+// Hash of one group key (`num_keys` int64s). The shard is `hash %
+// num_shards` and a table slot comes from the high half, so the two
+// stay independent when the shard count is a power of two.
+uint64_t HashKey(const int64_t* key, size_t num_keys) {
+  uint64_t h = 0x9e3779b97f4a7c15ull;
+  for (size_t k = 0; k < num_keys; ++k) {
+    h = (h ^ static_cast<uint64_t>(key[k])) * 0xff51afd7ed558ccdull;
   }
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
   return h;
 }
 
-uint64_t MixHash(uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdull;
-  x ^= x >> 33;
-  return x;
-}
+// The groups of one hash shard, stored densely in first-seen order:
+// keys (`num_keys` per group), counts, and aggregation state (sum,
+// sumsq, min, max per aggregation). A power-of-two array of group
+// indices, linearly probed and at most half full, maps a key to its
+// group. Group counts routinely reach the row count (every (cell,
+// timestep) pair distinct), so a group costs no allocation of its own.
+class GroupTable {
+ public:
+  GroupTable(size_t num_keys, size_t num_aggs)
+      : num_keys_(num_keys), stride_(4 * num_aggs), slots_(16, kEmpty) {}
 
-struct VectorKeyHash {
-  size_t operator()(const std::vector<int64_t>& key) const {
-    return static_cast<size_t>(HashKey(key));
+  size_t size() const { return counts_.size(); }
+  const int64_t* key(size_t g) const { return keys_.data() + g * num_keys_; }
+  int64_t& count(size_t g) { return counts_[g]; }
+  int64_t count(size_t g) const { return counts_[g]; }
+  double* state(size_t g) { return states_.data() + g * stride_; }
+  const double* state(size_t g) const {
+    return states_.data() + g * stride_;
   }
-};
 
-// Partial state of one group for all requested aggregations. Inline
-// storage: group counts routinely reach the row count (every
-// (cell, timestep) pair distinct), so per-group heap allocations would
-// dominate the aggregation.
-constexpr size_t kMaxAggs = 8;
+  // Returns the group of `key` (whose HashKey is `hash`), appending a
+  // group with count 0 and an empty state if the key is new.
+  size_t FindOrAdd(const int64_t* key, uint64_t hash) {
+    const size_t mask = slots_.size() - 1;
+    size_t s = (hash >> 32) & mask;
+    for (; slots_[s] != kEmpty; s = (s + 1) & mask) {
+      // A plain loop: std::equal becomes a memcmp call here, which
+      // costs more than the rest of the probe for one or two keys.
+      const int64_t* other = this->key(slots_[s]);
+      size_t k = 0;
+      while (k < num_keys_ && key[k] == other[k]) ++k;
+      if (k == num_keys_) return slots_[s];
+    }
+    const size_t g = size();
+    slots_[s] = static_cast<uint32_t>(g);
+    keys_.insert(keys_.end(), key, key + num_keys_);
+    counts_.push_back(0);
+    states_.resize(states_.size() + stride_, 0.0);
+    for (size_t i = g * stride_; i < states_.size(); i += 4) {
+      states_[i + 2] = std::numeric_limits<double>::infinity();
+      states_[i + 3] = -std::numeric_limits<double>::infinity();
+    }
+    if (2 * size() > slots_.size()) Grow();
+    return g;
+  }
 
-struct AggState {
-  int64_t count = 0;
-  double sum[kMaxAggs];
-  double sumsq[kMaxAggs];
-  double min[kMaxAggs];
-  double max[kMaxAggs];
-};
+  // Folds group `g` of `src` into group `dst` of this table; a group's
+  // first fold copies the state.
+  void Merge(size_t dst, const GroupTable& src, size_t g) {
+    double* d = state(dst);
+    const double* s = src.state(g);
+    if (counts_[dst] == 0) {
+      std::copy(s, s + stride_, d);
+    } else {
+      for (size_t i = 0; i < stride_; i += 4) {
+        d[i] += s[i];
+        d[i + 1] += s[i + 1];
+        d[i + 2] = std::min(d[i + 2], s[i + 2]);
+        d[i + 3] = std::max(d[i + 3], s[i + 3]);
+      }
+    }
+    counts_[dst] += src.count(g);
+  }
 
-void InitState(AggState& state, size_t num_aggs) {
-  if (state.count == 0) {
-    for (size_t a = 0; a < num_aggs; ++a) {
-      state.sum[a] = 0.0;
-      state.sumsq[a] = 0.0;
-      state.min[a] = std::numeric_limits<double>::infinity();
-      state.max[a] = -std::numeric_limits<double>::infinity();
+ private:
+  static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+
+  void Grow() {
+    GEO_CHECK_LT(slots_.size(), size_t{1} << 32)
+        << "group-by shard holds more than 2^31 groups";
+    slots_.assign(2 * slots_.size(), kEmpty);
+    const size_t mask = slots_.size() - 1;
+    for (size_t g = 0; g < size(); ++g) {
+      size_t s = (HashKey(key(g), num_keys_) >> 32) & mask;
+      while (slots_[s] != kEmpty) s = (s + 1) & mask;
+      slots_[s] = static_cast<uint32_t>(g);
     }
   }
-}
 
-void MergeState(AggState& dst, const AggState& src, size_t num_aggs) {
-  if (dst.count == 0) {
-    dst = src;
-    return;
-  }
-  dst.count += src.count;
-  for (size_t a = 0; a < num_aggs; ++a) {
-    dst.sum[a] += src.sum[a];
-    dst.sumsq[a] += src.sumsq[a];
-    dst.min[a] = std::min(dst.min[a], src.min[a]);
-    dst.max[a] = std::max(dst.max[a], src.max[a]);
-  }
-}
+  size_t num_keys_;
+  size_t stride_;
+  std::vector<int64_t> keys_;
+  std::vector<int64_t> counts_;
+  std::vector<double> states_;
+  std::vector<uint32_t> slots_;
+};
 
-void EmitAggValue(const AggSpec& spec, const AggState& state, size_t a,
+// Appends one output value; `state` is the aggregation's (sum, sumsq,
+// min, max).
+void EmitAggValue(const AggSpec& spec, int64_t count, const double* state,
                   Column& col) {
   switch (spec.kind) {
     case AggKind::kCount:
-      col.mutable_int64s().push_back(state.count);
+      col.mutable_int64s().push_back(count);
       break;
     case AggKind::kSum:
-      col.mutable_doubles().push_back(state.sum[a]);
+      col.mutable_doubles().push_back(state[0]);
       break;
     case AggKind::kMin:
-      col.mutable_doubles().push_back(state.min[a]);
+      col.mutable_doubles().push_back(state[2]);
       break;
     case AggKind::kMax:
-      col.mutable_doubles().push_back(state.max[a]);
+      col.mutable_doubles().push_back(state[3]);
       break;
     case AggKind::kMean:
-      col.mutable_doubles().push_back(
-          state.sum[a] / static_cast<double>(state.count));
+      col.mutable_doubles().push_back(state[0] / static_cast<double>(count));
       break;
     case AggKind::kVariance:
     case AggKind::kStdDev: {
-      const double n = static_cast<double>(state.count);
-      const double mean = state.sum[a] / n;
-      const double var = std::max(0.0, state.sumsq[a] / n - mean * mean);
+      const double n = static_cast<double>(count);
+      const double mean = state[0] / n;
+      const double var = std::max(0.0, state[1] / n - mean * mean);
       col.mutable_doubles().push_back(
           spec.kind == AggKind::kVariance ? var : std::sqrt(var));
       break;
@@ -399,89 +440,43 @@ DataFrame DataFrame::GroupByAgg(const std::vector<std::string>& keys,
                           ? -1
                           : schema_->FieldIndex(a.column));
   }
+  const size_t num_keys = key_idx.size();
   const size_t num_aggs = aggs.size();
-  GEO_CHECK_LE(num_aggs, kMaxAggs) << "too many aggregations";
 
   GEO_OBS_SPAN(op_span, "df.groupby");
 
-  // Fast path: one or two non-negative 31-bit keys pack into a single
-  // uint64, avoiding a heap-allocated vector per hash probe.
-  bool packable = key_idx.size() <= 2;
-  if (packable) {
-    for (int pi = 0; pi < num_partitions() && packable; ++pi) {
-      Partition::Pin pin(*partitions_[pi]);
-      for (int k : key_idx) {
-        const auto vals = partitions_[pi]->column(k).int64s();
-        for (int64_t v : vals) {
-          if (v < 0 || v >= (int64_t{1} << 31)) {
-            packable = false;
-            break;
-          }
-        }
-        if (!packable) break;
-      }
-    }
-  }
-
-  using PackedMap = std::unordered_map<uint64_t, AggState>;
-  using VectorMap =
-      std::unordered_map<std::vector<int64_t>, AggState, VectorKeyHash>;
-
   // Phase 1: per-partition partial aggregation, sharded by key hash so
   // the merge phase needs no locking.
-  std::vector<std::vector<PackedMap>> packed_partials(partitions_.size());
-  std::vector<std::vector<VectorMap>> vector_partials(partitions_.size());
+  std::vector<std::vector<GroupTable>> partials(partitions_.size());
   {
     GEO_OBS_SPAN(partial_span, "df.groupby.partial");
     ForEachPartition([&](const Partition& part, int pi) {
-      const int64_t rows = part.num_rows();
       std::vector<std::span<const int64_t>> key_cols;
       for (int k : key_idx) key_cols.push_back(part.column(k).int64s());
-      if (packable) {
-        std::vector<PackedMap> shards(num_shards);
-        for (auto& m : shards) m.reserve(rows / num_shards + 16);
-        for (int64_t r = 0; r < rows; ++r) {
-          uint64_t packed = static_cast<uint64_t>(key_cols[0][r]);
-          if (key_cols.size() == 2) {
-            packed = (packed << 31) | static_cast<uint64_t>(key_cols[1][r]);
-          }
-          const int shard = static_cast<int>(MixHash(packed) % num_shards);
-          AggState& state = shards[shard][packed];
-          InitState(state, num_aggs);
-          ++state.count;
-          for (size_t a = 0; a < num_aggs; ++a) {
-            if (agg_idx[a] < 0) continue;
-            const double v = NumericAt(part.column(agg_idx[a]), r);
-            state.sum[a] += v;
-            state.sumsq[a] += v * v;
-            state.min[a] = std::min(state.min[a], v);
-            state.max[a] = std::max(state.max[a], v);
-          }
-        }
-        packed_partials[pi] = std::move(shards);
-      } else {
-        std::vector<VectorMap> shards(num_shards);
-        for (auto& m : shards) m.reserve(rows / num_shards + 16);
-        std::vector<int64_t> key(key_idx.size());
-        for (int64_t r = 0; r < rows; ++r) {
-          for (size_t k = 0; k < key_cols.size(); ++k) {
-            key[k] = key_cols[k][r];
-          }
-          const int shard = static_cast<int>(HashKey(key) % num_shards);
-          AggState& state = shards[shard][key];
-          InitState(state, num_aggs);
-          ++state.count;
-          for (size_t a = 0; a < num_aggs; ++a) {
-            if (agg_idx[a] < 0) continue;
-            const double v = NumericAt(part.column(agg_idx[a]), r);
-            state.sum[a] += v;
-            state.sumsq[a] += v * v;
-            state.min[a] = std::min(state.min[a], v);
-            state.max[a] = std::max(state.max[a], v);
-          }
-        }
-        vector_partials[pi] = std::move(shards);
+      std::vector<const Column*> value_cols;
+      for (int a : agg_idx) {
+        value_cols.push_back(a < 0 ? nullptr : &part.column(a));
       }
+      std::vector<GroupTable> shards(num_shards,
+                                     GroupTable(num_keys, num_aggs));
+      std::vector<int64_t> key(num_keys);
+      for (int64_t r = 0; r < part.num_rows(); ++r) {
+        for (size_t k = 0; k < num_keys; ++k) key[k] = key_cols[k][r];
+        const uint64_t hash = HashKey(key.data(), num_keys);
+        GroupTable& table = shards[hash % num_shards];
+        const size_t g = table.FindOrAdd(key.data(), hash);
+        ++table.count(g);
+        double* state = table.state(g);
+        for (size_t a = 0; a < num_aggs; ++a, state += 4) {
+          if (value_cols[a] == nullptr) continue;
+          const double v = NumericAt(*value_cols[a], r);
+          state[0] += v;
+          state[1] += v * v;
+          state[2] = std::min(state[2], v);
+          state[3] = std::max(state[3], v);
+        }
+      }
+      partials[pi] = std::move(shards);
     });
   }
 
@@ -495,56 +490,35 @@ DataFrame DataFrame::GroupByAgg(const std::vector<std::string>& keys,
   }
   auto out_schema = std::make_shared<Schema>(std::move(fields));
 
-  // Phase 2: shard-parallel merge; one output partition per shard.
+  // Phase 2: shard-parallel merge; one output partition per shard. Each
+  // shard folds the partitions' tables in index order, releasing each
+  // one as soon as it is folded.
   GEO_OBS_SPAN(merge_span, "df.groupby.merge");
-  const size_t num_keys = key_idx.size();
   std::vector<std::shared_ptr<const Partition>> out_parts(num_shards);
   ThreadPool::Global().ParallelFor(num_shards, [&](int64_t shard) {
+    GroupTable merged = partials.empty()
+                            ? GroupTable(num_keys, num_aggs)
+                            : std::move(partials[0][shard]);
+    for (size_t pi = 1; pi < partials.size(); ++pi) {
+      const GroupTable part = std::move(partials[pi][shard]);
+      for (size_t g = 0; g < part.size(); ++g) {
+        const int64_t* key = part.key(g);
+        merged.Merge(merged.FindOrAdd(key, HashKey(key, num_keys)), part, g);
+      }
+    }
     std::vector<Column> cols;
     for (size_t k = 0; k < num_keys; ++k) {
       cols.emplace_back(DataType::kInt64);
+      for (size_t g = 0; g < merged.size(); ++g) {
+        cols[k].mutable_int64s().push_back(merged.key(g)[k]);
+      }
     }
-    for (const auto& a : aggs) {
-      cols.emplace_back(a.kind == AggKind::kCount ? DataType::kInt64
-                                                  : DataType::kDouble);
-    }
-    if (packable) {
-      PackedMap merged;
-      size_t total = 0;
-      for (auto& parts : packed_partials) total += parts[shard].size();
-      merged.reserve(total);
-      for (auto& parts : packed_partials) {
-        for (auto& [key, state] : parts[shard]) {
-          MergeState(merged[key], state, num_aggs);
-        }
-      }
-      for (auto& [packed, state] : merged) {
-        if (num_keys == 2) {
-          cols[0].mutable_int64s().push_back(
-              static_cast<int64_t>(packed >> 31));
-          cols[1].mutable_int64s().push_back(
-              static_cast<int64_t>(packed & ((uint64_t{1} << 31) - 1)));
-        } else {
-          cols[0].mutable_int64s().push_back(static_cast<int64_t>(packed));
-        }
-        for (size_t a = 0; a < num_aggs; ++a) {
-          EmitAggValue(aggs[a], state, a, cols[num_keys + a]);
-        }
-      }
-    } else {
-      VectorMap merged;
-      for (auto& parts : vector_partials) {
-        for (auto& [key, state] : parts[shard]) {
-          MergeState(merged[key], state, num_aggs);
-        }
-      }
-      for (auto& [key, state] : merged) {
-        for (size_t k = 0; k < num_keys; ++k) {
-          cols[k].mutable_int64s().push_back(key[k]);
-        }
-        for (size_t a = 0; a < num_aggs; ++a) {
-          EmitAggValue(aggs[a], state, a, cols[num_keys + a]);
-        }
+    for (size_t a = 0; a < num_aggs; ++a) {
+      Column& col = cols.emplace_back(aggs[a].kind == AggKind::kCount
+                                          ? DataType::kInt64
+                                          : DataType::kDouble);
+      for (size_t g = 0; g < merged.size(); ++g) {
+        EmitAggValue(aggs[a], merged.count(g), merged.state(g) + 4 * a, col);
       }
     }
     out_parts[shard] = std::make_shared<Partition>(std::move(cols));

@@ -218,9 +218,13 @@ class DataFrame {
   /// Drops a column.
   DataFrame Drop(const std::string& name) const;
 
-  /// Groups by int64 key columns and computes aggregates. Two-phase:
-  /// per-partition partial aggregation, then a parallel hash-sharded
-  /// merge (one output partition per shard).
+  /// Groups by int64 key columns (any number, any values) and computes
+  /// any number of aggregates. Two-phase: per-partition partial
+  /// aggregation, then a parallel hash-sharded merge (one output
+  /// partition per shard, rows in first-seen order within the shard).
+  /// Each key's rows fold in partition order and its per-partition
+  /// partials fold in partition index order, so every aggregate is
+  /// bitwise reproducible for a given partitioning.
   DataFrame GroupByAgg(const std::vector<std::string>& keys,
                        const std::vector<AggSpec>& aggs,
                        int num_shards = 0) const;

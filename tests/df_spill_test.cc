@@ -31,13 +31,19 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// Scratch files and spill directories live under the test temp dir,
+// never in the shared working directory.
+std::string TempPath(const std::string& name) {
+  return testing::TempDir() + "/df_spill_test_" + name;
+}
+
 // Scopes a PartitionStore configuration: tiny budget + private spill
 // directory on construction, previous options + directory cleanup on
 // destruction. Frames under test must not outlive the fixture.
 class ScopedSpillConfig {
  public:
   explicit ScopedSpillConfig(int64_t budget_bytes,
-                             const std::string& dir = "gtdf_test_spill")
+                             const std::string& dir = TempPath("spill"))
       : saved_(PartitionStore::Global().options()), dir_(dir) {
     PartitionStore::Options opts;
     opts.enabled = true;
@@ -126,7 +132,7 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 // ------------------------------------------------------------- format
 
 TEST(GtdfTest, RoundTripAllColumnTypesBitwise) {
-  const std::string path = "gtdf_roundtrip.gtdf";
+  const std::string path = TempPath("roundtrip.gtdf");
   auto cols = SampleColumns();
   ASSERT_TRUE(WriteGtdf(path, cols, 6).ok());
 
@@ -147,7 +153,7 @@ TEST(GtdfTest, RoundTripAllColumnTypesBitwise) {
 }
 
 TEST(GtdfTest, EmptyPartitionRoundTrips) {
-  const std::string path = "gtdf_empty.gtdf";
+  const std::string path = TempPath("empty.gtdf");
   std::vector<std::shared_ptr<const Column>> cols;
   cols.push_back(TrackColumn(Column(DataType::kDouble)));
   cols.push_back(TrackColumn(Column(DataType::kString)));
@@ -161,8 +167,8 @@ TEST(GtdfTest, EmptyPartitionRoundTrips) {
 }
 
 TEST(GtdfTest, EveryPrefixTruncationFailsViaStatus) {
-  const std::string path = "gtdf_trunc_src.gtdf";
-  const std::string victim = "gtdf_trunc.gtdf";
+  const std::string path = TempPath("trunc_src.gtdf");
+  const std::string victim = TempPath("trunc.gtdf");
   ASSERT_TRUE(WriteGtdf(path, SampleColumns(), 6).ok());
   const std::string bytes = ReadFileBytes(path);
   ASSERT_GT(bytes.size(), 0u);
@@ -179,8 +185,8 @@ TEST(GtdfTest, EveryPrefixTruncationFailsViaStatus) {
 }
 
 TEST(GtdfTest, EveryByteBitFlipFailsViaStatus) {
-  const std::string path = "gtdf_flip_src.gtdf";
-  const std::string victim = "gtdf_flip.gtdf";
+  const std::string path = TempPath("flip_src.gtdf");
+  const std::string victim = TempPath("flip.gtdf");
   ASSERT_TRUE(WriteGtdf(path, SampleColumns(), 6).ok());
   const std::string bytes = ReadFileBytes(path);
   for (size_t pos = 0; pos < bytes.size(); ++pos) {
@@ -195,7 +201,7 @@ TEST(GtdfTest, EveryByteBitFlipFailsViaStatus) {
 }
 
 TEST(GtdfTest, NewerVersionRejected) {
-  const std::string path = "gtdf_version.gtdf";
+  const std::string path = TempPath("version.gtdf");
   ASSERT_TRUE(WriteGtdf(path, SampleColumns(), 6).ok());
   std::string bytes = ReadFileBytes(path);
   // Bump the version field (offset 4) — the CRC no longer matches, but
@@ -446,7 +452,7 @@ TEST(PartitionStoreTest, FromEnvParsesKnobs) {
 // ------------------------------------------------------- chunked CSV
 
 TEST(CsvChunkedTest, ChunkedReadMatchesSinglePartition) {
-  const std::string path = "gtdf_chunked.csv";
+  const std::string path = TempPath("chunked.csv");
   DataFrame frame = BuildWideFrame(53, 1);
   ASSERT_TRUE(WriteCsv(frame, path).ok());
   const Schema& schema = frame.schema();
@@ -465,7 +471,7 @@ TEST(CsvChunkedTest, ChunkedReadMatchesSinglePartition) {
 }
 
 TEST(CsvChunkedTest, ChunkedIngestSpillsUnderBudget) {
-  const std::string path = "gtdf_chunked_spill.csv";
+  const std::string path = TempPath("chunked_spill.csv");
   {
     DataFrame frame = BuildWideFrame(500, 1);
     ASSERT_TRUE(WriteCsv(frame, path).ok());

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <tuple>
 
 #include "core/rng.h"
 #include "df/csv.h"
@@ -98,6 +100,7 @@ TEST(DataFrameTest, GroupByAggMatchesManual) {
   std::map<int64_t, std::pair<int64_t, double>> manual;  // count, sum
   std::map<int64_t, double> manual_min;
   std::map<int64_t, double> manual_max;
+  std::map<int64_t, double> manual_sumsq;
   for (int i = 0; i < 500; ++i) {
     const int64_t k = rng.UniformInt(0, 20);
     const double v = rng.Uniform(-10, 10);
@@ -105,6 +108,7 @@ TEST(DataFrameTest, GroupByAggMatchesManual) {
     values.push_back(v);
     manual[k].first += 1;
     manual[k].second += v;
+    manual_sumsq[k] += v * v;
     auto [min_it, inserted] = manual_min.try_emplace(k, v);
     if (!inserted) min_it->second = std::min(min_it->second, v);
     auto [max_it, inserted2] = manual_max.try_emplace(k, v);
@@ -137,6 +141,46 @@ TEST(DataFrameTest, GroupByAggMatchesManual) {
     EXPECT_NEAR(out_max[i], manual_max[k], 1e-12);
     EXPECT_NEAR(out_mean[i], manual[k].second / manual[k].first, 1e-9);
   }
+
+  // Nine aggregations in one pass; their number is not capped.
+  DataFrame wide = frame
+                       .GroupByAgg({"k"}, {{AggKind::kCount, "", "n"},
+                                           {AggKind::kSum, "v", "sum_v"},
+                                           {AggKind::kMin, "v", "min_v"},
+                                           {AggKind::kMax, "v", "max_v"},
+                                           {AggKind::kMean, "v", "mean_v"},
+                                           {AggKind::kVariance, "v", "var_v"},
+                                           {AggKind::kStdDev, "v", "std_v"},
+                                           {AggKind::kSum, "k", "sum_k"},
+                                           {AggKind::kMax, "k", "max_k"}})
+                       .SortByInt64("k");
+  ASSERT_EQ(wide.NumRows(), static_cast<int64_t>(manual.size()));
+  EXPECT_EQ(wide.schema().num_fields(), 10);
+  const std::vector<int64_t> wide_k = wide.CollectInt64("k");
+  const std::vector<int64_t> wide_n = wide.CollectInt64("n");
+  const std::vector<double> wide_sum = wide.CollectDouble("sum_v");
+  const std::vector<double> wide_min = wide.CollectDouble("min_v");
+  const std::vector<double> wide_max = wide.CollectDouble("max_v");
+  const std::vector<double> wide_mean = wide.CollectDouble("mean_v");
+  const std::vector<double> wide_var = wide.CollectDouble("var_v");
+  const std::vector<double> wide_std = wide.CollectDouble("std_v");
+  const std::vector<double> wide_sum_k = wide.CollectDouble("sum_k");
+  const std::vector<double> wide_max_k = wide.CollectDouble("max_k");
+  for (size_t i = 0; i < wide_k.size(); ++i) {
+    const int64_t k = wide_k[i];
+    const double count = static_cast<double>(manual[k].first);
+    const double mean = manual[k].second / count;
+    const double var = manual_sumsq[k] / count - mean * mean;
+    EXPECT_EQ(wide_n[i], manual[k].first);
+    EXPECT_NEAR(wide_sum[i], manual[k].second, 1e-9);
+    EXPECT_NEAR(wide_min[i], manual_min[k], 1e-12);
+    EXPECT_NEAR(wide_max[i], manual_max[k], 1e-12);
+    EXPECT_NEAR(wide_mean[i], mean, 1e-9);
+    EXPECT_NEAR(wide_var[i], var, 1e-9);
+    EXPECT_NEAR(wide_std[i], std::sqrt(var), 1e-9);
+    EXPECT_EQ(wide_sum_k[i], static_cast<double>(k) * count);
+    EXPECT_EQ(wide_max_k[i], static_cast<double>(k));
+  }
 }
 
 TEST(DataFrameTest, GroupByMultipleKeys) {
@@ -144,6 +188,26 @@ TEST(DataFrameTest, GroupByMultipleKeys) {
   DataFrame agg = frame.GroupByAgg({"group", "id"},
                                    {{AggKind::kCount, "", "n"}});
   EXPECT_EQ(agg.NumRows(), 6);  // all (group, id) pairs unique
+
+  // Three keys, one of them negative.
+  DataFrame three =
+      DataFrame::FromColumns({{"a", Column::FromInt64s({-3, -3, -3, 2, 2, -3})},
+                              {"b", Column::FromInt64s({7, 7, 7, 7, 8, 7})},
+                              {"c", Column::FromInt64s({5, 5, 4, 4, 4, 5})}})
+          .Repartition(3);
+  DataFrame agg3 =
+      three.GroupByAgg({"a", "b", "c"}, {{AggKind::kCount, "", "n"}});
+  const auto a = agg3.CollectInt64("a");
+  const auto b = agg3.CollectInt64("b");
+  const auto c = agg3.CollectInt64("c");
+  const auto n = agg3.CollectInt64("n");
+  std::map<std::tuple<int64_t, int64_t, int64_t>, int64_t> counts;
+  for (size_t i = 0; i < n.size(); ++i) counts[{a[i], b[i], c[i]}] = n[i];
+  EXPECT_EQ(counts, (std::map<std::tuple<int64_t, int64_t, int64_t>, int64_t>{
+                        {{-3, 7, 4}, 1},
+                        {{-3, 7, 5}, 3},
+                        {{2, 7, 4}, 1},
+                        {{2, 8, 4}, 1}}));
 }
 
 TEST(DataFrameTest, JoinInner) {

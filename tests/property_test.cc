@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <limits>
 #include <map>
 #include <tuple>
 
@@ -285,51 +288,109 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(spatial::JoinStrategy::kStrTree,
                                          spatial::JoinStrategy::kGridHash)));
 
-// --- GroupBy: packed fast path vs generic path vs manual ------------------
+// --- GroupBy against a fold in the documented accumulation order -------
+//
+// GroupByAgg folds each key's rows in partition order, then folds the
+// per-partition partials in partition index order, copying the first
+// one. A reference that folds in that same order must agree bitwise,
+// -0.0 values included, for keys of any sign and magnitude.
 
-using GroupByParams = std::tuple<int, int64_t, bool>;
-// (num rows, key cardinality, force generic path with huge keys)
+using GroupByParams = std::tuple<int, int64_t, int64_t>;
+// (num rows, key cardinality, key offset)
 
 class GroupBySweep : public ::testing::TestWithParam<GroupByParams> {};
 
+struct RefGroup {
+  int64_t count = 0;
+  double sum = 0.0;
+  double sumsq = 0.0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+};
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
 TEST_P(GroupBySweep, MatchesManualAggregation) {
-  auto [n, cardinality, huge_keys] = GetParam();
+  auto [n, cardinality, offset] = GetParam();
   Rng rng(static_cast<uint64_t>(n + cardinality));
-  const int64_t offset = huge_keys ? (int64_t{1} << 40) : 0;
   std::vector<int64_t> keys(n);
   std::vector<double> values(n);
-  std::map<int64_t, std::pair<int64_t, double>> manual;
   for (int i = 0; i < n; ++i) {
     keys[i] = offset + rng.UniformInt(0, cardinality - 1);
-    values[i] = rng.Uniform(-1, 1);
-    manual[keys[i]].first += 1;
-    manual[keys[i]].second += values[i];
+    values[i] = i % 17 == 0 ? -0.0 : rng.Uniform(-1, 1);
   }
   df::DataFrame frame =
       df::DataFrame::FromColumns({{"k", df::Column::FromInt64s(keys)},
                                   {"v", df::Column::FromDoubles(values)}})
           .Repartition(3);
+
+  std::map<int64_t, RefGroup> ref;
+  for (int pi = 0; pi < frame.num_partitions(); ++pi) {
+    const df::Partition& part = frame.partition(pi);
+    df::Partition::Pin pin(part);
+    const auto ks = part.column(0).int64s();
+    const auto vs = part.column(1).doubles();
+    std::map<int64_t, RefGroup> partial;
+    for (size_t r = 0; r < ks.size(); ++r) {
+      RefGroup& g = partial[ks[r]];
+      ++g.count;
+      g.sum += vs[r];
+      g.sumsq += vs[r] * vs[r];
+      g.min = std::min(g.min, vs[r]);
+      g.max = std::max(g.max, vs[r]);
+    }
+    for (const auto& [k, p] : partial) {
+      auto [it, first] = ref.try_emplace(k, p);
+      if (first) continue;
+      RefGroup& g = it->second;
+      g.count += p.count;
+      g.sum += p.sum;
+      g.sumsq += p.sumsq;
+      g.min = std::min(g.min, p.min);
+      g.max = std::max(g.max, p.max);
+    }
+  }
+
   df::DataFrame agg =
       frame
           .GroupByAgg({"k"}, {{df::AggKind::kCount, "", "n"},
-                              {df::AggKind::kSum, "v", "s"}})
+                              {df::AggKind::kSum, "v", "s"},
+                              {df::AggKind::kMin, "v", "lo"},
+                              {df::AggKind::kMax, "v", "hi"},
+                              {df::AggKind::kMean, "v", "mean"},
+                              {df::AggKind::kVariance, "v", "var"}})
           .SortByInt64("k");
-  ASSERT_EQ(agg.NumRows(), static_cast<int64_t>(manual.size()));
+  ASSERT_EQ(agg.NumRows(), static_cast<int64_t>(ref.size()));
   auto out_k = agg.CollectInt64("k");
   auto out_n = agg.CollectInt64("n");
   auto out_s = agg.CollectDouble("s");
+  auto out_lo = agg.CollectDouble("lo");
+  auto out_hi = agg.CollectDouble("hi");
+  auto out_mean = agg.CollectDouble("mean");
+  auto out_var = agg.CollectDouble("var");
   for (size_t i = 0; i < out_k.size(); ++i) {
-    EXPECT_EQ(out_n[i], manual[out_k[i]].first);
-    EXPECT_NEAR(out_s[i], manual[out_k[i]].second, 1e-9);
+    ASSERT_TRUE(ref.count(out_k[i])) << out_k[i];
+    const RefGroup& g = ref[out_k[i]];
+    const double count = static_cast<double>(g.count);
+    const double mean = g.sum / count;
+    const double var = std::max(0.0, g.sumsq / count - mean * mean);
+    EXPECT_EQ(out_n[i], g.count) << out_k[i];
+    EXPECT_EQ(Bits(out_s[i]), Bits(g.sum)) << out_k[i];
+    EXPECT_EQ(Bits(out_lo[i]), Bits(g.min)) << out_k[i];
+    EXPECT_EQ(Bits(out_hi[i]), Bits(g.max)) << out_k[i];
+    EXPECT_EQ(Bits(out_mean[i]), Bits(mean)) << out_k[i];
+    EXPECT_EQ(Bits(out_var[i]), Bits(var)) << out_k[i];
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Cardinalities, GroupBySweep,
-                         ::testing::Values(GroupByParams{100, 5, false},
-                                           GroupByParams{1000, 50, false},
-                                           GroupByParams{1000, 900, false},
-                                           GroupByParams{500, 20, true},
-                                           GroupByParams{2000, 2000, true}));
+INSTANTIATE_TEST_SUITE_P(
+    Cardinalities, GroupBySweep,
+    ::testing::Values(GroupByParams{100, 5, 0}, GroupByParams{1000, 50, 0},
+                      GroupByParams{1000, 900, 0},
+                      GroupByParams{500, 20, int64_t{1} << 40},
+                      GroupByParams{2000, 2000, int64_t{1} << 40},
+                      GroupByParams{2000, 1000, -500},
+                      GroupByParams{500, 20, -(int64_t{1} << 40)}));
 
 // --- STR-tree across node capacities ---------------------------------------
 
