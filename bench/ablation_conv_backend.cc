@@ -1,8 +1,9 @@
 // Ablation: convolution algorithm and execution backend. The deep
-// learning module implements Conv2d with im2col + GEMM dispatched to
-// either backend; this bench compares it against a direct 7-loop
-// convolution to justify the design choice that dominates the Table
-// VII / Fig. 9 runtimes.
+// learning module implements Conv2d as a blocked GEMM over the patch
+// matrix (at stride 1 the direct kernel reads it straight from the
+// image) dispatched to either backend; this bench compares it against
+// a naive 7-loop convolution to justify the design choice that
+// dominates the Table VII / Fig. 9 runtimes.
 
 #include <cstdio>
 
@@ -18,7 +19,7 @@ namespace {
 
 namespace ts = ::geotorch::tensor;
 
-// Reference direct convolution (no im2col), serial.
+// Reference naive convolution (no im2col, no blocking), serial.
 ts::Tensor DirectConv2d(const ts::Tensor& x, const ts::Tensor& w,
                         const ts::ConvSpec& spec) {
   const int64_t n = x.size(0);
@@ -65,8 +66,8 @@ void Run(const BenchArgs& args) {
   std::printf("ABLATION: Convolution Algorithm and Backend (%d reps)\n",
               reps);
   PrintRule();
-  std::printf("%-26s %-12s %-14s %-14s\n", "workload", "direct (s)",
-              "im2col-ser (s)", "im2col-par (s)");
+  std::printf("%-26s %-12s %-14s %-14s\n", "workload", "naive (s)",
+              "gemm-ser (s)", "gemm-par (s)");
   PrintRule();
   struct Case {
     int64_t n, c, hw, f, k;

@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks of the kernels that dominate the
-// end-to-end experiments: elementwise ops, GEMM, im2col convolution,
+// end-to-end experiments: elementwise ops, GEMM, convolution,
 // GLCM extraction, STR-tree probes, and DataFrame group-by.
 
 #include <benchmark/benchmark.h>
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "core/stopwatch.h"
 #include "models/raster_models.h"
@@ -23,11 +24,13 @@
 #include "core/rng.h"
 #include "core/storage_pool.h"
 #include "core/thread_pool.h"
+#include "data/dataloader.h"
 #include "datasets/benchmarks.h"
 #include "models/grid_models.h"
 #include "models/trainer.h"
 #include "df/dataframe.h"
 #include "obs/obs.h"
+#include "optim/optimizer.h"
 #include "raster/glcm.h"
 #include "spatial/strtree.h"
 #include "tensor/conv.h"
@@ -51,6 +54,41 @@ void BM_ElementwiseAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ElementwiseAdd)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+
+// ReLU forward and backward mask on zero-mean data: the sign of each
+// element is a coin flip, so a branchy select mispredicts about half
+// the time (BM_ElementwiseAdd has no data-dependent branch to miss).
+// 131072 = one ST-ResNet activation, (32, 16, 16, 16). Real time: past
+// the parallel threshold pool workers do the work.
+void BM_Relu(benchmark::State& state) {
+  Rng rng(11);
+  const int64_t n = state.range(0);
+  ts::Tensor x = ts::Tensor::Randn({n}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ts::Relu(x));
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_Relu)->Arg(1 << 12)->Arg(131072)->Arg(1 << 20)->UseRealTime();
+
+void BM_ReluMaskInPlace(benchmark::State& state) {
+  Rng rng(12);
+  const int64_t n = state.range(0);
+  ts::Tensor x = ts::Tensor::Randn({n}, rng);
+  ts::Tensor g = ts::Tensor::Randn({n}, rng);
+  for (auto _ : state) {
+    // Re-masking the same gradient keeps the work identical per
+    // iteration: the mask only depends on the signs of x.
+    ts::ReluMaskInPlace(g, x, 0.0f);
+    benchmark::DoNotOptimize(g.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ReluMaskInPlace)
+    ->Arg(1 << 12)
+    ->Arg(131072)
+    ->Arg(1 << 20)
+    ->UseRealTime();
 
 void BM_BroadcastChannelMul(benchmark::State& state) {
   Rng rng(2);
@@ -120,30 +158,99 @@ void BM_GemmReference(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmReference)->Arg(128)->Arg(256);
 
+// Args: batch, in channels, filters, spatial size; 3x3 kernel, pad 1.
+// The last four rows are the convs of an ST-ResNet training step
+// (batch 32, 16x16 grid, hidden 16). Real time: samples run on pool
+// workers.
+void ConvShapes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"n", "c", "f", "hw"});
+  for (const int64_t hw : {16, 32, 64}) b->Args({8, 8, 16, hw});
+  b->Args({32, 6, 16, 16});
+  b->Args({32, 2, 16, 16});
+  b->Args({32, 16, 16, 16});
+  b->Args({32, 16, 2, 16});
+}
+
 void BM_Conv2dForward(benchmark::State& state) {
   Rng rng(4);
-  const int64_t hw = state.range(0);
-  ts::Tensor x = ts::Tensor::Randn({8, 8, hw, hw}, rng);
-  ts::Tensor w = ts::Tensor::Randn({16, 8, 3, 3}, rng, 0, 0.1f);
+  const int64_t n = state.range(0);
+  const int64_t c = state.range(1);
+  const int64_t f = state.range(2);
+  const int64_t hw = state.range(3);
+  ts::Tensor x = ts::Tensor::Randn({n, c, hw, hw}, rng);
+  ts::Tensor w = ts::Tensor::Randn({f, c, 3, 3}, rng, 0, 0.1f);
+  ts::Tensor bias = ts::Tensor::Randn({f}, rng, 0, 0.1f);
   ts::ConvSpec spec{.stride = 1, .padding = 1};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ts::Conv2dForward(x, w, ts::Tensor(), spec));
+    benchmark::DoNotOptimize(ts::Conv2dForward(x, w, bias, spec));
   }
 }
-BENCHMARK(BM_Conv2dForward)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_Conv2dForward)->Apply(ConvShapes)->UseRealTime();
 
 void BM_Conv2dBackward(benchmark::State& state) {
   Rng rng(5);
-  const int64_t hw = state.range(0);
-  ts::Tensor x = ts::Tensor::Randn({8, 8, hw, hw}, rng);
-  ts::Tensor w = ts::Tensor::Randn({16, 8, 3, 3}, rng, 0, 0.1f);
+  const int64_t n = state.range(0);
+  const int64_t c = state.range(1);
+  const int64_t f = state.range(2);
+  const int64_t hw = state.range(3);
+  ts::Tensor x = ts::Tensor::Randn({n, c, hw, hw}, rng);
+  ts::Tensor w = ts::Tensor::Randn({f, c, 3, 3}, rng, 0, 0.1f);
   ts::ConvSpec spec{.stride = 1, .padding = 1};
-  ts::Tensor g = ts::Tensor::Randn({8, 16, hw, hw}, rng);
+  ts::Tensor g = ts::Tensor::Randn({n, f, hw, hw}, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ts::Conv2dBackward(g, x, w, false, spec));
+    benchmark::DoNotOptimize(ts::Conv2dBackward(g, x, w, true, spec));
   }
 }
-BENCHMARK(BM_Conv2dBackward)->Arg(16)->Arg(32);
+BENCHMARK(BM_Conv2dBackward)->Apply(ConvShapes)->UseRealTime();
+
+// One ST-ResNet training step (forward, MSE, backward, clip, Adam) at
+// the geobench `train` shape: hidden 16, periodical (3, 1, 1), batch
+// 32, 16x16 grid. Arg 0 runs on Device::kSerial, 1 on kParallel.
+void BM_StResNetTrainStep(benchmark::State& state) {
+  const ts::Device device =
+      state.range(0) == 0 ? ts::Device::kSerial : ts::Device::kParallel;
+  ts::DeviceGuard guard(device);
+  datasets::YellowTripConfig yc;
+  yc.num_records = 20000;
+  yc.duration_sec = 10LL * 24 * 3600;
+  yc.partitions_x = 16;
+  yc.partitions_y = 16;
+  yc.seed = 11;
+  datasets::GridDataset dataset = datasets::MakeYellowTripNyc(yc);
+  dataset.MinMaxNormalize();
+  dataset.SetPeriodicalRepresentation(3, 1, 1);
+  models::GridModelConfig mc;
+  mc.channels = dataset.channels();
+  mc.height = dataset.height();
+  mc.width = dataset.width();
+  mc.len_closeness = 3;
+  mc.len_period = 1;
+  mc.len_trend = 1;
+  mc.hidden = 16;
+  mc.seed = 11;
+  models::StResNet model(mc);
+  model.SetTraining(true);
+  optim::Adam adam(model.Parameters(), 1e-3f);
+  data::DataLoader loader(&dataset, 32, /*shuffle=*/false);
+  data::Batch batch;
+  loader.Reset();
+  loader.Next(&batch);
+  for (auto _ : state) {
+    adam.ZeroGrad();
+    autograd::Variable loss = autograd::MseLoss(model.Forward(batch), batch.y);
+    loss.Backward();
+    adam.ClipGradNorm(5.0f);
+    adam.Step();
+    benchmark::DoNotOptimize(loss.value().data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch.size);
+}
+BENCHMARK(BM_StResNetTrainStep)
+    ->ArgName("parallel")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_GlcmFeatures(benchmark::State& state) {
   Rng rng(6);
@@ -505,7 +612,9 @@ int RunAllocAb(const std::string& json_path, bool smoke) {
 // (bias+activation GEMM epilogues, implicit-im2col / direct kernels,
 // 1x1 bypass) against the unfused Conv2dForward* + separate bias/relu
 // passes, per precision, on the conv shapes SatCNN and DeepSAT actually
-// run — plus a model-level SatCNN eval forward toggling
+// run. The f32 forward is one entry for both arms, so its unfused arm
+// differs only in the separate ReLU pass; bf16 and int8 unfused arms
+// still materialize im2col. Plus a model-level SatCNN eval forward toggling
 // ts::SetFusionEnabled. Invoked by --fusion_ab[=PATH]; the acceptance
 // gate is the batch-1 f32 SatCNN speedup (>= 1.3x).
 // ---------------------------------------------------------------------------
@@ -576,8 +685,7 @@ int RunFusionAb(const std::string& json_path, bool smoke) {
         op_reps, blocks);
     op_us[s][0][1] = TimeBestUs(
         [&] {
-          (void)ts::Conv2dForwardFused(x, w, bias, spec,
-                                       ts::EpilogueAct::kRelu, 0.01f);
+          (void)ts::Conv2dForward(x, w, bias, spec, ts::EpilogueAct::kRelu);
         },
         op_reps, blocks);
     op_us[s][1][0] = TimeBestUs(

@@ -283,7 +283,7 @@ ag::Variable Conv2d::ForwardFusedEval(const ag::Variable& x,
           spec_, act, leaky_slope));
     }
     return ag::Variable(
-        ts::Conv2dForwardFused(xv, w, b, spec_, act, leaky_slope));
+        ts::Conv2dForward(xv, w, b, spec_, act, leaky_slope));
   }
   GEO_CHECK_EQ(bn->channels(), f) << "conv+BN fusion channel mismatch";
   const Precision prec = lp ? precision() : Precision::kF32;
@@ -301,7 +301,7 @@ ag::Variable Conv2d::ForwardFusedEval(const ag::Variable& x,
         fold_.b, spec_, act, leaky_slope));
   }
   return ag::Variable(
-      ts::Conv2dForwardFused(xv, fold_.w, fold_.b, spec_, act, leaky_slope));
+      ts::Conv2dForward(xv, fold_.w, fold_.b, spec_, act, leaky_slope));
 }
 
 void Conv2d::RefreshFoldedCache(const BatchNorm2d& bn, Precision prec) {

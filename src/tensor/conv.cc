@@ -34,10 +34,28 @@ void ForEachSample(int64_t n, const std::function<void(int64_t)>& fn) {
   }
 }
 
+// Output positions o in [lo, hi) whose input tap o*stride + k - padding
+// lands inside [0, in). Computed once per kernel tap, so the im2col and
+// col2im inner loops run over a known-valid span with no per-element
+// bounds branch.
+struct TapSpan {
+  int64_t lo, hi;
+};
+
+TapSpan ValidTaps(int64_t in, int64_t out, int64_t k, const ConvSpec& spec) {
+  const int64_t first = spec.padding - k;          // o*stride >= first
+  const int64_t last = in - 1 + spec.padding - k;  // o*stride <= last
+  if (last < 0) return {0, 0};
+  const int64_t lo = first > 0 ? (first + spec.stride - 1) / spec.stride : 0;
+  const int64_t hi = std::min(out, last / spec.stride + 1);
+  return {std::min(lo, hi), hi};
+}
+
 // im2col core writing into caller-provided storage (a reusable
 // per-thread workspace in the conv kernels, so no allocation per sample
-// per step). `cols` must hold c*kh*kw * oh*ow floats; it is fully
-// (re)initialized including the zero padding.
+// per step). `cols` must hold c*kh*kw * oh*ow floats; every element is
+// written, the out-of-image taps as zero. Stride-1 rows copy their
+// valid span with memcpy.
 void Im2ColInto(const Tensor& x, int64_t n, int64_t kh, int64_t kw,
                 const ConvSpec& spec, float* cols) {
   const int64_t c = x.size(1);
@@ -45,29 +63,41 @@ void Im2ColInto(const Tensor& x, int64_t n, int64_t kh, int64_t kw,
   const int64_t w = x.size(3);
   const int64_t oh = ConvOutSize(h, kh, spec.stride, spec.padding);
   const int64_t ow = ConvOutSize(w, kw, spec.stride, spec.padding);
-  std::memset(cols, 0, sizeof(float) * c * kh * kw * oh * ow);
+  const int64_t s = spec.stride;
   const float* px = x.data() + n * c * h * w;
   for (int64_t ci = 0; ci < c; ++ci) {
     for (int64_t ki = 0; ki < kh; ++ki) {
+      const TapSpan rows = ValidTaps(h, oh, ki, spec);
       for (int64_t kj = 0; kj < kw; ++kj) {
+        const TapSpan span = ValidTaps(w, ow, kj, spec);
+        const int64_t off = kj - spec.padding;  // src col = oj*s + off
         float* dst = cols + ((ci * kh + ki) * kw + kj) * oh * ow;
-        for (int64_t oi = 0; oi < oh; ++oi) {
-          const int64_t ii = oi * spec.stride + ki - spec.padding;
-          if (ii < 0 || ii >= h) continue;
-          const float* src_row = px + (ci * h + ii) * w;
+        std::fill(dst, dst + rows.lo * ow, 0.0f);
+        for (int64_t oi = rows.lo; oi < rows.hi; ++oi) {
+          const float* src_row =
+              px + (ci * h + oi * s + ki - spec.padding) * w;
           float* dst_row = dst + oi * ow;
-          for (int64_t oj = 0; oj < ow; ++oj) {
-            const int64_t jj = oj * spec.stride + kj - spec.padding;
-            if (jj < 0 || jj >= w) continue;
-            dst_row[oj] = src_row[jj];
+          std::fill(dst_row, dst_row + span.lo, 0.0f);
+          if (s == 1 && span.hi > span.lo) {
+            std::memcpy(dst_row + span.lo, src_row + span.lo + off,
+                        sizeof(float) * (span.hi - span.lo));
+          } else if (s != 1) {
+            for (int64_t oj = span.lo; oj < span.hi; ++oj) {
+              dst_row[oj] = src_row[oj * s + off];
+            }
           }
+          std::fill(dst_row + span.hi, dst_row + ow, 0.0f);
         }
+        std::fill(dst + rows.hi * ow, dst + oh * ow, 0.0f);
       }
     }
   }
 }
 
-// col2im scatter-add core reading from raw column storage.
+// col2im scatter-add core reading from raw column storage. Same loop
+// order as Im2ColInto, so each image element receives its terms in
+// (ci, ki, kj, oi, oj) order; at stride 1 the valid span is one
+// contiguous += run.
 void Col2ImAddRaw(const float* cols, Tensor& out, int64_t n, int64_t kh,
                   int64_t kw, const ConvSpec& spec) {
   const int64_t c = out.size(1);
@@ -75,20 +105,26 @@ void Col2ImAddRaw(const float* cols, Tensor& out, int64_t n, int64_t kh,
   const int64_t w = out.size(3);
   const int64_t oh = ConvOutSize(h, kh, spec.stride, spec.padding);
   const int64_t ow = ConvOutSize(w, kw, spec.stride, spec.padding);
+  const int64_t s = spec.stride;
   float* po = out.data() + n * c * h * w;
   for (int64_t ci = 0; ci < c; ++ci) {
     for (int64_t ki = 0; ki < kh; ++ki) {
+      const TapSpan rows = ValidTaps(h, oh, ki, spec);
       for (int64_t kj = 0; kj < kw; ++kj) {
+        const TapSpan span = ValidTaps(w, ow, kj, spec);
+        const int64_t off = kj - spec.padding;
         const float* src = cols + ((ci * kh + ki) * kw + kj) * oh * ow;
-        for (int64_t oi = 0; oi < oh; ++oi) {
-          const int64_t ii = oi * spec.stride + ki - spec.padding;
-          if (ii < 0 || ii >= h) continue;
-          float* dst_row = po + (ci * h + ii) * w;
+        for (int64_t oi = rows.lo; oi < rows.hi; ++oi) {
+          float* dst_row = po + (ci * h + oi * s + ki - spec.padding) * w;
           const float* src_row = src + oi * ow;
-          for (int64_t oj = 0; oj < ow; ++oj) {
-            const int64_t jj = oj * spec.stride + kj - spec.padding;
-            if (jj < 0 || jj >= w) continue;
-            dst_row[jj] += src_row[oj];
+          if (s == 1 && span.hi > span.lo) {
+            float* d = dst_row + span.lo + off;
+            const float* g = src_row + span.lo;
+            for (int64_t j = 0; j < span.hi - span.lo; ++j) d[j] += g[j];
+          } else if (s != 1) {
+            for (int64_t oj = span.lo; oj < span.hi; ++oj) {
+              dst_row[oj * s + off] += src_row[oj];
+            }
           }
         }
       }
@@ -127,48 +163,6 @@ void Col2ImAdd(const Tensor& cols, Tensor& out, int64_t n, int64_t kh,
   GEO_CHECK_EQ(cols.size(0), c * kh * kw);
   GEO_CHECK_EQ(cols.size(1), oh * ow);
   Col2ImAddRaw(cols.data(), out, n, kh, kw, spec);
-}
-
-Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& bias,
-                     const ConvSpec& spec) {
-  GEO_CHECK_EQ(x.ndim(), 4);
-  GEO_CHECK_EQ(w.ndim(), 4);
-  const int64_t n = x.size(0);
-  const int64_t c = x.size(1);
-  const int64_t f = w.size(0);
-  GEO_CHECK_EQ(w.size(1), c) << "Conv2d channel mismatch";
-  const int64_t kh = w.size(2);
-  const int64_t kw = w.size(3);
-  const int64_t oh = ConvOutSize(x.size(2), kh, spec.stride, spec.padding);
-  const int64_t ow = ConvOutSize(x.size(3), kw, spec.stride, spec.padding);
-  const bool has_bias = bias.numel() > 0;
-  if (has_bias) {
-    GEO_CHECK_EQ(bias.numel(), f);
-  }
-
-  Tensor out = Tensor::Uninitialized({n, f, oh, ow});
-  const float* pw = w.data();
-  const float* pb = has_bias ? bias.data() : nullptr;
-  float* po = out.data();
-  const int64_t ck = c * kh * kw;
-  const int64_t l = oh * ow;
-
-  ForEachSample(n, [&](int64_t i) {
-    float* cols = ThreadLocalWorkspace(kWorkspaceIm2Col, ck * l);
-    Im2ColInto(x, i, kh, kw, spec, cols);
-    float* out_i = po + i * f * l;
-    // out[i] = W (f, ck) x cols (ck, l); beta=0 overwrites the
-    // uninitialized output plane.
-    Gemm(pw, cols, out_i, f, ck, l, {.beta = 0.0f});
-    if (has_bias) {
-      for (int64_t fi = 0; fi < f; ++fi) {
-        float* row = out_i + fi * l;
-        const float b = pb[fi];
-        for (int64_t j = 0; j < l; ++j) row[j] += b;
-      }
-    }
-  });
-  return out;
 }
 
 namespace {
@@ -293,9 +287,9 @@ ConvImageView<T> MakeConvView(const T* plane, int64_t c, int64_t h, int64_t w,
 
 }  // namespace
 
-Tensor Conv2dForwardFused(const Tensor& x, const Tensor& w, const Tensor& bias,
-                          const ConvSpec& spec, EpilogueAct act,
-                          float leaky_slope) {
+Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& bias,
+                     const ConvSpec& spec, EpilogueAct act,
+                     float leaky_slope) {
   GEO_CHECK_EQ(x.ndim(), 4);
   GEO_CHECK_EQ(w.ndim(), 4);
   const int64_t c = x.size(1);

@@ -32,9 +32,18 @@ void Col2ImAdd(const Tensor& cols, Tensor& out, int64_t n, int64_t kh,
 
 /// 2-D convolution. x: (N, C, H, W), w: (F, C, KH, KW), bias: (F) or
 /// empty. Returns (N, F, OH, OW). Dispatches per-sample work to the
-/// current Device backend.
+/// current Device backend. The one f32 forward for training and eval
+/// (DESIGN.md §13): bias and `act` run as a GEMM epilogue in the kernel
+/// write-back, and the patch matrix is never materialized at stride 1 —
+/// the direct im2col-free kernel reads the input image, and 1×1
+/// stride-1 unpadded convs use the (C, H·W) input plane as the patch
+/// matrix. `act` uses the exact elementwise formulas of tensor/ops.cc,
+/// so the output is bitwise identical to im2col + Gemm followed by
+/// separate bias and activation passes.
 Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& bias,
-                     const ConvSpec& spec);
+                     const ConvSpec& spec,
+                     EpilogueAct act = EpilogueAct::kNone,
+                     float leaky_slope = 0.01f);
 
 /// Low-precision eval-path variants of Conv2dForward (DESIGN.md §10).
 /// Both take the weights flattened row-major to (F, C*KH*KW) — the
@@ -56,19 +65,12 @@ Tensor Conv2dForwardInt8(const Tensor& x, const int8_t* w_q,
                          int64_t kh, int64_t kw, float act_scale,
                          const Tensor& bias, const ConvSpec& spec);
 
-/// Fused eval-path convolutions (DESIGN.md §13): bias and activation run
-/// as a GEMM epilogue in the kernel write-back, and the patch matrix is
-/// never materialized — panels are gathered straight from the input
-/// image (implicit im2col), with 1×1 stride-1 unpadded convs bypassing
-/// the gather entirely (the (C, H·W) input plane IS the patch matrix).
-/// `act` uses the exact elementwise formulas of tensor/ops.cc, so for
-/// f32 and int8 the output is bitwise identical to Conv2dForward*
-/// followed by the separate bias/activation passes. Eval-only: no
-/// backward exists for these entry points.
-Tensor Conv2dForwardFused(const Tensor& x, const Tensor& w, const Tensor& bias,
-                          const ConvSpec& spec, EpilogueAct act,
-                          float leaky_slope);
-
+/// Fused eval-path low-precision convolutions (DESIGN.md §13): bias
+/// and activation run as a GEMM epilogue, and panels are gathered
+/// straight from the input image (implicit im2col). For int8 the output
+/// is bitwise identical to Conv2dForwardInt8 followed by the separate
+/// bias/activation passes. Eval-only: no backward exists for these.
+///
 /// bf16 weights, pre-converted row-major (F, C*KH*KW).
 Tensor Conv2dForwardFusedBf16(const Tensor& x, const uint16_t* w_bf16,
                               int64_t f, int64_t c, int64_t kh, int64_t kw,

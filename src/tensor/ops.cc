@@ -48,7 +48,8 @@ Tensor BinaryBroadcastOp(const Tensor& a, const Tensor& b, BinaryFn fn) {
     const float* pb = b.data();
     float* po = out.data();
     RunRanges(a.numel(), [&](int64_t begin, int64_t end) {
-      for (int64_t i = begin; i < end; ++i) po[i] = fn(pa[i], pb[i]);
+      const BinaryFn f = fn;  // local copy: po stores cannot alias it
+      for (int64_t i = begin; i < end; ++i) po[i] = f(pa[i], pb[i]);
     });
     return out;
   }
@@ -99,7 +100,8 @@ Tensor UnaryOp(const Tensor& a, UnaryFn fn) {
   const float* pa = a.data();
   float* po = out.data();
   RunRanges(a.numel(), [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) po[i] = fn(pa[i]);
+    const UnaryFn f = fn;  // local copy: po stores cannot alias it
+    for (int64_t i = begin; i < end; ++i) po[i] = f(pa[i]);
   });
   return out;
 }
@@ -188,7 +190,11 @@ void BinaryInPlace(Tensor& a, const Tensor& b, const char* name, BinaryFn fn) {
   float* pd = a.data();
   const float* ps = b.data();
   RunRanges(a.numel(), [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) pd[i] = fn(pd[i], ps[i]);
+    // A local copy of fn (and of any scalar it captures, e.g. a slope):
+    // read through the outer capture it could alias the pd stores, and
+    // the loop would not vectorize.
+    const BinaryFn f = fn;
+    for (int64_t i = begin; i < end; ++i) pd[i] = f(pd[i], ps[i]);
   });
 }
 

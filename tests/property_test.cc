@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <tuple>
+#include <vector>
 
 #include "core/rng.h"
 #include "core/thread_pool.h"
@@ -80,6 +82,87 @@ TEST_P(ConvSweep, Im2ColMatchesDirect) {
       << " p=" << padding << " size=" << size;
 }
 
+// Index-arithmetic im2col of sample n: every (tap, output pixel) pair
+// checks its own bounds.
+std::vector<float> IndexIm2Col(const ts::Tensor& x, int64_t n, int64_t k,
+                               const ts::ConvSpec& spec) {
+  const int64_t c = x.size(1);
+  const int64_t h = x.size(2);
+  const int64_t wd = x.size(3);
+  const int64_t oh = ts::ConvOutSize(h, k, spec.stride, spec.padding);
+  const int64_t ow = ts::ConvOutSize(wd, k, spec.stride, spec.padding);
+  std::vector<float> cols(c * k * k * oh * ow);
+  for (int64_t row = 0; row < c * k * k; ++row) {
+    const int64_t ci = row / (k * k);
+    const int64_t ki = row / k % k;
+    const int64_t kj = row % k;
+    for (int64_t col = 0; col < oh * ow; ++col) {
+      const int64_t ii = col / ow * spec.stride + ki - spec.padding;
+      const int64_t jj = col % ow * spec.stride + kj - spec.padding;
+      const bool inside = ii >= 0 && ii < h && jj >= 0 && jj < wd;
+      cols[row * oh * ow + col] = inside ? x.at({n, ci, ii, jj}) : 0.0f;
+    }
+  }
+  return cols;
+}
+
+// Index-arithmetic col2im: the same (row, col) walk, scatter-adding
+// into out[n] in that order.
+void IndexCol2ImAdd(const ts::Tensor& cols, ts::Tensor& out, int64_t n,
+                    int64_t k, const ts::ConvSpec& spec) {
+  const int64_t c = out.size(1);
+  const int64_t h = out.size(2);
+  const int64_t wd = out.size(3);
+  const int64_t oh = ts::ConvOutSize(h, k, spec.stride, spec.padding);
+  const int64_t ow = ts::ConvOutSize(wd, k, spec.stride, spec.padding);
+  for (int64_t row = 0; row < c * k * k; ++row) {
+    const int64_t ci = row / (k * k);
+    const int64_t ki = row / k % k;
+    const int64_t kj = row % k;
+    for (int64_t col = 0; col < oh * ow; ++col) {
+      const int64_t ii = col / ow * spec.stride + ki - spec.padding;
+      const int64_t jj = col % ow * spec.stride + kj - spec.padding;
+      if (ii < 0 || ii >= h || jj < 0 || jj >= wd) continue;
+      out.at({n, ci, ii, jj}) += cols.flat(row * oh * ow + col);
+    }
+  }
+}
+
+std::vector<uint32_t> BitsOf(const float* p, int64_t count) {
+  std::vector<uint32_t> bits(count);
+  for (int64_t i = 0; i < count; ++i) bits[i] = std::bit_cast<uint32_t>(p[i]);
+  return bits;
+}
+
+// The span-based Im2Col/Col2ImAdd skip whole out-of-image runs instead
+// of testing each element; the values (and, for col2im, the order each
+// image element accumulates its terms in) must not change.
+TEST_P(ConvSweep, Im2ColAndCol2ImMatchIndexReferenceBitwise) {
+  auto [c, f, k, stride, padding, size] = GetParam();
+  (void)f;
+  Rng rng(c * 1000 + k * 100 + stride * 10 + padding);
+  const ts::Tensor x = ts::Tensor::Randn({2, c, size, size}, rng);
+  const ts::ConvSpec spec{.stride = stride, .padding = padding};
+  for (int64_t n = 0; n < 2; ++n) {
+    const ts::Tensor cols = ts::Im2Col(x, n, k, k, spec);
+    const std::vector<float> want = IndexIm2Col(x, n, k, spec);
+    ASSERT_EQ(cols.numel(), static_cast<int64_t>(want.size()));
+    EXPECT_EQ(BitsOf(cols.data(), cols.numel()),
+              BitsOf(want.data(), cols.numel()))
+        << "im2col n=" << n;
+
+    // Scatter random columns into a non-zero image: accumulation, not
+    // just placement, is under test.
+    const ts::Tensor g = ts::Tensor::Randn(cols.shape(), rng);
+    ts::Tensor got = ts::Tensor::Randn({2, c, size, size}, rng);
+    ts::Tensor ref = got.Clone();
+    ts::Col2ImAdd(g, got, n, k, k, spec);
+    IndexCol2ImAdd(g, ref, n, k, spec);
+    EXPECT_EQ(BitsOf(got.data(), got.numel()), BitsOf(ref.data(), ref.numel()))
+        << "col2im n=" << n;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ConvSweep,
     ::testing::Values(ConvParams{1, 1, 1, 1, 0, 4},
@@ -89,7 +172,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvParams{2, 2, 3, 2, 1, 8},
                       ConvParams{4, 8, 3, 2, 0, 10},
                       ConvParams{3, 2, 1, 1, 0, 6},
-                      ConvParams{2, 5, 4, 2, 1, 12}));
+                      ConvParams{2, 5, 4, 2, 1, 12},
+                      ConvParams{2, 3, 3, 1, 2, 5},    // padding = k - 1
+                      ConvParams{3, 2, 4, 2, 3, 7},    // strided, padding = k - 1
+                      ConvParams{2, 2, 5, 1, 2, 4}));  // kernel wider than image
 
 // --- Broadcasting against an index-arithmetic reference ------------------
 

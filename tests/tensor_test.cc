@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "core/rng.h"
 #include "tensor/device.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
@@ -317,6 +325,209 @@ TEST(InPlaceOpsTest, BroadcastTo) {
   Tensor via_add = Add(Tensor::Zeros({4, 2, 3}), col);
   EXPECT_TRUE(AllClose(BroadcastTo(col, {4, 2, 3}), via_add));
 }
+
+// --- every elementwise kernel against a scalar reference loop ------------
+//
+// The kernels in ops.cc are built with their own optimization flags;
+// these cases pin that the vectorized loops compute exactly the scalar
+// formula, bit for bit, on the values that expose a rewritten select or
+// a reordered operation: ±0, ±inf, NaN, denormals and mixed signs. Each
+// runs on both devices over more elements than the parallel threshold.
+
+constexpr int64_t kBitwiseN = 40009;  // > the 1 << 15 parallel threshold
+
+const std::vector<float>& SpecialValues() {
+  static const std::vector<float> v = {
+      0.0f, -0.0f, std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(), 1e-40f, -3e-39f,
+      std::numeric_limits<float>::min(), std::numeric_limits<float>::max(),
+      -std::numeric_limits<float>::max(), 1.0f, -1.0f, 0.5f, -2.5f, 88.5f,
+      -104.0f};
+  return v;
+}
+
+// Specials first — cycling for an even seed, held in runs for an odd
+// one, so an even/odd pair of same-shape tensors meets every (special,
+// special) combination — then zero-mean values whose signs are a coin
+// flip.
+Tensor SpecialsTensor(const Shape& shape, uint64_t seed) {
+  Tensor t = Tensor::Uninitialized(shape);
+  const std::vector<float>& sv = SpecialValues();
+  const int64_t s = static_cast<int64_t>(sv.size());
+  Rng rng(seed);
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    if (i < s * s) {
+      t.flat(i) = seed % 2 == 0 ? sv[i % s] : sv[i / s];
+    } else {
+      t.flat(i) = static_cast<float>(rng.Uniform(-3.0, 3.0));
+    }
+  }
+  return t;
+}
+
+uint32_t Bits(float v) { return std::bit_cast<uint32_t>(v); }
+
+void ExpectBitwise(const Tensor& got, const std::vector<float>& want,
+                   const char* name) {
+  ASSERT_EQ(got.numel(), static_cast<int64_t>(want.size())) << name;
+  int64_t mismatches = 0;
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    if (Bits(got.flat(i)) != Bits(want[i]) && mismatches++ < 3) {
+      ADD_FAILURE() << name << "[" << i << "]: got " << got.flat(i) << " (0x"
+                    << std::hex << Bits(got.flat(i)) << "), want " << want[i]
+                    << " (0x" << Bits(want[i]) << std::dec << ")";
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << name;
+}
+
+template <typename Fn>
+std::vector<float> MapRef(const Tensor& a, Fn fn) {
+  std::vector<float> out(a.numel());
+  for (int64_t i = 0; i < a.numel(); ++i) out[i] = fn(a.flat(i));
+  return out;
+}
+
+template <typename Fn>
+std::vector<float> ZipRef(const Tensor& a, const Tensor& b, Fn fn) {
+  std::vector<float> out(a.numel());
+  for (int64_t i = 0; i < a.numel(); ++i) out[i] = fn(a.flat(i), b.flat(i));
+  return out;
+}
+
+class ElementwiseBitwiseTest : public ::testing::TestWithParam<Device> {};
+
+TEST_P(ElementwiseBitwiseTest, UnaryMatchesScalarLoop) {
+  DeviceGuard guard(GetParam());
+  const Tensor a = SpecialsTensor({kBitwiseN}, 0);
+  ExpectBitwise(Neg(a), MapRef(a, [](float x) { return -x; }), "Neg");
+  ExpectBitwise(Exp(a), MapRef(a, [](float x) { return std::exp(x); }),
+                "Exp");
+  ExpectBitwise(Log(a), MapRef(a, [](float x) { return std::log(x); }),
+                "Log");
+  ExpectBitwise(Sqrt(a), MapRef(a, [](float x) { return std::sqrt(x); }),
+                "Sqrt");
+  ExpectBitwise(Abs(a), MapRef(a, [](float x) { return std::fabs(x); }),
+                "Abs");
+  ExpectBitwise(Relu(a), MapRef(a, [](float x) { return x > 0.0f ? x : 0.0f; }),
+                "Relu");
+  ExpectBitwise(LeakyRelu(a, 0.01f),
+                MapRef(a, [](float x) { return x > 0.0f ? x : 0.01f * x; }),
+                "LeakyRelu");
+  ExpectBitwise(
+      Sigmoid(a),
+      MapRef(a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); }),
+      "Sigmoid");
+  ExpectBitwise(Tanh(a), MapRef(a, [](float x) { return std::tanh(x); }),
+                "Tanh");
+  ExpectBitwise(
+      Clamp(a, -1.0f, 2.0f),
+      MapRef(a, [](float x) { return std::clamp(x, -1.0f, 2.0f); }), "Clamp");
+  ExpectBitwise(AddScalar(a, 0.25f),
+                MapRef(a, [](float x) { return x + 0.25f; }), "AddScalar");
+  ExpectBitwise(MulScalar(a, -3.0f),
+                MapRef(a, [](float x) { return x * -3.0f; }), "MulScalar");
+  // Not 2.0: the compiler folds pow(x, 2) into x * x in the reference.
+  for (const float p : {1.5f, 3.0f}) {
+    ExpectBitwise(PowScalar(a, p),
+                  MapRef(a, [p](float x) { return std::pow(x, p); }),
+                  "PowScalar");
+  }
+  // -0.0 is not > 0, so ReLU maps it to +0.0, not -0.0.
+  EXPECT_EQ(Bits(Relu(Tensor::FromVector({1}, {-0.0f})).flat(0)), 0u);
+}
+
+TEST_P(ElementwiseBitwiseTest, BinarySameShapeMatchesScalarLoop) {
+  DeviceGuard guard(GetParam());
+  const Tensor a = SpecialsTensor({kBitwiseN}, 0);
+  const Tensor b = SpecialsTensor({kBitwiseN}, 1);
+  ExpectBitwise(Add(a, b), ZipRef(a, b, [](float x, float y) { return x + y; }),
+                "Add");
+  ExpectBitwise(Sub(a, b), ZipRef(a, b, [](float x, float y) { return x - y; }),
+                "Sub");
+  ExpectBitwise(Mul(a, b), ZipRef(a, b, [](float x, float y) { return x * y; }),
+                "Mul");
+  ExpectBitwise(Div(a, b), ZipRef(a, b, [](float x, float y) { return x / y; }),
+                "Div");
+  ExpectBitwise(
+      Maximum(a, b),
+      ZipRef(a, b, [](float x, float y) { return std::max(x, y); }),
+      "Maximum");
+}
+
+TEST_P(ElementwiseBitwiseTest, BinaryBroadcastMatchesScalarLoop) {
+  DeviceGuard guard(GetParam());
+  const Tensor a = SpecialsTensor({19, 9, 256}, 0);  // 43776 elements
+  const Tensor b = SpecialsTensor({9, 1}, 2);
+  auto broadcast_ref = [&](auto fn) {
+    std::vector<float> out(a.numel());
+    for (int64_t i = 0; i < a.numel(); ++i) {
+      out[i] = fn(a.flat(i), b.flat((i / 256) % 9));
+    }
+    return out;
+  };
+  ExpectBitwise(Add(a, b), broadcast_ref([](float x, float y) { return x + y; }),
+                "Add");
+  ExpectBitwise(Sub(a, b), broadcast_ref([](float x, float y) { return x - y; }),
+                "Sub");
+  ExpectBitwise(Mul(a, b), broadcast_ref([](float x, float y) { return x * y; }),
+                "Mul");
+  ExpectBitwise(Div(a, b), broadcast_ref([](float x, float y) { return x / y; }),
+                "Div");
+  ExpectBitwise(
+      Maximum(a, b),
+      broadcast_ref([](float x, float y) { return std::max(x, y); }),
+      "Maximum");
+  ExpectBitwise(BroadcastTo(b, {19, 9, 256}),
+                broadcast_ref([](float, float y) { return y; }),
+                "BroadcastTo");
+}
+
+TEST_P(ElementwiseBitwiseTest, InPlaceMatchesScalarLoop) {
+  DeviceGuard guard(GetParam());
+  const Tensor a = SpecialsTensor({kBitwiseN}, 0);
+  const Tensor b = SpecialsTensor({kBitwiseN}, 1);
+  auto run = [&](auto op) {
+    Tensor d = a.Clone();
+    op(d);
+    return d;
+  };
+  ExpectBitwise(run([&](Tensor& d) { MulInPlace(d, b); }),
+                ZipRef(a, b, [](float x, float y) { return x * y; }),
+                "MulInPlace");
+  ExpectBitwise(run([](Tensor& d) { NegInPlace(d); }),
+                MapRef(a, [](float x) { return -x; }), "NegInPlace");
+  ExpectBitwise(run([&](Tensor& d) { AddScaledInPlace(d, b, -0.75f); }),
+                ZipRef(a, b, [](float x, float y) { return x + -0.75f * y; }),
+                "AddScaledInPlace");
+  // The ReLU backward mask: NaN gradients pass through (x > 0) or are
+  // scaled like any other value, never dropped by a rewritten select.
+  for (const float slope : {0.0f, 0.1f}) {
+    ExpectBitwise(
+        run([&](Tensor& d) { ReluMaskInPlace(d, b, slope); }),
+        ZipRef(a, b,
+               [slope](float gv, float xv) { return xv > 0.0f ? gv : slope * gv; }),
+        "ReluMaskInPlace");
+  }
+  ExpectBitwise(
+      run([&](Tensor& d) { SigmoidGradInPlace(d, b); }),
+      ZipRef(a, b, [](float gv, float yv) { return gv * yv * (1.0f - yv); }),
+      "SigmoidGradInPlace");
+  ExpectBitwise(
+      run([&](Tensor& d) { TanhGradInPlace(d, b); }),
+      ZipRef(a, b, [](float gv, float yv) { return gv * (1.0f - yv * yv); }),
+      "TanhGradInPlace");
+}
+
+INSTANTIATE_TEST_SUITE_P(Devices, ElementwiseBitwiseTest,
+                         ::testing::Values(Device::kSerial, Device::kParallel),
+                         [](const ::testing::TestParamInfo<Device>& info) {
+                           return info.param == Device::kSerial ? "Serial"
+                                                                : "Parallel";
+                         });
 
 TEST(TensorTest, UninitializedHasShapeAndWritableStorage) {
   Tensor t = Tensor::Uninitialized({3, 5});
