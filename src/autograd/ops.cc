@@ -294,8 +294,10 @@ Variable Conv2d(const Variable& x, const Variable& w, const Variable& bias,
   return Variable::FromOp(
       std::move(out), std::move(parents),
       [vx, vw, has_bias, spec](Node& n) {
+        // A data input (no parent wants its grad) skips grad_x.
         ts::Conv2dGrads grads =
-            ts::Conv2dBackward(n.grad, vx, vw, has_bias, spec);
+            ts::Conv2dBackward(n.grad, vx, vw, has_bias, spec,
+                               n.parents[0]->requires_grad);
         PushGrad(n, 0, grads.grad_x);
         PushGrad(n, 1, grads.grad_w);
         if (has_bias) PushGrad(n, 2, grads.grad_bias);

@@ -426,9 +426,11 @@ Tensor Conv2dForwardFusedInt8(const Tensor& x, const int8_t* w_q,
 
 Conv2dGrads Conv2dBackward(const Tensor& grad_out, const Tensor& x,
                            const Tensor& w, bool has_bias,
-                           const ConvSpec& spec) {
+                           const ConvSpec& spec, bool need_grad_x) {
   const int64_t n = x.size(0);
   const int64_t c = x.size(1);
+  const int64_t h = x.size(2);
+  const int64_t wd = x.size(3);
   const int64_t f = w.size(0);
   const int64_t kh = w.size(2);
   const int64_t kw = w.size(3);
@@ -437,13 +439,33 @@ Conv2dGrads Conv2dBackward(const Tensor& grad_out, const Tensor& x,
   const int64_t ck = c * kh * kw;
   const int64_t l = oh * ow;
 
+  // Stride-1 problems the blocked GEMM would take run the direct
+  // backward kernels, which reproduce its values without the patch
+  // matrix; smaller ones keep the reference GEMM's rounding through
+  // im2col + Gemm + col2im, as do strided convs.
+  const bool direct =
+      spec.stride == 1 && f * ck * l >= gemm_internal::kBlockedMinWork;
+
   Conv2dGrads grads;
-  grads.grad_x = Tensor::Zeros(x.shape());
+  if (need_grad_x) {
+    // The direct input gradient overwrites each sample's image.
+    grads.grad_x =
+        direct ? Tensor::Uninitialized(x.shape()) : Tensor::Zeros(x.shape());
+  }
   grads.grad_w = Tensor::Zeros(w.shape());
   grads.grad_bias = has_bias ? Tensor::Zeros({f}) : Tensor();
 
   const float* pg = grad_out.data();
   const float* pw = w.data();
+  const float* px = x.data();
+  float* pgx = need_grad_x ? grads.grad_x.data() : nullptr;
+  const ConvImageView<float> shape =
+      MakeConvView(px, c, h, wd, kh, kw, spec, oh, ow);
+  Tensor w_packed;
+  if (direct && need_grad_x) {
+    w_packed = Tensor::Uninitialized({ConvBackwardInputWSize(shape, f)});
+    PackConvBackwardInputW(pw, shape, f, w_packed.data());
+  }
 
   // Weight/bias grads are sums over samples, and float addition does
   // not associate, so the summation order must not depend on the
@@ -468,17 +490,30 @@ Conv2dGrads Conv2dBackward(const Tensor& grad_out, const Tensor& x,
     const int64_t end = std::min<int64_t>(n, (part + 1) * per);
     for (int64_t i = part * per; i < end; ++i) {
       const float* g_i = pg + i * f * l;
-      // grad wrt weights: gw += g_i (f, l) x cols^T (l, ck). The kernel
-      // consumes cols (ck, l) as a transposed operand directly.
-      float* cols = ThreadLocalWorkspace(kWorkspaceIm2Col, ck * l);
-      Im2ColInto(x, i, kh, kw, spec, cols);
-      Gemm(g_i, cols, gw, f, l, ck, {.beta = 1.0f, .trans_b = true});
-      // grad wrt input: W^T (ck, f) x g_i (f, l) -> (ck, l), col2im.
-      // W (f, ck) is consumed transposed, and beta=0 overwrites the
-      // workspace, so neither W^T nor a zeroed buffer is materialized.
-      float* gcols = ThreadLocalWorkspace(kWorkspaceConvCols, ck * l);
-      Gemm(pw, g_i, gcols, ck, f, l, {.beta = 0.0f, .trans_a = true});
-      Col2ImAddRaw(gcols, grads.grad_x, i, kh, kw, spec);
+      if (direct) {
+        ConvImageView<float> view = shape;
+        view.x = px + i * c * h * wd;
+        ConvBackwardWeight(g_i, view, gw, f);
+        if (need_grad_x) {
+          ConvBackwardInput(w_packed.data(), g_i, view, pgx + i * c * h * wd,
+                            f);
+        }
+      } else {
+        // grad wrt weights: gw += g_i (f, l) x cols^T (l, ck). The
+        // kernel consumes cols (ck, l) as a transposed operand directly.
+        float* cols = ThreadLocalWorkspace(kWorkspaceIm2Col, ck * l);
+        Im2ColInto(x, i, kh, kw, spec, cols);
+        Gemm(g_i, cols, gw, f, l, ck, {.beta = 1.0f, .trans_b = true});
+        if (need_grad_x) {
+          // grad wrt input: W^T (ck, f) x g_i (f, l) -> (ck, l), col2im.
+          // W (f, ck) is consumed transposed, and beta=0 overwrites the
+          // workspace, so neither W^T nor a zeroed buffer is
+          // materialized.
+          float* gcols = ThreadLocalWorkspace(kWorkspaceConvCols, ck * l);
+          Gemm(pw, g_i, gcols, ck, f, l, {.beta = 0.0f, .trans_a = true});
+          Col2ImAddRaw(gcols, grads.grad_x, i, kh, kw, spec);
+        }
+      }
       if (has_bias) {
         for (int64_t fi = 0; fi < f; ++fi) {
           const float* row = g_i + fi * l;

@@ -94,10 +94,14 @@ struct Conv2dGrads {
   Tensor grad_bias;  // empty if the forward had no bias
 };
 
-/// Gradients of Conv2dForward wrt input, weights, and bias.
+/// Gradients of Conv2dForward wrt input, weights, and bias. With
+/// `need_grad_x` false (the input is data), grad_x is left empty and
+/// its GEMM skipped; grad_w and grad_bias are unchanged. Stride-1
+/// problems past the reference-GEMM threshold run the direct backward
+/// kernels (DESIGN.md §13), bitwise equal to im2col + Gemm + col2im.
 Conv2dGrads Conv2dBackward(const Tensor& grad_out, const Tensor& x,
                            const Tensor& w, bool has_bias,
-                           const ConvSpec& spec);
+                           const ConvSpec& spec, bool need_grad_x = true);
 
 /// Transposed convolution ("deconvolution"). x: (N, C, H, W),
 /// w: (C, F, KH, KW), bias: (F) or empty.

@@ -24,6 +24,7 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "core/check.h"
 #include "core/memory.h"
@@ -258,6 +259,39 @@ void GemmRegion(const OperandView& v, float* c, float beta, int64_t mb,
   }
 }
 
+// Zero-padded copy of one (c, h, w) image in the calling thread's
+// im2col workspace: planes of ph = h + 2·pad rows, ws floats apart. At
+// stride 1, im2col element (tap p, output pixel (oi, oj)) is
+// data[Offset(p) + oi·ws + oj], out-of-image taps reading the zeros.
+struct PaddedImage {
+  const float* data;
+  int64_t ph, ws;
+  const ConvImageView<float>* b;
+
+  int64_t Offset(int64_t p) const {
+    const int64_t ci = p / (b->kh * b->kw);
+    const int64_t rem = p - ci * b->kh * b->kw;
+    return (ci * ph + rem / b->kw) * ws + rem % b->kw;
+  }
+};
+
+PaddedImage StagePaddedImage(const ConvImageView<float>& b) {
+  const int64_t ph = b.h + 2 * b.pad;
+  // Row slack so the widest tile's lane loads stay inside the buffer:
+  // max column read is j0 + (kw-1) + kNR-1 < (w + 2*pad) + kNR.
+  const int64_t ws = b.w + 2 * b.pad + kNR;
+  float* padded = ThreadLocalWorkspace(kWorkspaceIm2Col, b.c * ph * ws);
+  std::fill(padded, padded + b.c * ph * ws, 0.0f);
+  for (int64_t ci = 0; ci < b.c; ++ci) {
+    for (int64_t ii = 0; ii < b.h; ++ii) {
+      __builtin_memcpy(padded + (ci * ph + ii + b.pad) * ws + b.pad,
+                       b.x + (ci * b.h + ii) * b.w,
+                       static_cast<size_t>(b.w) * sizeof(float));
+    }
+  }
+  return {padded, ph, ws, &b};
+}
+
 // Direct (im2col-free) stride-1 convolution. Instead of gathering the
 // patch matrix and packing it into B panels, the register tile walks the
 // image itself: for a tile of kMR output channels and kNR output columns
@@ -279,19 +313,9 @@ void ConvDirectKernel(const float* a, const ConvImageView<float>& b, float* c,
                       int64_t m, const GemmOptions& opts) {
   const int64_t k = b.K();
   const int64_t n = b.N();
-  const int64_t ph = b.h + 2 * b.pad;
-  // Row slack so the widest tile's lane loads stay inside the buffer:
-  // max column read is j0 + (kw-1) + kNR-1 < (w + 2*pad) + kNR.
-  const int64_t ws = b.w + 2 * b.pad + kNR;
-  float* padded = ThreadLocalWorkspace(kWorkspaceIm2Col, b.c * ph * ws);
-  std::fill(padded, padded + b.c * ph * ws, 0.0f);
-  for (int64_t ci = 0; ci < b.c; ++ci) {
-    for (int64_t ii = 0; ii < b.h; ++ii) {
-      __builtin_memcpy(padded + (ci * ph + ii + b.pad) * ws + b.pad,
-                       b.x + (ci * b.h + ii) * b.w,
-                       static_cast<size_t>(b.w) * sizeof(float));
-    }
-  }
+  const PaddedImage img = StagePaddedImage(b);
+  const float* padded = img.data;
+  const int64_t ws = img.ws;
   const OperandView av{a, nullptr, m, k, n, opts.trans_a, false};
   const int64_t mtiles = CeilDiv(m, kMR);
   for (int64_t pc = 0; pc < k; pc += kKC) {
@@ -302,11 +326,7 @@ void ConvDirectKernel(const float* a, const ConvImageView<float>& b, float* c,
     // output-row origin then advances by one padded row per oi.
     int32_t off[kKC];
     for (int64_t idx = 0; idx < kc; ++idx) {
-      const int64_t p = pc + idx;
-      const int64_t ci = p / (b.kh * b.kw);
-      const int64_t rem = p - ci * b.kh * b.kw;
-      off[idx] = static_cast<int32_t>(
-          (ci * ph + rem / b.kw) * ws + rem % b.kw);
+      off[idx] = static_cast<int32_t>(img.Offset(pc + idx));
     }
     const float beta_eff = (pc == 0) ? opts.beta : 1.0f;
     const GemmEpilogue* ep = (pc + kc == k) ? opts.epilogue : nullptr;
@@ -379,6 +399,19 @@ void ConvDirectKernel(const float* a, const ConvImageView<float>& b, float* c,
         }
       }
     }
+  }
+}
+
+// Runs fn over [0, tiles) in ranges. On Device::kParallel, problems of
+// at least kParallelMinWork spread the ranges over the pool; a call from
+// a pool worker runs inline (ThreadPool::ParallelForRange).
+void ForEachTileRange(int64_t tiles, int64_t work,
+                      const std::function<void(int64_t, int64_t)>& fn) {
+  if (GetDefaultDevice() == Device::kParallel && work >= kParallelMinWork &&
+      tiles > 1) {
+    ThreadPool::Global().ParallelForRange(tiles, fn);
+  } else {
+    fn(0, tiles);
   }
 }
 
@@ -466,6 +499,223 @@ void GemmConv(const float* a, const ConvImageView<float>& b, float* c,
   }
   const OperandView v{a, nullptr, m, k, n, opts.trans_a, false, &b};
   GemmBlocked(v, c, opts, work);
+}
+
+// Weight gradient as its transpose, gwᵀ (K taps × m filters): the
+// register tile is kMR taps × kNR filters, its rows broadcast straight
+// from the padded image and its lanes read from gᵀ, so neither the
+// patch matrix nor a transposed B pack is built. The K dimension is the
+// output positions in order, split at kKC with each block's chain
+// started from zero and then added into gw — the first-block /
+// later-block merge of the beta = 1 blocked Gemm. fma(x, g, acc) equals
+// fma(g, x, acc), so every gw element gets the same rounding steps.
+void ConvBackwardWeight(const float* g, const ConvImageView<float>& b,
+                        float* gw, int64_t m) {
+  const int64_t k = b.K();
+  const int64_t n = b.N();
+  GEO_CHECK_EQ(b.stride, 1);
+  GEO_OBS_COUNT("gemm.calls", 1);
+  GEO_OBS_COUNT("gemm.flops", 2 * m * n * k);
+  GEO_OBS_COUNT("gemm.path.conv_backward_direct", 1);
+  const PaddedImage img = StagePaddedImage(b);
+  // gᵀ, (n × mp): one contiguous row of filters per output position,
+  // filters past m zero.
+  const int64_t mp = CeilDiv(m, kNR) * kNR;
+  float* gt = ThreadLocalWorkspace(kWorkspaceConvCols, n * mp);
+  for (int64_t j = 0; j < n; ++j) {
+    float* row = gt + j * mp;
+    for (int64_t fi = 0; fi < m; ++fi) row[fi] = g[fi * n + j];
+    for (int64_t fi = m; fi < mp; ++fi) row[fi] = 0.0f;
+  }
+  ForEachTileRange(CeilDiv(k, kMR), m * n * k, [&](int64_t t0, int64_t t1) {
+    int32_t pos[kKC];  // padded-image offset of each output position
+    for (int64_t pc = 0; pc < n; pc += kKC) {
+      const int64_t kc = std::min(kKC, n - pc);
+      for (int64_t idx = 0, oi = pc / b.ow, oj = pc % b.ow; idx < kc; ++idx) {
+        pos[idx] = static_cast<int32_t>(oi * img.ws + oj);
+        if (++oj == b.ow) {
+          oj = 0;
+          ++oi;
+        }
+      }
+      for (int64_t ti = t0; ti < t1; ++ti) {
+        const int64_t rows = std::min(kMR, k - ti * kMR);
+        const float* tap[kMR];
+        tap[0] = img.data + img.Offset(ti * kMR);
+        for (int64_t r = 1; r < kMR; ++r) {
+          // Rows past the last tap repeat it and are discarded.
+          tap[r] = r < rows ? img.data + img.Offset(ti * kMR + r) : tap[r - 1];
+        }
+        for (int64_t fj = 0; fj < m; fj += kNR) {
+          const int64_t cols = std::min(kNR, m - fj);
+          const float* gcol = gt + pc * mp + fj;
+          VecLane acc[kMR][kLanesPerRow] = {};
+          for (int64_t idx = 0; idx < kc; ++idx) {
+            const float* __restrict b_slice = gcol + idx * mp;
+            VecLane b_lane[kLanesPerRow];
+            for (int64_t l = 0; l < kLanesPerRow; ++l)
+              b_lane[l] = LoadLane(b_slice + l * kLane);
+            const int32_t o = pos[idx];
+            for (int64_t r = 0; r < kMR; ++r) {
+              const VecLane av = tap[r][o] - VecLane{};  // broadcast
+              for (int64_t l = 0; l < kLanesPerRow; ++l)
+                acc[r][l] += av * b_lane[l];
+            }
+          }
+          alignas(64) float spill[kMR * kNR];
+          for (int64_t r = 0; r < kMR; ++r)
+            __builtin_memcpy(spill + r * kNR, acc[r], sizeof(acc[r]));
+          for (int64_t r = 0; r < rows; ++r) {
+            float* __restrict dst = gw + fj * k + ti * kMR + r;
+            for (int64_t jf = 0; jf < cols; ++jf)
+              dst[jf * k] = dst[jf * k] + spill[r * kNR + jf];
+          }
+        }
+      }
+    }
+  });
+}
+
+int64_t ConvBackwardInputWSize(const ConvImageView<float>& b, int64_t m) {
+  return b.kh * b.kw * CeilDiv(b.c, kMR) * kMR * m;
+}
+
+// Panel (tap kk, channel tile ct) holds, for each filter fi in order,
+// the kMR weights w[fi][(ct·kMR + r, kk)]; channels past c are zero.
+void PackConvBackwardInputW(const float* w, const ConvImageView<float>& b,
+                            int64_t m, float* packed) {
+  const int64_t taps = b.kh * b.kw;
+  const int64_t k = b.K();
+  for (int64_t kk = 0; kk < taps; ++kk) {
+    for (int64_t c0 = 0; c0 < b.c; c0 += kMR) {
+      for (int64_t fi = 0; fi < m; ++fi) {
+        for (int64_t r = 0; r < kMR; ++r) {
+          const int64_t ci = c0 + r;
+          *packed++ = ci < b.c ? w[fi * k + ci * taps + kk] : 0.0f;
+        }
+      }
+    }
+  }
+}
+
+namespace {
+
+// acc += the filter chain [f0, f1) of one input-gradient tile: per
+// filter, the kMR panel weights broadcast against NL lanes of g.
+template <int64_t NL>
+inline void FilterChain(const float* panel, const float* g, int64_t n,
+                        int64_t f0, int64_t f1, VecLane (&acc)[kMR][NL]) {
+  for (int64_t fi = f0; fi < f1; ++fi) {
+    const float* __restrict bsrc = g + fi * n;
+    const float* __restrict a_slice = panel + fi * kMR;
+    VecLane b_lane[NL];
+    for (int64_t l = 0; l < NL; ++l) b_lane[l] = LoadLane(bsrc + l * kLane);
+    for (int64_t r = 0; r < kMR; ++r) {
+      const VecLane av = a_slice[r] - VecLane{};  // broadcast
+      for (int64_t l = 0; l < NL; ++l) acc[r][l] += av * b_lane[l];
+    }
+  }
+}
+
+// One input-gradient tile of kMR channels × NL lanes of output columns:
+// the filter chain split at kKC (later blocks added to the first, as
+// the blocked Gemm merges them), then added into the `cols` leading
+// columns of dst, whose channel rows are `plane` floats apart.
+template <int64_t NL>
+void InputGradTile(const float* panel, const float* g, int64_t n, int64_t m,
+                   float* dst, int64_t plane, int64_t cols) {
+  VecLane t[kMR][NL] = {};
+  FilterChain<NL>(panel, g, n, 0, std::min(kKC, m), t);
+  for (int64_t pc = kKC; pc < m; pc += kKC) {
+    VecLane acc[kMR][NL] = {};
+    FilterChain<NL>(panel, g, n, pc, std::min(m, pc + kKC), acc);
+    for (int64_t r = 0; r < kMR; ++r)
+      for (int64_t l = 0; l < NL; ++l) t[r][l] = t[r][l] + acc[r][l];
+  }
+  if (cols == NL * kLane) {
+    for (int64_t r = 0; r < kMR; ++r) {
+      for (int64_t l = 0; l < NL; ++l) {
+        float* d = dst + r * plane + l * kLane;
+        const VecLane sum = LoadLane(d) + t[r][l];
+        __builtin_memcpy(d, &sum, sizeof(VecLane));
+      }
+    }
+    return;
+  }
+  alignas(64) float spill[kMR * NL * kLane];
+  for (int64_t r = 0; r < kMR; ++r)
+    __builtin_memcpy(spill + r * NL * kLane, t[r], sizeof(t[r]));
+  for (int64_t r = 0; r < kMR; ++r) {
+    float* __restrict d = dst + r * plane;
+    for (int64_t j = 0; j < cols; ++j) d[j] = d[j] + spill[r * NL * kLane + j];
+  }
+}
+
+}  // namespace
+
+// Input gradient without the column matrix. Per tile of kMR channels,
+// the loop runs kernel taps (ki, kj) in order, so each grad_x element
+// receives its terms in col2im's order, starting from zero; per tap, a
+// tile of kMR channels × kNR output columns of one output row is built
+// in registers as the exact beta = 0 chain over filters (blocks past
+// the first kKC filters added to it, as the blocked Gemm merges them)
+// and added straight into a column-padded copy of the image gradient.
+// Output rows whose tap leaves the image are skipped; columns whose tap
+// leaves it land in the padding, which is dropped. Channel tiles are
+// disjoint, so they split across the pool freely.
+void ConvBackwardInput(const float* w_packed, const float* g,
+                       const ConvImageView<float>& b, float* grad_x,
+                       int64_t m) {
+  const int64_t n = b.N();
+  GEO_CHECK_EQ(b.stride, 1);
+  GEO_OBS_COUNT("gemm.calls", 1);
+  GEO_OBS_COUNT("gemm.flops", 2 * m * n * b.K());
+  GEO_OBS_COUNT("gemm.path.conv_backward_direct", 1);
+  // g with kNR floats of slack: a row's last lane loads may run past it.
+  float* gs = ThreadLocalWorkspace(kWorkspaceConvCols, m * n + kNR);
+  __builtin_memcpy(gs, g, static_cast<size_t>(m * n) * sizeof(float));
+  std::fill(gs + m * n, gs + m * n + kNR, 0.0f);
+  const int64_t ctiles = CeilDiv(b.c, kMR);
+  const int64_t gws = b.w + 2 * b.pad;  // padded image-gradient row
+  const int64_t plane = b.h * gws;
+  float* gxp = ThreadLocalWorkspace(kWorkspaceIm2Col, ctiles * kMR * plane);
+  ForEachTileRange(ctiles, m * n * b.K(), [&](int64_t t0, int64_t t1) {
+    std::fill(gxp + t0 * kMR * plane, gxp + t1 * kMR * plane, 0.0f);
+    for (int64_t ct = t0; ct < t1; ++ct) {
+      for (int64_t ki = 0; ki < b.kh; ++ki) {
+        const int64_t oi0 = std::max<int64_t>(0, b.pad - ki);
+        const int64_t oi1 = std::min(b.oh, b.h + b.pad - ki);
+        for (int64_t kj = 0; kj < b.kw; ++kj) {
+          const float* panel =
+              w_packed + ((ki * b.kw + kj) * ctiles + ct) * m * kMR;
+          for (int64_t oi = oi0; oi < oi1; ++oi) {
+            float* gx_row = gxp + ct * kMR * plane + (oi + ki - b.pad) * gws;
+            for (int64_t j0 = 0; j0 < b.ow; j0 += kNR) {
+              // Lanes past the last output column are not taps at all:
+              // a tail tile computes one lane when that covers it and
+              // writes back only its real columns.
+              const int64_t cols = std::min(kNR, b.ow - j0);
+              const float* gsrc = gs + oi * b.ow + j0;
+              float* dst = gx_row + j0 + kj;
+              if (cols > kLane) {
+                InputGradTile<kLanesPerRow>(panel, gsrc, n, m, dst, plane,
+                                            cols);
+              } else {
+                InputGradTile<1>(panel, gsrc, n, m, dst, plane, cols);
+              }
+            }
+          }
+        }
+      }
+    }
+    for (int64_t ci = t0 * kMR; ci < std::min(b.c, t1 * kMR); ++ci) {
+      for (int64_t ii = 0; ii < b.h; ++ii) {
+        __builtin_memcpy(grad_x + (ci * b.h + ii) * b.w,
+                         gxp + ci * plane + ii * gws + b.pad,
+                         static_cast<size_t>(b.w) * sizeof(float));
+      }
+    }
+  });
 }
 
 }  // namespace geotorch::tensor

@@ -235,6 +235,36 @@ void GemmConvBf16(const uint16_t* a_bf16, const ConvImageView<float>& b,
 void GemmConvInt8(const int8_t* a, const ConvImageView<int8_t>& b, float* c,
                   int64_t m, const Int8GemmOptions& opts);
 
+/// Direct stride-1 convolution backward kernels (DESIGN.md §13): the
+/// two per-sample GEMMs of a conv backward, computed without the patch
+/// matrix. `b` describes one sample of the forward input, `m` is the
+/// filter count and `g` that sample's (m, b.N()) output gradient. Each
+/// output element keeps the exact K-order FMA chain and per-kKC-block
+/// merge of the blocked Gemm it replaces, so the results are bitwise
+/// those of im2col + Gemm (+ col2im). Callers route only stride-1
+/// problems with m·K·N >= kBlockedMinWork here; below that, Gemm's
+/// reference loop rounds differently. On Device::kParallel, a call made
+/// outside a pool worker splits its disjoint tiles across the pool.
+///
+/// Weight gradient: gw (m, b.K()) += g · im2col(b)ᵀ, as
+/// Gemm(g, cols, gw, m, b.N(), b.K(), {.beta = 1, .trans_b = true}).
+void ConvBackwardWeight(const float* g, const ConvImageView<float>& b,
+                        float* gw, int64_t m);
+
+/// The weights (m, b.K()) row-major, transposed into the per-tap
+/// channel panels ConvBackwardInput reads. Pack once per backward call.
+int64_t ConvBackwardInputWSize(const ConvImageView<float>& b, int64_t m);
+void PackConvBackwardInputW(const float* w, const ConvImageView<float>& b,
+                            int64_t m, float* packed);
+
+/// Input gradient: grad_x (b.c, b.h, b.w) = col2im(Wᵀ · g), as
+/// Gemm(w, g, cols, b.K(), m, b.N(), {.beta = 0, .trans_a = true})
+/// followed by col2im's scatter-add into a zeroed image. Overwrites
+/// grad_x; `b.x` is not read.
+void ConvBackwardInput(const float* w_packed, const float* g,
+                       const ConvImageView<float>& b, float* grad_x,
+                       int64_t m);
+
 namespace gemm_internal {
 
 // Blocking parameters (see DESIGN.md "GEMM kernel & parallel execution"

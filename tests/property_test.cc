@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -19,6 +20,8 @@
 #include "spatial/join.h"
 #include "spatial/strtree.h"
 #include "tensor/conv.h"
+#include "tensor/device.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 
 namespace geotorch {
@@ -176,6 +179,174 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvParams{2, 3, 3, 1, 2, 5},    // padding = k - 1
                       ConvParams{3, 2, 4, 2, 3, 7},    // strided, padding = k - 1
                       ConvParams{2, 2, 5, 1, 2, 4}));  // kernel wider than image
+
+// --- Conv2dBackward against im2col + GEMM + col2im, bit for bit ----------
+
+struct ConvBackwardCase {
+  int64_t n, c, f, k, stride, pad, size;
+  bool specials;  // seed x, w and grad_out with ±0/±inf/NaN/denormals
+};
+
+void PrintTo(const ConvBackwardCase& p, std::ostream* os) {
+  *os << "n" << p.n << "_c" << p.c << "_f" << p.f << "_k" << p.k << "_s"
+      << p.stride << "_p" << p.pad << "_hw" << p.size
+      << (p.specials ? "_specials" : "");
+}
+
+class ConvBackwardSweep : public ::testing::TestWithParam<ConvBackwardCase> {};
+
+// Randn values, with the leading elements replaced by special values
+// (each tensor starts its cycle at a different offset, so specials meet
+// specials and ordinary values in the products).
+ts::Tensor ConvBackwardOperand(const ts::Shape& shape, Rng& rng,
+                               bool specials, int64_t offset) {
+  ts::Tensor t = ts::Tensor::Randn(shape, rng);
+  if (!specials) return t;
+  static const float kSpecials[] = {
+      0.0f, -0.0f, std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(), 1e-40f,
+      std::numeric_limits<float>::min(), std::numeric_limits<float>::max(),
+      -std::numeric_limits<float>::max(), 1e30f};
+  const int64_t s = sizeof(kSpecials) / sizeof(kSpecials[0]);
+  for (int64_t i = 0; i < std::min<int64_t>(t.numel(), 4 * s); ++i) {
+    t.flat(i * 7 % t.numel()) = kSpecials[(i + offset) % s];
+  }
+  return t;
+}
+
+// Reference backward: per sample, im2col + Gemm(trans_b, beta 1)
+// for the weights and Gemm(trans_a, beta 0) + col2im for the input,
+// samples split into 8 contiguous parts merged in part order (the
+// kConvGradParts split of conv.cc).
+ts::Conv2dGrads ReferenceConvBackward(const ts::Tensor& g,
+                                      const ts::Tensor& x,
+                                      const ts::Tensor& w,
+                                      const ts::ConvSpec& spec) {
+  const int64_t n = x.size(0);
+  const int64_t f = w.size(0);
+  const int64_t kh = w.size(2);
+  const int64_t kw = w.size(3);
+  const int64_t ck = x.size(1) * kh * kw;
+  const int64_t l = g.size(2) * g.size(3);
+  const int64_t parts = std::min<int64_t>(n, 8);
+  const int64_t per = (n + parts - 1) / parts;
+  ts::Conv2dGrads out;
+  out.grad_x = ts::Tensor::Zeros(x.shape());
+  out.grad_w = ts::Tensor::Zeros({f, ck});
+  out.grad_bias = ts::Tensor::Zeros({f});
+  ts::Tensor gcols = ts::Tensor::Uninitialized({ck, l});
+  for (int64_t part = 0; part < parts; ++part) {
+    ts::Tensor gw = ts::Tensor::Zeros({f, ck});
+    ts::Tensor gb = ts::Tensor::Zeros({f});
+    for (int64_t i = part * per; i < std::min(n, (part + 1) * per); ++i) {
+      const float* g_i = g.data() + i * f * l;
+      const ts::Tensor cols = ts::Im2Col(x, i, kh, kw, spec);
+      ts::Gemm(g_i, cols.data(), gw.data(), f, l, ck,
+               {.beta = 1.0f, .trans_b = true});
+      ts::Gemm(w.data(), g_i, gcols.data(), ck, f, l,
+               {.beta = 0.0f, .trans_a = true});
+      ts::Col2ImAdd(gcols, out.grad_x, i, kh, kw, spec);
+      for (int64_t fi = 0; fi < f; ++fi) {
+        double sum = 0.0;
+        for (int64_t j = 0; j < l; ++j) sum += g_i[fi * l + j];
+        gb.flat(fi) += static_cast<float>(sum);
+      }
+    }
+    out.grad_w.AddInPlace(gw);
+    out.grad_bias.AddInPlace(gb);
+  }
+  out.grad_w = out.grad_w.Reshape(w.shape());
+  return out;
+}
+
+// Bit patterns with every NaN collapsed to one: when two NaNs meet in
+// an add or FMA, which one propagates depends on the operand order the
+// compiler picked for the instruction, which IEEE 754 leaves open and
+// the same expression compiled in two places need not share.
+std::vector<uint32_t> BitsOrNaN(const ts::Tensor& t) {
+  std::vector<uint32_t> bits = BitsOf(t.data(), t.numel());
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    if (std::isnan(t.flat(i))) bits[i] = 0x7fc00000u;
+  }
+  return bits;
+}
+
+// x, w and grad_out of one case.
+struct ConvBackwardOperands {
+  ts::Tensor x, w, g;
+  ts::ConvSpec spec;
+};
+
+ConvBackwardOperands MakeConvBackwardOperands(const ConvBackwardCase& p) {
+  Rng rng(static_cast<uint64_t>(p.n * 10000 + p.c * 1000 + p.f * 10 + p.k));
+  const int64_t o = ts::ConvOutSize(p.size, p.k, p.stride, p.pad);
+  ConvBackwardOperands ops;
+  ops.x = ConvBackwardOperand({p.n, p.c, p.size, p.size}, rng, p.specials, 0);
+  ops.w = ConvBackwardOperand({p.f, p.c, p.k, p.k}, rng, p.specials, 5);
+  ops.g = ConvBackwardOperand({p.n, p.f, o, o}, rng, p.specials, 9);
+  ops.spec = {.stride = p.stride, .padding = p.pad};
+  return ops;
+}
+
+TEST_P(ConvBackwardSweep, MatchesIm2ColGemmCol2ImBitwise) {
+  const auto [x, w, g, spec] = MakeConvBackwardOperands(GetParam());
+  ts::Conv2dGrads want;
+  {
+    ts::DeviceGuard serial(ts::Device::kSerial);
+    want = ReferenceConvBackward(g, x, w, spec);
+  }
+  for (const ts::Device device : {ts::Device::kSerial, ts::Device::kParallel}) {
+    ts::DeviceGuard guard(device);
+    const ts::Conv2dGrads got = ts::Conv2dBackward(g, x, w, true, spec);
+    const char* dev = device == ts::Device::kSerial ? "serial" : "parallel";
+    EXPECT_EQ(BitsOrNaN(got.grad_x), BitsOrNaN(want.grad_x))
+        << "grad_x " << dev;
+    EXPECT_EQ(BitsOrNaN(got.grad_w), BitsOrNaN(want.grad_w))
+        << "grad_w " << dev;
+    EXPECT_EQ(BitsOrNaN(got.grad_bias), BitsOrNaN(want.grad_bias))
+        << "grad_bias " << dev;
+  }
+}
+
+TEST_P(ConvBackwardSweep, SkippingGradXLeavesWeightGradsUnchanged) {
+  const auto [x, w, g, spec] = MakeConvBackwardOperands(GetParam());
+  const ts::Conv2dGrads full = ts::Conv2dBackward(g, x, w, true, spec);
+  const ts::Conv2dGrads skip =
+      ts::Conv2dBackward(g, x, w, true, spec, /*need_grad_x=*/false);
+  EXPECT_EQ(skip.grad_x.numel(), 0);
+  EXPECT_EQ(BitsOf(skip.grad_w.data(), skip.grad_w.numel()),
+            BitsOf(full.grad_w.data(), full.grad_w.numel()));
+  EXPECT_EQ(BitsOf(skip.grad_bias.data(), skip.grad_bias.numel()),
+            BitsOf(full.grad_bias.data(), full.grad_bias.numel()));
+}
+
+// Every stride-1 case clears kBlockedMinWork (f·c·k²·oh·ow >= 2^15), so
+// it runs the direct kernels; the last two keep the im2col path.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ConvBackwardSweep,
+    ::testing::Values(
+        // The four convs of an ST-ResNet training step.
+        ConvBackwardCase{32, 6, 16, 3, 1, 1, 16, false},
+        ConvBackwardCase{32, 2, 16, 3, 1, 1, 16, false},
+        ConvBackwardCase{32, 16, 16, 3, 1, 1, 16, false},
+        ConvBackwardCase{32, 16, 2, 3, 1, 1, 16, false},
+        // Filter tail (40 = 16 + 16 + 8), channel tail (5 < 6), two K
+        // blocks of output positions (400 > 256), a column tail (20).
+        ConvBackwardCase{3, 5, 40, 3, 1, 1, 20, false},
+        ConvBackwardCase{2, 4, 8, 5, 1, 2, 12, false},    // 5×5, pad 2
+        ConvBackwardCase{2, 8, 16, 3, 1, 0, 14, false},   // pad 0
+        ConvBackwardCase{2, 32, 16, 1, 1, 0, 16, false},  // 1×1
+        ConvBackwardCase{2, 3, 300, 3, 1, 1, 8, false},   // filters > kKC
+        ConvBackwardCase{1, 16, 16, 3, 1, 1, 16, false},  // batch 1
+        ConvBackwardCase{2, 8, 16, 5, 1, 2, 4, false},    // kernel > image
+        ConvBackwardCase{2, 4, 16, 3, 1, 3, 8, false},    // pad > kernel - 1
+        ConvBackwardCase{9, 16, 16, 3, 1, 1, 16, true},
+        ConvBackwardCase{3, 5, 40, 3, 1, 1, 20, true},
+        ConvBackwardCase{2, 4, 8, 3, 2, 1, 12, false},    // strided
+        ConvBackwardCase{2, 2, 3, 3, 1, 1, 6, false}));   // below threshold
 
 // --- Broadcasting against an index-arithmetic reference ------------------
 

@@ -498,6 +498,13 @@ TEST_P(ElementwiseBitwiseTest, InPlaceMatchesScalarLoop) {
   ExpectBitwise(run([&](Tensor& d) { MulInPlace(d, b); }),
                 ZipRef(a, b, [](float x, float y) { return x * y; }),
                 "MulInPlace");
+  ExpectBitwise(run([&](Tensor& d) { d.AddInPlace(b); }),
+                ZipRef(a, b, [](float x, float y) { return x + y; }),
+                "AddInPlace");
+  for (const float s : {-0.75f, 0.0f, -0.0f, 1e-39f}) {
+    ExpectBitwise(run([s](Tensor& d) { d.ScaleInPlace(s); }),
+                  MapRef(a, [s](float x) { return x * s; }), "ScaleInPlace");
+  }
   ExpectBitwise(run([](Tensor& d) { NegInPlace(d); }),
                 MapRef(a, [](float x) { return -x; }), "NegInPlace");
   ExpectBitwise(run([&](Tensor& d) { AddScaledInPlace(d, b, -0.75f); }),
