@@ -1,29 +1,25 @@
-// Low-precision inference ablation (DESIGN.md §10): what bf16 and int8
-// buy — and cost — end to end. Three sections:
+// Low-precision inference ablation (DESIGN.md §10): what int8 buys —
+// and costs — end to end. Three sections:
 //
-//   1. per-GEMM sweep over serving-shaped matmuls: f32 vs bf16 vs int8,
-//      each low-precision kernel measured both with the weight operand
-//      packed per call and pre-packed into the panel layout (the
+//   1. per-GEMM sweep over serving-shaped matmuls: f32 vs int8, the
+//      int8 kernel measured both with the weight operand packed per
+//      call and pre-packed into the panel layout (the
 //      serving configuration — weights are constant, so SetPrecision
 //      hoists the B pack out of the request path). int8 rows include
 //      the per-call activation quantization, which is what a Linear
 //      forward actually pays.
 //   2. classifier accuracy ablation: train DeepSAT (pure-MLP) and
 //      SatCNN on synthetic SAT-6 in f32, then evaluate top-1 at f32 /
-//      bf16 / int8 (static activation scales calibrated on the val
+//      int8 (static activation scales calibrated on the val
 //      set), plus through an int8-quantized GTCP checkpoint
 //      (save -> load -> eval), with on-disk sizes for both formats.
 //   3. end-to-end serving throughput: the dynamic-batching engine over
 //      the same trained models, one row per precision, closed-loop
 //      clients as in serve_bench.
 //
-// On this repo's single-hardware-thread bench host the f32 kernel
-// already saturates the FMA pipes, and AVX512-BF16's vdpbf16ps
-// sustains fewer multiply-accumulates per cycle than f32 FMA — so the
-// bf16 win comes from halving the memory the kernel streams plus the
-// hoisted weight pack, not from raw compute; int8 wins on both counts
-// (vdpwssd) and compounds with pre-packing. hardware_threads is
-// reported so multi-core results are read in context.
+// int8 wins on both memory (a quarter of the bytes streamed) and
+// compute (vdpwssd), and compounds with pre-packing. hardware_threads
+// is reported so multi-core results are read in context.
 //
 // Flags: --json=PATH (the committed BENCH_quant.json), --smoke for CI.
 
@@ -75,7 +71,7 @@ namespace ts = ::geotorch::tensor;
 
 struct GemmRow {
   int64_t m = 0, k = 0, n = 0;
-  double f32_ns = 0, bf16_ns = 0, bf16p_ns = 0, int8_ns = 0, int8p_ns = 0;
+  double f32_ns = 0, int8_ns = 0, int8p_ns = 0;
 };
 
 // Best-of-3 timing windows, reps sized so each window runs ~25 ms.
@@ -114,17 +110,6 @@ GemmRow RunGemmRow(int64_t m, int64_t k, int64_t n) {
   row.k = k;
   row.n = n;
   row.f32_ns = TimeNs([&] { ts::Gemm(a.data(), b.data(), c.data(), m, k, n); });
-  row.bf16_ns =
-      TimeNs([&] { ts::GemmBf16(a.data(), b.data(), c.data(), m, k, n); });
-
-  std::vector<uint16_t> b_bf16(k * n);
-  ts::ConvertToBf16(b.data(), b_bf16.data(), k * n);
-  std::vector<uint16_t> b_packed(ts::Bf16PackedBSize(k, n));
-  ts::PackBf16B(b_bf16.data(), k, n, b_packed.data());
-  row.bf16p_ns = TimeNs([&] {
-    ts::GemmBf16(a.data(), ts::Bf16PackedB{b_packed.data()}, c.data(), m, k,
-                 n);
-  });
 
   std::vector<int8_t> bq(k * n);
   std::vector<float> b_scales(n);
@@ -157,7 +142,7 @@ GemmRow RunGemmRow(int64_t m, int64_t k, int64_t n) {
 struct ModelRow {
   std::string model;
   std::string dataset;
-  double acc_f32 = 0, acc_bf16 = 0, acc_int8 = 0, acc_int8_ckpt = 0;
+  double acc_f32 = 0, acc_int8 = 0, acc_int8_ckpt = 0;
   int64_t ckpt_f32_bytes = 0, ckpt_int8_bytes = 0;
 };
 
@@ -310,8 +295,8 @@ void WriteJson(const std::string& path, const std::vector<GemmRow>& gemms,
                const std::vector<ModelRow>& model_rows,
                const std::vector<ServeRow>& serve_rows,
                const std::string& headline_model, int headline_clients,
-               int headline_batch, double bf16_speedup, double int8_speedup,
-               double bf16_acc_delta, double int8_acc_delta) {
+               int headline_batch, double int8_speedup,
+               double int8_acc_delta) {
   BenchJsonWriter json(path, "quant_bench");
   if (!json.ok()) return;
   std::FILE* f = json.stream();
@@ -321,12 +306,10 @@ void WriteJson(const std::string& path, const std::vector<GemmRow>& gemms,
     std::fprintf(
         f,
         "    {\"m\": %lld, \"k\": %lld, \"n\": %lld, \"f32_ns\": %.0f, "
-        "\"bf16_ns\": %.0f, \"bf16_prepacked_ns\": %.0f, \"int8_ns\": %.0f, "
-        "\"int8_prepacked_ns\": %.0f, \"bf16_prepacked_speedup\": %.2f, "
+        "\"int8_ns\": %.0f, \"int8_prepacked_ns\": %.0f, "
         "\"int8_prepacked_speedup\": %.2f}%s\n",
         static_cast<long long>(g.m), static_cast<long long>(g.k),
-        static_cast<long long>(g.n), g.f32_ns, g.bf16_ns, g.bf16p_ns,
-        g.int8_ns, g.int8p_ns, g.f32_ns / std::max(1.0, g.bf16p_ns),
+        static_cast<long long>(g.n), g.f32_ns, g.int8_ns, g.int8p_ns,
         g.f32_ns / std::max(1.0, g.int8p_ns),
         i + 1 < gemms.size() ? "," : "");
   }
@@ -336,10 +319,10 @@ void WriteJson(const std::string& path, const std::vector<GemmRow>& gemms,
     std::fprintf(
         f,
         "    {\"model\": \"%s\", \"dataset\": \"%s\", \"top1_f32\": %.4f, "
-        "\"top1_bf16\": %.4f, \"top1_int8\": %.4f, "
+        "\"top1_int8\": %.4f, "
         "\"top1_int8_checkpoint\": %.4f, \"checkpoint_f32_bytes\": %lld, "
         "\"checkpoint_int8_bytes\": %lld}%s\n",
-        m.model.c_str(), m.dataset.c_str(), m.acc_f32, m.acc_bf16, m.acc_int8,
+        m.model.c_str(), m.dataset.c_str(), m.acc_f32, m.acc_int8,
         m.acc_int8_ckpt, static_cast<long long>(m.ckpt_f32_bytes),
         static_cast<long long>(m.ckpt_int8_bytes),
         i + 1 < model_rows.size() ? "," : "");
@@ -361,12 +344,8 @@ void WriteJson(const std::string& path, const std::vector<GemmRow>& gemms,
   std::fprintf(f, "    \"serve_model\": \"%s\",\n", headline_model.c_str());
   std::fprintf(f, "    \"serve_clients\": %d,\n", headline_clients);
   std::fprintf(f, "    \"serve_max_batch\": %d,\n", headline_batch);
-  std::fprintf(f, "    \"bf16_serving_speedup_vs_f32\": %.3f,\n",
-               bf16_speedup);
   std::fprintf(f, "    \"int8_serving_speedup_vs_f32\": %.3f,\n",
                int8_speedup);
-  std::fprintf(f, "    \"bf16_top1_delta_pct\": %.3f,\n",
-               100.0 * bf16_acc_delta);
   std::fprintf(f, "    \"int8_top1_delta_pct\": %.3f\n",
                100.0 * int8_acc_delta);
   std::fprintf(f, "  },\n");
@@ -390,9 +369,8 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
   std::printf("QUANT BENCH 1/3: GEMM precision sweep (prepacked = weight "
               "operand packed once, the serving path)\n");
   PrintRule();
-  std::printf("%-18s %-10s %-10s %-10s %-10s %-10s %-8s %-8s\n", "m x k x n",
-              "f32(ns)", "bf16", "bf16pre", "int8", "int8pre", "bf16x",
-              "int8x");
+  std::printf("%-18s %-10s %-10s %-10s %-8s\n", "m x k x n", "f32(ns)",
+              "int8", "int8pre", "int8x");
   PrintRule();
   std::vector<GemmRow> gemms;
   for (const auto& s : shapes) {
@@ -401,18 +379,15 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
     std::snprintf(shape, sizeof(shape), "%lldx%lldx%lld",
                   static_cast<long long>(g.m), static_cast<long long>(g.k),
                   static_cast<long long>(g.n));
-    std::printf("%-18s %-10.0f %-10.0f %-10.0f %-10.0f %-10.0f %-8.2f "
-                "%-8.2f\n",
-                shape, g.f32_ns, g.bf16_ns, g.bf16p_ns, g.int8_ns, g.int8p_ns,
-                g.f32_ns / std::max(1.0, g.bf16p_ns),
-                g.f32_ns / std::max(1.0, g.int8p_ns));
+    std::printf("%-18s %-10.0f %-10.0f %-10.0f %-8.2f\n", shape, g.f32_ns,
+                g.int8_ns, g.int8p_ns, g.f32_ns / std::max(1.0, g.int8p_ns));
     gemms.push_back(g);
   }
   PrintRule();
 
   // --- 2. classifier accuracy ablation -------------------------------
   // DeepSAT is the pure-MLP classifier: every FLOP of its forward is a
-  // Linear GEMM, so it shows what the low-precision path buys when the
+  // Linear GEMM, so it shows what the int8 path buys when the
   // kernel dominates. SatCNN adds the conv-heavy counterpoint (its
   // weights ride the GEMM A operand, which cannot be pre-packed).
   ds::RasterDatasetOptions dopts;
@@ -457,8 +432,8 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
   std::printf("QUANT BENCH 2/3: top-1 per precision on SAT-6 (n=%lld)\n",
               static_cast<long long>(n_samples));
   PrintRule();
-  std::printf("%-10s %-8s %-8s %-8s %-10s %-12s %-12s\n", "model", "f32",
-              "bf16", "int8", "int8ckpt", "f32_bytes", "int8_bytes");
+  std::printf("%-10s %-8s %-8s %-10s %-12s %-12s\n", "model", "f32", "int8",
+              "int8ckpt", "f32_bytes", "int8_bytes");
   PrintRule();
   std::vector<ModelRow> model_rows;
   for (auto& e : zoo) {
@@ -470,8 +445,6 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
     row.model = e.name;
     row.dataset = "SAT6";
     row.acc_f32 = trained.accuracy;
-    e.model->SetPrecision(nn::Precision::kBf16);
-    row.acc_bf16 = EvalAccuracy(*e.model, test, tc.batch_size);
     e.model->SetPrecision(nn::Precision::kInt8);
     row.acc_int8 = EvalAccuracy(*e.model, test, tc.batch_size);
     e.model->SetPrecision(nn::Precision::kF32);
@@ -509,8 +482,8 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
         row.acc_int8_ckpt = EvalAccuracy(*fresh, test, tc.batch_size);
       }
     }
-    std::printf("%-10s %-8.4f %-8.4f %-8.4f %-10.4f %-12lld %-12lld\n",
-                row.model.c_str(), row.acc_f32, row.acc_bf16, row.acc_int8,
+    std::printf("%-10s %-8.4f %-8.4f %-10.4f %-12lld %-12lld\n",
+                row.model.c_str(), row.acc_f32, row.acc_int8,
                 row.acc_int8_ckpt, static_cast<long long>(row.ckpt_f32_bytes),
                 static_cast<long long>(row.ckpt_int8_bytes));
     model_rows.push_back(row);
@@ -539,8 +512,7 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
   std::vector<ServeRow> serve_rows;
   for (auto& e : zoo) {
     for (const auto& [clients, max_batch] : serve_configs) {
-      for (nn::Precision p : {nn::Precision::kF32, nn::Precision::kBf16,
-                              nn::Precision::kInt8}) {
+      for (nn::Precision p : {nn::Precision::kF32, nn::Precision::kInt8}) {
         ServeRow row = ServeBest(e.name, *e.model, p, samples, clients,
                                  max_batch, requests_per_client, reps);
         std::printf("%-10s %-10s %-8d %-10d %-12.1f %-9lld %-10.2f\n",
@@ -555,11 +527,10 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
   PrintRule();
 
   // Headline: the config (model, clients, max_batch) whose int8 row
-  // gains the most over its f32 row, with the bf16 gain at the same
-  // config — so both speedups come from one like-for-like comparison.
+  // gains the most over its f32 row.
   std::string headline_model;
   int headline_clients = 0, headline_batch = 0;
-  double int8_speedup = 0.0, bf16_speedup = 0.0;
+  double int8_speedup = 0.0;
   for (const ServeRow& r : serve_rows) {
     if (r.precision != "int8") continue;
     for (const ServeRow& base : serve_rows) {
@@ -574,30 +545,23 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
       headline_model = r.model;
       headline_clients = r.clients;
       headline_batch = r.max_batch;
-      for (const ServeRow& b16 : serve_rows) {
-        if (b16.precision == "bf16" && b16.model == r.model &&
-            b16.clients == r.clients && b16.max_batch == r.max_batch) {
-          bf16_speedup = b16.rps / base.rps;
-        }
-      }
     }
   }
-  double bf16_acc_delta = 0.0, int8_acc_delta = 0.0;
+  double int8_acc_delta = 0.0;
   for (const ModelRow& m : model_rows) {
-    if (m.model != headline_model) continue;
-    bf16_acc_delta = std::abs(m.acc_bf16 - m.acc_f32);
-    int8_acc_delta = std::abs(m.acc_int8 - m.acc_f32);
+    if (m.model == headline_model) {
+      int8_acc_delta = std::abs(m.acc_int8 - m.acc_f32);
+    }
   }
-  std::printf("serving %s (clients=%d, max_batch=%d): bf16 %.2fx, int8 "
-              "%.2fx vs f32; top-1 delta bf16 %.2f%%, int8 %.2f%%\n",
+  std::printf("serving %s (clients=%d, max_batch=%d): int8 %.2fx vs f32; "
+              "top-1 delta int8 %.2f%%\n",
               headline_model.c_str(), headline_clients, headline_batch,
-              bf16_speedup, int8_speedup, 100.0 * bf16_acc_delta,
-              100.0 * int8_acc_delta);
+              int8_speedup, 100.0 * int8_acc_delta);
 
   if (!json_path.empty()) {
     WriteJson(json_path, gemms, model_rows, serve_rows, headline_model,
-              headline_clients, headline_batch, bf16_speedup, int8_speedup,
-              bf16_acc_delta, int8_acc_delta);
+              headline_clients, headline_batch, int8_speedup,
+              int8_acc_delta);
   }
   if (!args.trace_json.empty()) {
     geotorch::obs::WriteJsonFile(args.trace_json);

@@ -84,8 +84,8 @@ int main() {
   opts.max_batch = 8;       // coalesce up to 8 requests per forward
   opts.max_delay_us = 200;  // wait at most 200us for a batch to fill
   opts.max_queue = 64;      // then reject with OutOfRange (backpressure)
-  // GEOTORCH_SERVE_PRECISION=bf16|int8 serves the checkpointed model
-  // through the low-precision GEMM path (DESIGN.md §10); the adapter
+  // GEOTORCH_SERVE_PRECISION=int8 serves the checkpointed model
+  // through the int8 GEMM path (DESIGN.md §10); the adapter
   // quantizes and prepacks the weights once, here at wrap time.
   opts.precision = serve::EngineOptions::FromEnv().precision;
   data::Sample probe = grid.Get(0);

@@ -8,7 +8,6 @@
 #include "nn/init.h"
 #include "obs/obs.h"
 #include "tensor/conv.h"
-#include "tensor/fusion.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/quant.h"
@@ -53,18 +52,10 @@ bool UseLowPrecision(const Module& m) {
          m.precision() != Precision::kF32 && !ag::GradEnabled();
 }
 
-void AddBiasRow(float* y, const float* b, int64_t m, int64_t n) {
-  for (int64_t i = 0; i < m; ++i) {
-    float* row = y + i * n;
-    for (int64_t j = 0; j < n; ++j) row[j] += b[j];
-  }
-}
-
 }  // namespace
 
 bool FusedEvalEligible(const Module& m) {
-  return !m.training() && !m.calibrating() && !ag::GradEnabled() &&
-         ts::FusionEnabled();
+  return !m.training() && !m.calibrating() && !ag::GradEnabled();
 }
 
 // --- Linear ---------------------------------------------------------------
@@ -87,34 +78,7 @@ ag::Variable Linear::Forward(const ag::Variable& x) {
     act_absmax_ = std::max(act_absmax_, ts::AbsMax(xv.data(), xv.numel()));
   }
   if (UseLowPrecision(*this)) {
-    const int64_t m = xv.size(0);
-    const int64_t k = xv.size(1);
-    const int64_t n = weight_.shape()[1];
-    if (precision() == Precision::kBf16 && !w_bf16_.empty()) {
-      ts::Tensor y = ts::Tensor::Uninitialized({m, n});
-      ts::GemmBf16(xv.data(), ts::Bf16PackedB{w_bf16_.data()}, y.data(), m, k,
-                   n);
-      if (has_bias_) AddBiasRow(y.data(), bias_.value().data(), m, n);
-      return ag::Variable(std::move(y));
-    }
-    if (precision() == Precision::kInt8 && !w_q_.empty()) {
-      const float act_scale =
-          act_absmax_ > 0.0f
-              ? ts::SymmetricScale(act_absmax_)
-              : ts::SymmetricScale(ts::AbsMax(xv.data(), xv.numel()));
-      int8_t* xq = reinterpret_cast<int8_t*>(
-          ThreadLocalWorkspace(kWorkspaceQuant, (m * k + 3) / 4));
-      ts::QuantizeInt8(xv.data(), m * k, act_scale, xq);
-      ts::Tensor y = ts::Tensor::Uninitialized({m, n});
-      ts::Int8GemmOptions opts;
-      opts.a_scales = &act_scale;
-      opts.a_scales_len = 1;
-      opts.b_scales = w_scales_.data();
-      opts.b_scales_len = n;
-      ts::GemmInt8(xq, ts::Int8PackedB{w_q_.data()}, y.data(), m, k, n, opts);
-      if (has_bias_) AddBiasRow(y.data(), bias_.value().data(), m, n);
-      return ag::Variable(std::move(y));
-    }
+    return ForwardFusedEval(x, ts::EpilogueAct::kNone);
   }
   ag::Variable y = ag::MatMul(x, weight_);
   if (has_bias_) y = ag::Add(y, bias_);
@@ -122,30 +86,23 @@ ag::Variable Linear::Forward(const ag::Variable& x) {
 }
 
 void Linear::OnPrecisionChanged() {
-  w_bf16_.clear();
   w_q_.clear();
   w_scales_.clear();
+  if (precision() != Precision::kInt8) return;
   const ts::Tensor& w = weight_.value();
   const int64_t in = w.size(0);
   const int64_t out = w.size(1);
   // The weight is the (constant) B operand of every serving matmul, so
   // it is stored pre-packed in the kernel's panel layout — the per-call
-  // cost of the low-precision GEMM is then just packing the small
-  // activation panel.
-  if (precision() == Precision::kBf16) {
-    std::vector<uint16_t> raw(w.numel());
-    ts::ConvertToBf16(w.data(), raw.data(), w.numel());
-    w_bf16_.resize(ts::Bf16PackedBSize(in, out));
-    ts::PackBf16B(raw.data(), in, out, w_bf16_.data());
-  } else if (precision() == Precision::kInt8) {
-    std::vector<int8_t> raw(w.numel());
-    w_scales_.resize(out);
-    ts::QuantizeColsInt8(w.data(), in, out, raw.data(), w_scales_.data());
-    PublishWeightQuantError(w.data(), raw.data(), w_scales_.data(), in, out,
-                            /*per_row=*/false);
-    w_q_.resize(ts::Int8PackedBSize(in, out));
-    ts::PackInt8B(raw.data(), in, out, w_q_.data());
-  }
+  // cost of the int8 GEMM is then just packing the small activation
+  // panel.
+  std::vector<int8_t> raw(w.numel());
+  w_scales_.resize(out);
+  ts::QuantizeColsInt8(w.data(), in, out, raw.data(), w_scales_.data());
+  PublishWeightQuantError(w.data(), raw.data(), w_scales_.data(), in, out,
+                          /*per_row=*/false);
+  w_q_.resize(ts::Int8PackedBSize(in, out));
+  ts::PackInt8B(raw.data(), in, out, w_q_.data());
 }
 
 ag::Variable Linear::ForwardFusedEval(const ag::Variable& x,
@@ -161,31 +118,22 @@ ag::Variable Linear::ForwardFusedEval(const ag::Variable& x,
   ep.act = act;
   ep.leaky_slope = leaky_slope;
   ts::Tensor y = ts::Tensor::Uninitialized({m, n});
-  if (UseLowPrecision(*this)) {
-    if (precision() == Precision::kBf16 && !w_bf16_.empty()) {
-      ts::GemmOptions opts;
-      opts.epilogue = &ep;
-      ts::GemmBf16(xv.data(), ts::Bf16PackedB{w_bf16_.data()}, y.data(), m, k,
-                   n, opts);
-      return ag::Variable(std::move(y));
-    }
-    if (precision() == Precision::kInt8 && !w_q_.empty()) {
-      const float act_scale =
-          act_absmax_ > 0.0f
-              ? ts::SymmetricScale(act_absmax_)
-              : ts::SymmetricScale(ts::AbsMax(xv.data(), xv.numel()));
-      int8_t* xq = reinterpret_cast<int8_t*>(
-          ThreadLocalWorkspace(kWorkspaceQuant, (m * k + 3) / 4));
-      ts::QuantizeInt8(xv.data(), m * k, act_scale, xq);
-      ts::Int8GemmOptions opts;
-      opts.a_scales = &act_scale;
-      opts.a_scales_len = 1;
-      opts.b_scales = w_scales_.data();
-      opts.b_scales_len = n;
-      opts.epilogue = &ep;
-      ts::GemmInt8(xq, ts::Int8PackedB{w_q_.data()}, y.data(), m, k, n, opts);
-      return ag::Variable(std::move(y));
-    }
+  if (UseLowPrecision(*this) && !w_q_.empty()) {
+    const float act_scale =
+        act_absmax_ > 0.0f
+            ? ts::SymmetricScale(act_absmax_)
+            : ts::SymmetricScale(ts::AbsMax(xv.data(), xv.numel()));
+    int8_t* xq = reinterpret_cast<int8_t*>(
+        ThreadLocalWorkspace(kWorkspaceQuant, (m * k + 3) / 4));
+    ts::QuantizeInt8(xv.data(), m * k, act_scale, xq);
+    ts::Int8GemmOptions opts;
+    opts.a_scales = &act_scale;
+    opts.a_scales_len = 1;
+    opts.b_scales = w_scales_.data();
+    opts.b_scales_len = n;
+    opts.epilogue = &ep;
+    ts::GemmInt8(xq, ts::Int8PackedB{w_q_.data()}, y.data(), m, k, n, opts);
+    return ag::Variable(std::move(y));
   }
   ts::GemmOptions opts;
   opts.epilogue = &ep;
@@ -215,93 +163,55 @@ ag::Variable Conv2d::Forward(const ag::Variable& x) {
     act_absmax_ = std::max(act_absmax_, ts::AbsMax(xv.data(), xv.numel()));
   }
   if (UseLowPrecision(*this)) {
-    const ts::Tensor& w = weight_.value();
-    const int64_t f = w.size(0);
-    const int64_t c = w.size(1);
-    const int64_t kh = w.size(2);
-    const int64_t kw = w.size(3);
-    const ts::Tensor empty;
-    const ts::Tensor& b = has_bias_ ? bias_.value() : empty;
-    if (precision() == Precision::kBf16 && !w_bf16_.empty()) {
-      return ag::Variable(
-          ts::Conv2dForwardBf16(xv, w_bf16_.data(), f, c, kh, kw, b, spec_));
-    }
-    if (precision() == Precision::kInt8 && !w_q_.empty()) {
-      const float act_scale =
-          act_absmax_ > 0.0f ? ts::SymmetricScale(act_absmax_) : 0.0f;
-      return ag::Variable(ts::Conv2dForwardInt8(xv, w_q_.data(),
-                                                w_scales_.data(), f, c, kh, kw,
-                                                act_scale, b, spec_));
-    }
+    return ForwardFusedEval(x, nullptr, ts::EpilogueAct::kNone);
   }
   return ag::Conv2d(x, weight_, has_bias_ ? bias_ : ag::Variable(), spec_);
 }
 
 void Conv2d::OnPrecisionChanged() {
-  w_bf16_.clear();
   w_q_.clear();
   w_scales_.clear();
+  if (precision() != Precision::kInt8) return;
   const ts::Tensor& w = weight_.value();
-  if (precision() == Precision::kBf16) {
-    w_bf16_.resize(w.numel());
-    ts::ConvertToBf16(w.data(), w_bf16_.data(), w.numel());
-  } else if (precision() == Precision::kInt8) {
-    const int64_t f = w.size(0);
-    const int64_t ck = w.numel() / f;
-    w_q_.resize(w.numel());
-    w_scales_.resize(f);
-    ts::QuantizeRowsInt8(w.data(), f, ck, w_q_.data(), w_scales_.data());
-    PublishWeightQuantError(w.data(), w_q_.data(), w_scales_.data(), f, ck,
-                            /*per_row=*/true);
-  }
+  const int64_t f = w.size(0);
+  const int64_t ck = w.numel() / f;
+  w_q_.resize(w.numel());
+  w_scales_.resize(f);
+  ts::QuantizeRowsInt8(w.data(), f, ck, w_q_.data(), w_scales_.data());
+  PublishWeightQuantError(w.data(), w_q_.data(), w_scales_.data(), f, ck,
+                          /*per_row=*/true);
 }
 
 ag::Variable Conv2d::ForwardFusedEval(const ag::Variable& x,
                                       const BatchNorm2d* bn,
                                       ts::EpilogueAct act, float leaky_slope) {
-  const ts::Tensor& xv = x.value();
-  const ts::Tensor& w = weight_.value();
-  const int64_t f = w.size(0);
-  const int64_t c = w.size(1);
-  const int64_t kh = w.size(2);
-  const int64_t kw = w.size(3);
-  const bool lp = UseLowPrecision(*this);
-  if (bn == nullptr) {
-    // No folding: fuse only the bias + activation epilogue over the
-    // live parameters (bitwise vs the unfused sequence).
-    const ts::Tensor empty;
-    const ts::Tensor& b = has_bias_ ? bias_.value() : empty;
-    if (lp && precision() == Precision::kBf16 && !w_bf16_.empty()) {
-      return ag::Variable(ts::Conv2dForwardFusedBf16(
-          xv, w_bf16_.data(), f, c, kh, kw, b, spec_, act, leaky_slope));
-    }
-    if (lp && precision() == Precision::kInt8 && !w_q_.empty()) {
-      const float act_scale =
-          act_absmax_ > 0.0f ? ts::SymmetricScale(act_absmax_) : 0.0f;
-      return ag::Variable(ts::Conv2dForwardFusedInt8(
-          xv, w_q_.data(), w_scales_.data(), f, c, kh, kw, act_scale, b,
-          spec_, act, leaky_slope));
-    }
-    return ag::Variable(
-        ts::Conv2dForward(xv, w, b, spec_, act, leaky_slope));
+  const bool int8 = UseLowPrecision(*this);
+  // Without `bn`, only the bias + activation epilogue is fused over the
+  // live parameters (bitwise vs the unfused sequence); with it, the
+  // folded snapshot replaces weights, bias and int8 caches alike.
+  const ts::Tensor empty;
+  const ts::Tensor* w = &weight_.value();
+  const ts::Tensor* b = has_bias_ ? &bias_.value() : &empty;
+  const std::vector<int8_t>* w_q = &w_q_;
+  const std::vector<float>* w_scales = &w_scales_;
+  const int64_t f = w->size(0);
+  if (bn != nullptr) {
+    GEO_CHECK_EQ(bn->channels(), f) << "conv+BN fusion channel mismatch";
+    RefreshFoldedCache(*bn, int8 ? precision() : Precision::kF32);
+    w = &fold_.w;
+    b = &fold_.b;
+    w_q = &fold_.w_q;
+    w_scales = &fold_.w_scales;
   }
-  GEO_CHECK_EQ(bn->channels(), f) << "conv+BN fusion channel mismatch";
-  const Precision prec = lp ? precision() : Precision::kF32;
-  RefreshFoldedCache(*bn, prec);
-  if (prec == Precision::kBf16 && !fold_.w_bf16.empty()) {
-    return ag::Variable(ts::Conv2dForwardFusedBf16(
-        xv, fold_.w_bf16.data(), f, c, kh, kw, fold_.b, spec_, act,
-        leaky_slope));
-  }
-  if (prec == Precision::kInt8 && !fold_.w_q.empty()) {
+  if (int8 && !w_q->empty()) {
     const float act_scale =
         act_absmax_ > 0.0f ? ts::SymmetricScale(act_absmax_) : 0.0f;
-    return ag::Variable(ts::Conv2dForwardFusedInt8(
-        xv, fold_.w_q.data(), fold_.w_scales.data(), f, c, kh, kw, act_scale,
-        fold_.b, spec_, act, leaky_slope));
+    return ag::Variable(ts::Conv2dForwardInt8(
+        x.value(), w_q->data(), w_scales->data(), f, w->size(1), w->size(2),
+        w->size(3), act_scale, *b, spec_, act, leaky_slope));
   }
   return ag::Variable(
-      ts::Conv2dForward(xv, fold_.w, fold_.b, spec_, act, leaky_slope));
+      ts::Conv2dForward(x.value(), *w, *b, spec_, act, leaky_slope));
 }
 
 void Conv2d::RefreshFoldedCache(const BatchNorm2d& bn, Precision prec) {
@@ -331,13 +241,9 @@ void Conv2d::RefreshFoldedCache(const BatchNorm2d& bn, Precision prec) {
     for (int64_t j = 0; j < ck; ++j) pfw[fi * ck + j] = pw[fi * ck + j] * s;
     pfb[fi] = (pb != nullptr ? pb[fi] * s : 0.0f) + shift[fi];
   }
-  fold_.w_bf16.clear();
   fold_.w_q.clear();
   fold_.w_scales.clear();
-  if (prec == Precision::kBf16) {
-    fold_.w_bf16.resize(w.numel());
-    ts::ConvertToBf16(pfw, fold_.w_bf16.data(), w.numel());
-  } else if (prec == Precision::kInt8) {
+  if (prec == Precision::kInt8) {
     fold_.w_q.resize(w.numel());
     fold_.w_scales.resize(f);
     ts::QuantizeRowsInt8(pfw, f, ck, fold_.w_q.data(), fold_.w_scales.data());

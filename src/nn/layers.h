@@ -16,18 +16,19 @@ class BatchNorm2d;
 
 /// True when `m` may take the fused eval path: eval mode, not
 /// calibrating (calibration must observe the unfused per-layer
-/// activations), no gradient graph being recorded, and the
-/// GEOTORCH_FUSION kill switch not engaged. With fusion disabled every
-/// forward takes exactly the pre-fusion code path.
+/// activations), and no gradient graph being recorded. The unfused
+/// autograd forward (what training runs) is the f32 reference: the same
+/// eval-mode model with gradients enabled computes it.
 bool FusedEvalEligible(const Module& m);
 
 /// Fully connected layer: y = x @ W + b with x: (N, in), W: (in, out).
 ///
-/// In eval mode with gradients disabled, SetPrecision(kBf16 / kInt8)
-/// routes the matmul through the low-precision GEMMs (DESIGN.md §10):
-/// bf16 keeps the weights stored at half width; int8 uses per-output-
-/// channel symmetric weight scales and a per-tensor activation scale
-/// (static when calibrated via SetCalibrating, else per-batch).
+/// In eval mode with gradients disabled, SetPrecision(kInt8) routes the
+/// matmul through the int8 GEMM (DESIGN.md §10): per-output-channel
+/// symmetric weight scales and a per-tensor activation scale (static
+/// when calibrated via SetCalibrating, else per-batch). The int8 forward
+/// is ForwardFusedEval with no activation, so each layer has one
+/// low-precision code path.
 class Linear : public UnaryModule {
  public:
   Linear(int64_t in_features, int64_t out_features, Rng& rng,
@@ -50,20 +51,19 @@ class Linear : public UnaryModule {
   autograd::Variable weight_;
   autograd::Variable bias_;
   bool has_bias_;
-  // Low-precision weight caches, rebuilt by SetPrecision from the
-  // current f32 parameters (empty in f32 mode). Both hold the weight
-  // pre-packed in the GEMM panel layout (Bf16PackedB / Int8PackedB) so
-  // serving skips the per-call B pack; they are derived state and are
-  // never persisted.
-  std::vector<uint16_t> w_bf16_;
+  // int8 weight cache, rebuilt by SetPrecision from the current f32
+  // parameters (empty in f32 mode). It holds the weight pre-packed in
+  // the GEMM panel layout (Int8PackedB) so serving skips the per-call B
+  // pack; it is derived state and is never persisted.
   std::vector<int8_t> w_q_;
   std::vector<float> w_scales_;
   float act_absmax_ = 0.0f;  // recorded during calibration; 0 = dynamic
 };
 
-/// 2-D convolution over NCHW input. Supports the same eval-time
-/// low-precision modes as Linear (per-output-channel int8 weight
-/// scales, i.e. per row of the flattened (F, C*KH*KW) weight matrix).
+/// 2-D convolution over NCHW input. Supports the same eval-time int8
+/// mode as Linear (per-output-channel int8 weight scales, i.e. per row
+/// of the flattened (F, C*KH*KW) weight matrix), again through
+/// ForwardFusedEval with no activation.
 class Conv2d : public UnaryModule {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
@@ -104,7 +104,6 @@ class Conv2d : public UnaryModule {
     bool valid = false;
     tensor::Tensor w;  // folded f32 weight, same shape as weight_
     tensor::Tensor b;  // folded f32 bias (F)
-    std::vector<uint16_t> w_bf16;
     std::vector<int8_t> w_q;
     std::vector<float> w_scales;
   };
@@ -114,7 +113,6 @@ class Conv2d : public UnaryModule {
   autograd::Variable bias_;
   tensor::ConvSpec spec_;
   bool has_bias_;
-  std::vector<uint16_t> w_bf16_;
   std::vector<int8_t> w_q_;
   std::vector<float> w_scales_;
   float act_absmax_ = 0.0f;

@@ -49,8 +49,8 @@ class Module {
   bool training() const { return training_; }
 
   /// Selects the eval-path numeric mode recursively. Layers with a
-  /// low-precision kernel (Linear, Conv2d) re-derive their quantized /
-  /// bf16 weight caches from the current f32 parameters, so call this
+  /// low-precision kernel (Linear, Conv2d) re-derive their quantized
+  /// weight caches from the current f32 parameters, so call this
   /// (again) after loading a checkpoint. Training forwards ignore the
   /// setting and stay f32.
   void SetPrecision(Precision precision);

@@ -11,7 +11,6 @@ namespace geotorch::nn {
 /// eval mode with gradients disabled.
 enum class Precision {
   kF32,   ///< full-precision f32 GEMM (default)
-  kBf16,  ///< bf16-storage, f32-accumulate GEMM
   kInt8,  ///< int8 symmetric-quantized GEMM, i32 accumulation
 };
 
@@ -19,23 +18,17 @@ inline const char* PrecisionName(Precision p) {
   switch (p) {
     case Precision::kF32:
       return "f32";
-    case Precision::kBf16:
-      return "bf16";
     case Precision::kInt8:
       return "int8";
   }
   return "f32";
 }
 
-/// Parses "f32" / "bf16" / "int8" (the GEOTORCH_SERVE_PRECISION
+/// Parses "f32" / "int8" (the GEOTORCH_SERVE_PRECISION
 /// values). Returns false — leaving *out untouched — on anything else.
 inline bool ParsePrecision(const std::string& s, Precision* out) {
   if (s == "f32" || s == "fp32" || s == "float32") {
     *out = Precision::kF32;
-    return true;
-  }
-  if (s == "bf16" || s == "bfloat16") {
-    *out = Precision::kBf16;
     return true;
   }
   if (s == "int8" || s == "i8") {

@@ -1,29 +1,18 @@
 #include "serve/adapters.h"
 
 #include "autograd/variable.h"
-#include "obs/obs.h"
-#include "tensor/fusion.h"
 
 namespace geotorch::serve {
 
 namespace ag = ::geotorch::autograd;
 
-namespace {
-
 // Every adapter puts the model in eval mode with gradients disabled,
 // which is exactly the gate for the fused eval path (BN folding, GEMM
-// bias+activation epilogues, im2col-free 1x1 conv) — so Engine and
-// Fleet serve fused by default unless GEOTORCH_FUSION=0. The gauge
-// makes the active setting visible in /obs output.
-void PublishFusionGauge() {
-  obs::SetGauge("fusion.enabled", tensor::FusionEnabled() ? 1 : 0);
-}
-
-}  // namespace
+// bias+activation epilogues, im2col-free 1x1 conv), so Engine and Fleet
+// always serve fused.
 
 Engine::BatchForward GridForward(models::GridModel& model,
                                  nn::Precision precision) {
-  PublishFusionGauge();
   model.SetTraining(false);
   model.SetPrecision(precision);
   return [&model](const data::Batch& batch) {
@@ -34,7 +23,6 @@ Engine::BatchForward GridForward(models::GridModel& model,
 
 Engine::BatchForward ClassifierForward(models::RasterClassifier& model,
                                        nn::Precision precision) {
-  PublishFusionGauge();
   model.SetTraining(false);
   model.SetPrecision(precision);
   return [&model](const data::Batch& batch) {
@@ -49,7 +37,6 @@ Engine::BatchForward ClassifierForward(models::RasterClassifier& model,
 
 Engine::BatchForward UnaryForward(nn::UnaryModule& model,
                                   nn::Precision precision) {
-  PublishFusionGauge();
   model.SetTraining(false);
   model.SetPrecision(precision);
   return [&model](const data::Batch& batch) {

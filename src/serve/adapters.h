@@ -10,9 +10,9 @@ namespace geotorch::serve {
 
 /// Adapters wrapping this repo's model families as Engine::BatchForward
 /// closures. Each puts the model in eval mode once, applies the
-/// requested serving precision (f32 default; bf16 / int8 quantize and
-/// panel-pack the weights right here, once, so per-request forwards pay
-/// no conversion — DESIGN.md §10), and runs every forward under
+/// requested serving precision (f32 default; int8 quantizes and
+/// panel-packs the weights right here, once, so per-request forwards
+/// pay no conversion — DESIGN.md §10), and runs every forward under
 /// NoGradGuard — serving never records tape. The caller keeps
 /// ownership of the model and must outlive the Engine. Wire
 /// EngineOptions::FromEnv().precision through to honor

@@ -7,7 +7,7 @@ namespace geotorch::serve {
 
 /// Dynamic micro-batcher knobs (DESIGN.md §9). FromEnv() overrides the
 /// compiled-in defaults with the GEOTORCH_SERVE_* environment family,
-/// following the spatial/config conventions:
+/// following the core/env.h conventions (DESIGN.md §14):
 ///
 ///   GEOTORCH_SERVE_MAX_BATCH     coalesce at most this many requests
 ///                                into one forward (default 16)
@@ -23,8 +23,8 @@ namespace geotorch::serve {
 ///                                real request does not pay pool /
 ///                                workspace cold-start (default 2)
 ///   GEOTORCH_SERVE_PRECISION     numeric mode the served model runs
-///                                its GEMMs in: "f32" (default),
-///                                "bf16", or "int8" (DESIGN.md §10).
+///                                its GEMMs in: "f32" (default) or
+///                                "int8" (DESIGN.md §10).
 ///                                Applied by the serve/adapters.h
 ///                                factories at model-wrap time, which
 ///                                is when int8 weights are quantized

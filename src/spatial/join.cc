@@ -7,7 +7,6 @@
 #include "core/check.h"
 #include "core/thread_pool.h"
 #include "obs/obs.h"
-#include "spatial/config.h"
 
 namespace geotorch::spatial {
 namespace {
@@ -36,7 +35,7 @@ std::vector<Pair> RunProbes(int64_t n, const JoinOptions& options,
   GEO_OBS_COUNT("spatial.probes", n);
   std::vector<Pair> out;
   ThreadPool* pool = nullptr;
-  if (options.parallel && ParallelSpatialEnabled() && n > 0) {
+  if (options.parallel && n > 0) {
     pool = options.pool != nullptr ? options.pool : &ThreadPool::Global();
     if (pool->num_threads() <= 1) pool = nullptr;
   }
@@ -158,7 +157,7 @@ std::vector<int64_t> AssignPointsToCells(std::span<const Point> points,
       if (cell.has_value()) cells[i] = *cell;
     }
   };
-  if (parallel && ParallelSpatialEnabled() && n > 0) {
+  if (parallel && n > 0) {
     ThreadPool& p = pool != nullptr ? *pool : ThreadPool::Global();
     p.ParallelForRange(n, assign_range);
   } else {

@@ -42,8 +42,8 @@ JoinStrategy DefaultJoinStrategy();
 /// serial join row for row (DESIGN.md §8).
 struct JoinOptions {
   JoinStrategy strategy = JoinStrategy::kAuto;
-  /// Run probes in parallel (also gated on ParallelSpatialEnabled()
-  /// for the convenience overloads and on the pool having >1 worker).
+  /// Run probes in parallel (when the pool has >1 worker). Serial and
+  /// parallel probes return the same pairs in the same order.
   bool parallel = true;
   /// Pool for parallel execution; nullptr means ThreadPool::Global().
   ThreadPool* pool = nullptr;
@@ -57,8 +57,8 @@ std::vector<JoinPair> PointInPolygonJoin(const std::vector<Point>& points,
                                          const JoinOptions& options,
                                          const GridPartitioner* grid = nullptr);
 
-/// Convenience overload: `strategy` with parallel execution per
-/// ParallelSpatialEnabled() on the global pool.
+/// Convenience overload: `strategy` with parallel execution on the
+/// global pool.
 std::vector<JoinPair> PointInPolygonJoin(const std::vector<Point>& points,
                                          const std::vector<Polygon>& polygons,
                                          JoinStrategy strategy,

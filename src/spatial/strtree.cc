@@ -9,7 +9,6 @@
 #include "core/check.h"
 #include "core/thread_pool.h"
 #include "obs/obs.h"
-#include "spatial/config.h"
 
 namespace geotorch::spatial {
 namespace {
@@ -75,8 +74,7 @@ void SortIds(int32_t* data, int64_t n, const Less& less, ThreadPool* pool) {
 }  // namespace
 
 StrTree::StrTree(std::vector<Entry> entries, int node_capacity)
-    : StrTree(std::move(entries), node_capacity,
-              BuildOptions{ParallelSpatialEnabled(), nullptr}) {}
+    : StrTree(std::move(entries), node_capacity, BuildOptions{}) {}
 
 StrTree::StrTree(std::vector<Entry> entries, int node_capacity,
                  const BuildOptions& options)
@@ -91,7 +89,7 @@ void StrTree::Build(const BuildOptions& options) {
   GEO_OBS_SPAN(build_span, "spatial.build");
   GEO_OBS_COUNT("spatial.build_entries", num_entries_);
   ThreadPool* pool = nullptr;
-  if (options.parallel && ParallelSpatialEnabled()) {
+  if (options.parallel) {
     pool = options.pool != nullptr ? options.pool : &ThreadPool::Global();
     if (pool->num_threads() <= 1) pool = nullptr;
   }

@@ -31,8 +31,8 @@ class StrTree {
   };
 
   /// How to execute the bulk-load. The default runs the sorts and the
-  /// node packing on the global thread pool when the parallel spatial
-  /// engine is enabled (see spatial/config.h).
+  /// node packing on the global thread pool; `parallel = false` keeps
+  /// every phase on the calling thread and builds the same tree.
   struct BuildOptions {
     bool parallel = true;
     /// Pool for parallel phases; nullptr means ThreadPool::Global().

@@ -167,16 +167,16 @@ void Col2ImAdd(const Tensor& cols, Tensor& out, int64_t n, int64_t kh,
 
 namespace {
 
-// Shared shape bookkeeping for the low-precision forwards.
-struct LpConvDims {
+// Shared shape bookkeeping for the conv forwards.
+struct ConvDims {
   int64_t n, oh, ow, ck, l;
 };
 
-LpConvDims LpConvCheck(const Tensor& x, int64_t f, int64_t c, int64_t kh,
-                       int64_t kw, const Tensor& bias, const ConvSpec& spec) {
+ConvDims ConvCheck(const Tensor& x, int64_t f, int64_t c, int64_t kh,
+                   int64_t kw, const Tensor& bias, const ConvSpec& spec) {
   GEO_CHECK_EQ(x.ndim(), 4);
   GEO_CHECK_EQ(x.size(1), c) << "Conv2d channel mismatch";
-  LpConvDims d;
+  ConvDims d;
   d.n = x.size(0);
   d.oh = ConvOutSize(x.size(2), kh, spec.stride, spec.padding);
   d.ow = ConvOutSize(x.size(3), kw, spec.stride, spec.padding);
@@ -188,67 +188,6 @@ LpConvDims LpConvCheck(const Tensor& x, int64_t f, int64_t c, int64_t kh,
   return d;
 }
 
-void AddBiasRows(float* out_i, const float* pb, int64_t f, int64_t l) {
-  for (int64_t fi = 0; fi < f; ++fi) {
-    float* row = out_i + fi * l;
-    const float b = pb[fi];
-    for (int64_t j = 0; j < l; ++j) row[j] += b;
-  }
-}
-
-}  // namespace
-
-Tensor Conv2dForwardBf16(const Tensor& x, const uint16_t* w_bf16, int64_t f,
-                         int64_t c, int64_t kh, int64_t kw, const Tensor& bias,
-                         const ConvSpec& spec) {
-  const LpConvDims d = LpConvCheck(x, f, c, kh, kw, bias, spec);
-  Tensor out = Tensor::Uninitialized({d.n, f, d.oh, d.ow});
-  const float* pb = bias.numel() > 0 ? bias.data() : nullptr;
-  float* po = out.data();
-  ForEachSample(d.n, [&](int64_t i) {
-    float* cols = ThreadLocalWorkspace(kWorkspaceIm2Col, d.ck * d.l);
-    Im2ColInto(x, i, kh, kw, spec, cols);
-    float* out_i = po + i * f * d.l;
-    GemmBf16(w_bf16, cols, out_i, f, d.ck, d.l, {.beta = 0.0f});
-    if (pb != nullptr) AddBiasRows(out_i, pb, f, d.l);
-  });
-  return out;
-}
-
-Tensor Conv2dForwardInt8(const Tensor& x, const int8_t* w_q,
-                         const float* w_scales, int64_t f, int64_t c,
-                         int64_t kh, int64_t kw, float act_scale,
-                         const Tensor& bias, const ConvSpec& spec) {
-  const LpConvDims d = LpConvCheck(x, f, c, kh, kw, bias, spec);
-  // Per-tensor activation scale: static (calibrated) when provided,
-  // otherwise derived from the whole batch up front — never per sample,
-  // so serial and parallel schedules quantize identically.
-  if (act_scale <= 0.0f) {
-    act_scale = SymmetricScale(AbsMax(x.data(), x.numel()));
-  }
-  Tensor out = Tensor::Uninitialized({d.n, f, d.oh, d.ow});
-  const float* pb = bias.numel() > 0 ? bias.data() : nullptr;
-  float* po = out.data();
-  ForEachSample(d.n, [&](int64_t i) {
-    float* cols = ThreadLocalWorkspace(kWorkspaceIm2Col, d.ck * d.l);
-    Im2ColInto(x, i, kh, kw, spec, cols);
-    int8_t* colsq = reinterpret_cast<int8_t*>(
-        ThreadLocalWorkspace(kWorkspaceQuant, (d.ck * d.l + 3) / 4));
-    QuantizeInt8(cols, d.ck * d.l, act_scale, colsq);
-    float* out_i = po + i * f * d.l;
-    Int8GemmOptions opts;
-    opts.a_scales = w_scales;
-    opts.a_scales_len = f;
-    opts.b_scales = &act_scale;
-    opts.b_scales_len = 1;
-    GemmInt8(w_q, colsq, out_i, f, d.ck, d.l, opts);
-    if (pb != nullptr) AddBiasRows(out_i, pb, f, d.l);
-  });
-  return out;
-}
-
-namespace {
-
 // True when the patch matrix of sample i IS the (C, H·W) input plane,
 // so even the implicit-im2col gather can be skipped.
 bool Is1x1Direct(int64_t kh, int64_t kw, const ConvSpec& spec) {
@@ -258,13 +197,12 @@ bool Is1x1Direct(int64_t kh, int64_t kw, const ConvSpec& spec) {
 // Stride-1 f32 convs always go through GemmConv: past the reference
 // threshold it runs the direct im2col-free kernel, which beats both
 // materialize+pack and the gather-pack at every depth. For strided
-// shapes (and bf16, which has no direct kernel) the implicit gather
-// only beats materialize+pack when the patch matrix is shallow (few
-// rows re-reading the same input plane); for deep patch matrices the
-// branchy row gather loses to the memcpy-based Im2ColInto followed by
-// a contiguous pack. int8 is exempt: its win comes from quantizing the
-// input once instead of once per kernel-tap replica, which dominates
-// at every depth.
+// shapes the implicit gather only beats materialize+pack when the
+// patch matrix is shallow (few rows re-reading the same input plane);
+// for deep patch matrices the branchy row gather loses to the
+// memcpy-based Im2ColInto followed by a contiguous pack. int8 is
+// exempt: its win comes from quantizing the input once instead of once
+// per kernel-tap replica, which dominates at every depth.
 constexpr int64_t kImplicitGatherMaxK = 64;
 
 template <typename T>
@@ -299,7 +237,7 @@ Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& bias,
   GEO_CHECK_EQ(w.size(1), c) << "Conv2d channel mismatch";
   const int64_t kh = w.size(2);
   const int64_t kw = w.size(3);
-  const LpConvDims d = LpConvCheck(x, f, c, kh, kw, bias, spec);
+  const ConvDims d = ConvCheck(x, f, c, kh, kw, bias, spec);
   GEO_OBS_COUNT("fusion.conv_calls", 1);
   Tensor out = Tensor::Uninitialized({d.n, f, d.oh, d.ow});
   GemmEpilogue ep;
@@ -335,14 +273,31 @@ Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& bias,
   return out;
 }
 
-Tensor Conv2dForwardFusedBf16(const Tensor& x, const uint16_t* w_bf16,
-                              int64_t f, int64_t c, int64_t kh, int64_t kw,
-                              const Tensor& bias, const ConvSpec& spec,
-                              EpilogueAct act, float leaky_slope) {
-  const LpConvDims d = LpConvCheck(x, f, c, kh, kw, bias, spec);
+Tensor Conv2dForwardInt8(const Tensor& x, const int8_t* w_q,
+                         const float* w_scales, int64_t f, int64_t c,
+                         int64_t kh, int64_t kw, float act_scale,
+                         const Tensor& bias, const ConvSpec& spec,
+                         EpilogueAct act, float leaky_slope) {
+  const ConvDims d = ConvCheck(x, f, c, kh, kw, bias, spec);
   const int64_t h = x.size(2);
   const int64_t wd = x.size(3);
+  const int64_t plane_size = c * h * wd;
   GEO_OBS_COUNT("fusion.conv_calls", 1);
+  // Per-tensor activation scale: static (calibrated) when provided,
+  // otherwise derived from the whole batch up front — never per sample,
+  // so serial and parallel schedules quantize identically.
+  if (act_scale <= 0.0f) {
+    act_scale = SymmetricScale(AbsMax(x.data(), x.numel()));
+  }
+  // Each sample quantizes its own input plane into its slice of the
+  // caller's buffer, inside the sample loop: elementwise quantization
+  // commutes with the im2col gather (and the zero padding quantizes to
+  // 0), so this matches quantizing the patch matrix bitwise while
+  // touching each input element once instead of once per kernel-tap
+  // replica. Workers write disjoint slices through the captured
+  // pointer; their own workspace slots are untouched.
+  int8_t* xq = reinterpret_cast<int8_t*>(
+      ThreadLocalWorkspace(kWorkspaceQuant, (x.numel() + 3) / 4));
   Tensor out = Tensor::Uninitialized({d.n, f, d.oh, d.ow});
   GemmEpilogue ep;
   ep.row_bias = bias.numel() > 0 ? bias.data() : nullptr;
@@ -350,63 +305,13 @@ Tensor Conv2dForwardFusedBf16(const Tensor& x, const uint16_t* w_bf16,
   ep.leaky_slope = leaky_slope;
   const float* px = x.data();
   float* po = out.data();
-  const bool direct = Is1x1Direct(kh, kw, spec);
-  if (direct) GEO_OBS_COUNT("fusion.conv_1x1", d.n);
-  const bool implicit = !direct && d.ck <= kImplicitGatherMaxK;
-  ForEachSample(d.n, [&](int64_t i) {
-    float* out_i = po + i * f * d.l;
-    const float* plane = px + i * c * h * wd;
-    GemmOptions opts;
-    opts.beta = 0.0f;
-    opts.epilogue = &ep;
-    if (direct) {
-      GemmBf16(w_bf16, plane, out_i, f, c, d.l, opts);
-    } else if (implicit) {
-      const ConvImageView<float> view =
-          MakeConvView(plane, c, h, wd, kh, kw, spec, d.oh, d.ow);
-      GemmConvBf16(w_bf16, view, out_i, f, opts);
-    } else {
-      float* cols = ThreadLocalWorkspace(kWorkspaceIm2Col, d.ck * d.l);
-      Im2ColInto(x, i, kh, kw, spec, cols);
-      GemmBf16(w_bf16, cols, out_i, f, d.ck, d.l, opts);
-    }
-  });
-  return out;
-}
-
-Tensor Conv2dForwardFusedInt8(const Tensor& x, const int8_t* w_q,
-                              const float* w_scales, int64_t f, int64_t c,
-                              int64_t kh, int64_t kw, float act_scale,
-                              const Tensor& bias, const ConvSpec& spec,
-                              EpilogueAct act, float leaky_slope) {
-  const LpConvDims d = LpConvCheck(x, f, c, kh, kw, bias, spec);
-  const int64_t h = x.size(2);
-  const int64_t wd = x.size(3);
-  GEO_OBS_COUNT("fusion.conv_calls", 1);
-  if (act_scale <= 0.0f) {
-    act_scale = SymmetricScale(AbsMax(x.data(), x.numel()));
-  }
-  // Quantize the input batch once, up front, on the calling thread:
-  // elementwise quantization commutes with the im2col gather (and the
-  // zero padding quantizes to 0), so this matches quantizing the patch
-  // matrix bitwise while touching each input element once instead of
-  // once per kernel-tap replica. Workers read the buffer through the
-  // captured pointer; their own workspace slots are untouched.
-  int8_t* xq = reinterpret_cast<int8_t*>(
-      ThreadLocalWorkspace(kWorkspaceQuant, (x.numel() + 3) / 4));
-  QuantizeInt8(x.data(), x.numel(), act_scale, xq);
-  Tensor out = Tensor::Uninitialized({d.n, f, d.oh, d.ow});
-  GemmEpilogue ep;
-  ep.row_bias = bias.numel() > 0 ? bias.data() : nullptr;
-  ep.act = act;
-  ep.leaky_slope = leaky_slope;
-  float* po = out.data();
   const float act_scale_val = act_scale;
   const bool direct = Is1x1Direct(kh, kw, spec);
   if (direct) GEO_OBS_COUNT("fusion.conv_1x1", d.n);
   ForEachSample(d.n, [&](int64_t i) {
     float* out_i = po + i * f * d.l;
-    const int8_t* plane = xq + i * c * h * wd;
+    int8_t* plane = xq + i * plane_size;
+    QuantizeInt8(px + i * plane_size, plane_size, act_scale_val, plane);
     Int8GemmOptions opts;
     opts.a_scales = w_scales;
     opts.a_scales_len = f;

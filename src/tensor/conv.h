@@ -45,48 +45,25 @@ Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& bias,
                      EpilogueAct act = EpilogueAct::kNone,
                      float leaky_slope = 0.01f);
 
-/// Low-precision eval-path variants of Conv2dForward (DESIGN.md §10).
-/// Both take the weights flattened row-major to (F, C*KH*KW) — the
-/// natural flat view of a (F, C, KH, KW) tensor.
-///
-/// bf16: weights pre-converted to bf16; the im2col patch matrix stays
-/// f32 and is rounded to bf16 as the GEMM packs it, accumulation f32.
-Tensor Conv2dForwardBf16(const Tensor& x, const uint16_t* w_bf16, int64_t f,
-                         int64_t c, int64_t kh, int64_t kw, const Tensor& bias,
-                         const ConvSpec& spec);
-
-/// int8: per-output-channel symmetric weights (w_q with w_scales[F]),
-/// per-tensor activation scale `act_scale` (pass 0 to derive it
-/// dynamically from this batch's absmax). The im2col matrix is
-/// quantized into a thread-local int8 workspace; accumulation is i32,
-/// so serial and parallel runs are bitwise identical.
+/// The int8 eval-path convolution (DESIGN.md §10, §13). Weights are
+/// flattened row-major to (F, C*KH*KW) — the natural flat view of a
+/// (F, C, KH, KW) tensor — and quantized per output channel (w_q with
+/// w_scales[F]). `act_scale` is the per-tensor activation scale; pass 0
+/// to derive it from this batch's absmax, computed once over the whole
+/// batch so serial and parallel runs quantize identically. Each sample
+/// quantizes its own input plane (elementwise quantization commutes
+/// with the im2col gather, and zero padding quantizes to 0), panels are
+/// gathered straight from the quantized image (implicit im2col), and
+/// accumulation is i32. Bias and `act` run as a GEMM epilogue after
+/// dequantization; EpilogueAct::kNone gives a plain conv. The output is
+/// bitwise identical to Im2Col + QuantizeInt8 + GemmInt8 followed by
+/// separate bias and activation passes. Eval-only: no backward exists.
 Tensor Conv2dForwardInt8(const Tensor& x, const int8_t* w_q,
                          const float* w_scales, int64_t f, int64_t c,
                          int64_t kh, int64_t kw, float act_scale,
-                         const Tensor& bias, const ConvSpec& spec);
-
-/// Fused eval-path low-precision convolutions (DESIGN.md §13): bias
-/// and activation run as a GEMM epilogue, and panels are gathered
-/// straight from the input image (implicit im2col). For int8 the output
-/// is bitwise identical to Conv2dForwardInt8 followed by the separate
-/// bias/activation passes. Eval-only: no backward exists for these.
-///
-/// bf16 weights, pre-converted row-major (F, C*KH*KW).
-Tensor Conv2dForwardFusedBf16(const Tensor& x, const uint16_t* w_bf16,
-                              int64_t f, int64_t c, int64_t kh, int64_t kw,
-                              const Tensor& bias, const ConvSpec& spec,
-                              EpilogueAct act, float leaky_slope);
-
-/// int8 weights as in Conv2dForwardInt8. The whole input batch is
-/// quantized once up front (elementwise quantization commutes with the
-/// im2col gather, and zero-padding quantizes to 0, so this matches the
-/// unfused quantize-the-patch-matrix path bitwise) instead of
-/// re-quantizing every patch-matrix copy of each pixel per sample.
-Tensor Conv2dForwardFusedInt8(const Tensor& x, const int8_t* w_q,
-                              const float* w_scales, int64_t f, int64_t c,
-                              int64_t kh, int64_t kw, float act_scale,
-                              const Tensor& bias, const ConvSpec& spec,
-                              EpilogueAct act, float leaky_slope);
+                         const Tensor& bias, const ConvSpec& spec,
+                         EpilogueAct act = EpilogueAct::kNone,
+                         float leaky_slope = 0.01f);
 
 struct Conv2dGrads {
   Tensor grad_x;

@@ -78,40 +78,6 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
 void ReferenceGemm(const float* a, const float* b, float* c, int64_t m,
                    int64_t k, int64_t n, const GemmOptions& opts = {});
 
-/// bf16-storage, f32-accumulate GEMM (gemm_bf16.cc): operands are
-/// rounded to bf16 (round-to-nearest-even) as they are packed into the
-/// panel workspaces, the micro-kernel widens them back to f32 and
-/// accumulates in f32. C = A_bf16 · B_bf16 + beta·C. Same transpose /
-/// parallelism semantics as Gemm(); K-accumulation order is fixed, so
-/// serial == parallel bitwise. The second overload takes B already
-/// converted to bf16 (row-major (k, n), no transpose) — the layer eval
-/// path uses it to keep weights stored at half width.
-void GemmBf16(const float* a, const float* b, float* c, int64_t m, int64_t k,
-              int64_t n, const GemmOptions& opts = {});
-void GemmBf16(const float* a, const uint16_t* b_bf16, float* c, int64_t m,
-              int64_t k, int64_t n, const GemmOptions& opts = {});
-/// A already converted to bf16, row-major (m, k), no transpose — the
-/// conv eval path uses it (weights are the A operand there).
-void GemmBf16(const uint16_t* a_bf16, const float* b, float* c, int64_t m,
-              int64_t k, int64_t n, const GemmOptions& opts = {});
-
-/// Pre-packed constant B operand (weights). Serving calls the same
-/// GEMM repeatedly against a weight matrix that never changes, so the
-/// panel-packing of B — a large share of a small-batch GEMM — can be
-/// hoisted to SetPrecision time: PackBf16B lays B out in exactly the
-/// blocked panel order GemmBf16 walks, and the packed overload skips
-/// the per-call B pack entirely (A is still packed per call). The
-/// packed blob is kernel-version-specific and must not be persisted.
-struct Bf16PackedB {
-  const uint16_t* data = nullptr;
-};
-/// Number of uint16 elements PackBf16B writes for a (k, n) matrix.
-int64_t Bf16PackedBSize(int64_t k, int64_t n);
-/// b: row-major (k, n) bf16, no transpose.
-void PackBf16B(const uint16_t* b, int64_t k, int64_t n, uint16_t* packed);
-void GemmBf16(const float* a, Bf16PackedB b, float* c, int64_t m, int64_t k,
-              int64_t n, const GemmOptions& opts = {});
-
 /// Options for GemmInt8. Scales map the int8 operands back to real
 /// values: row i of A carries a_scales[i % a_scales_len] (pass len 1
 /// for a per-tensor activation scale), column j of B carries
@@ -142,9 +108,13 @@ struct Int8GemmOptions {
 void GemmInt8(const int8_t* a, const int8_t* b, float* c, int64_t m, int64_t k,
               int64_t n, const Int8GemmOptions& opts);
 
-/// Pre-packed constant B operand for GemmInt8, mirroring Bf16PackedB
-/// (same motivation; the int8 panel layout blocks K at kKCInt8, so the
-/// two packed formats are not interchangeable).
+/// Pre-packed constant B operand (weights). Serving calls the same
+/// GEMM repeatedly against a weight matrix that never changes, so the
+/// panel-packing of B — a large share of a small-batch GEMM — is
+/// hoisted to SetPrecision time: PackInt8B lays B out in exactly the
+/// blocked panel order GemmInt8 walks, and the packed overload skips
+/// the per-call B pack entirely (A is still packed per call). The
+/// packed blob is kernel-version-specific and must not be persisted.
 struct Int8PackedB {
   const int8_t* data = nullptr;
 };
@@ -226,12 +196,10 @@ struct ConvImageView {
 /// semantics as the dense overloads (the small-problem reference
 /// fallback materializes the patch matrix into the im2col workspace, so
 /// outputs are bitwise identical to the explicit-im2col path at every
-/// size). A is the weight matrix: f32 row-major, bf16 row-major, or
-/// row-quantized int8 respectively.
+/// size). A is the weight matrix: f32 row-major or row-quantized int8
+/// respectively.
 void GemmConv(const float* a, const ConvImageView<float>& b, float* c,
               int64_t m, const GemmOptions& opts = {});
-void GemmConvBf16(const uint16_t* a_bf16, const ConvImageView<float>& b,
-                  float* c, int64_t m, const GemmOptions& opts = {});
 void GemmConvInt8(const int8_t* a, const ConvImageView<int8_t>& b, float* c,
                   int64_t m, const Int8GemmOptions& opts);
 
@@ -282,14 +250,14 @@ inline constexpr int64_t kBlockedMinWork = int64_t{1} << 15;
 // Minimum m*n*k before the M×N macro-tile grid is spread over the pool.
 inline constexpr int64_t kParallelMinWork = int64_t{1} << 18;
 
-// Low-precision kernels widen the register tile to kNRLp columns (the
-// bf16/int8 micro-kernels target 512-bit lanes) and block K at kKCInt8
-// for the int8 path so the i32 accumulator cannot overflow:
+// The int8 kernel widens the register tile to kNRLp columns (its
+// micro-kernel targets 512-bit lanes) and blocks K at kKCInt8 so the
+// i32 accumulator cannot overflow:
 // 127 * 127 * kKCInt8 = 1.3e8 < 2^31.
 inline constexpr int64_t kNRLp = 32;
 inline constexpr int64_t kKCInt8 = 8192;
 
-// Geometry of the pre-packed low-precision B blobs: panel blocks are
+// Geometry of the pre-packed int8 B blob: panel blocks are
 // laid out jc-major (kNC column blocks), then pc (kc_block K blocks),
 // each block holding ceil(nc/kNRLp) micro-panels of kNRLp columns of
 // K pairs — exactly the order the GemmRegion loops consume them.

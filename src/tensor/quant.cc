@@ -5,14 +5,6 @@
 
 namespace geotorch::tensor {
 
-void ConvertToBf16(const float* src, uint16_t* dst, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] = Bf16FromF32(src[i]);
-}
-
-void ConvertBf16ToF32(const uint16_t* src, float* dst, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] = F32FromBf16(src[i]);
-}
-
 float AbsMax(const float* x, int64_t n) {
   float m = 0.0f;
   for (int64_t i = 0; i < n; ++i) m = std::max(m, std::fabs(x[i]));

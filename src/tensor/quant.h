@@ -5,36 +5,9 @@
 
 namespace geotorch::tensor {
 
-/// Numeric conversion helpers for the low-precision inference path
-/// (DESIGN.md §10): bf16 storage conversion and int8 symmetric
-/// quantization. All conversions are element-wise and deterministic.
-
-/// f32 -> bf16 with round-to-nearest-even (the upper 16 bits of the
-/// f32 pattern after adding the rounding increment). NaNs stay NaN.
-inline uint16_t Bf16FromF32(float x) {
-  uint32_t u;
-  __builtin_memcpy(&u, &x, sizeof(u));
-  if ((u & 0x7F800000u) == 0x7F800000u && (u & 0x007FFFFFu) != 0) {
-    return static_cast<uint16_t>((u >> 16) | 0x0040u);  // quiet the NaN
-  }
-  u += 0x7FFFu + ((u >> 16) & 1u);
-  return static_cast<uint16_t>(u >> 16);
-}
-
-/// bf16 -> f32: place the pattern in the upper half, zero the rest.
-inline float F32FromBf16(uint16_t h) {
-  const uint32_t u = static_cast<uint32_t>(h) << 16;
-  float x;
-  __builtin_memcpy(&x, &u, sizeof(x));
-  return x;
-}
-
-/// f32 value rounded through bf16 and widened back — what a bf16-stored
-/// operand contributes to an f32-accumulate GEMM.
-inline float RoundThroughBf16(float x) { return F32FromBf16(Bf16FromF32(x)); }
-
-void ConvertToBf16(const float* src, uint16_t* dst, int64_t n);
-void ConvertBf16ToF32(const uint16_t* src, float* dst, int64_t n);
+/// Int8 symmetric quantization helpers for the low-precision inference
+/// path (DESIGN.md §10). All conversions are element-wise and
+/// deterministic.
 
 /// max(|x|) over n elements; 0 for empty input.
 float AbsMax(const float* x, int64_t n);

@@ -1,11 +1,13 @@
 // Fused eval-path execution (DESIGN.md §13): GEMM bias+activation
-// epilogues, the im2col-free direct conv kernels, BatchNorm folding
-// into the preceding Conv2d, version-keyed cache invalidation, and the
-// GEOTORCH_FUSION kill switch. The load-bearing contract: on models
-// without BatchNorm the fused path is BITWISE identical to the unfused
-// one (the epilogue replays the same per-element formulas in the same
-// order), while BN folding — an algebraic reassociation — stays within
-// a small relative bound of the unfused eval.
+// epilogues, the im2col-free direct conv kernels, the int8 conv against
+// a materialized reference, BatchNorm folding into the preceding
+// Conv2d, and version-keyed cache invalidation. The load-bearing
+// contract: on models without BatchNorm the fused path is BITWISE
+// identical to the unfused one (the epilogue replays the same
+// per-element formulas in the same order), while BN folding — an
+// algebraic reassociation — stays within a small relative bound of the
+// unfused eval. The unfused f32 reference is the same eval-mode
+// forward with gradients enabled, which runs the autograd ops.
 
 #include <gtest/gtest.h>
 
@@ -23,8 +25,8 @@
 #include "obs/obs.h"
 #include "tensor/conv.h"
 #include "tensor/device.h"
-#include "tensor/fusion.h"
 #include "tensor/gemm.h"
+#include "tensor/quant.h"
 #include "tensor/tensor.h"
 
 namespace {
@@ -58,15 +60,19 @@ double MaxRelDiff(const ts::Tensor& a, const ts::Tensor& b) {
   return worst;
 }
 
-// RAII toggle so a failing assertion can't leave fusion disabled for
-// the rest of the suite.
-struct FusionGuard {
-  explicit FusionGuard(bool on) : prev(ts::FusionEnabled()) {
-    ts::SetFusionEnabled(on);
-  }
-  ~FusionGuard() { ts::SetFusionEnabled(prev); }
-  bool prev;
-};
+// The unfused reference: an eval-mode forward with gradients enabled is
+// not fused-eval eligible, so it runs the autograd ops training runs.
+ts::Tensor UnfusedEval(nn::Sequential& seq, const ts::Tensor& x) {
+  EXPECT_TRUE(ag::GradEnabled());
+  EXPECT_FALSE(nn::FusedEvalEligible(seq));
+  return seq.Forward(ag::Variable(x)).value();
+}
+
+ts::Tensor FusedEval(nn::Sequential& seq, const ts::Tensor& x) {
+  ag::NoGradGuard no_grad;
+  EXPECT_TRUE(nn::FusedEvalEligible(seq));
+  return seq.Forward(ag::Variable(x)).value();
+}
 
 // --- kernel level -----------------------------------------------------------
 
@@ -121,6 +127,89 @@ TEST(FusionTest, ConvFusedBitwiseMatchesUnfusedF32) {
       const ts::Tensor fused =
           ts::Conv2dForward(x, w, bias, spec, ts::EpilogueAct::kRelu, 0.01f);
       EXPECT_EQ(BitsOf(ref), BitsOf(fused)) << "device=" << int(dev);
+    }
+  }
+}
+
+// The int8 conv (per-sample quantize into the caller's buffer, implicit
+// im2col gather or 1×1 bypass, i32 accumulation, dequant + bias +
+// activation epilogue) must be bitwise identical to the materialized
+// composition: per sample, an explicit Im2Col patch matrix quantized
+// with the same per-batch scale, a GemmInt8, then separate bias and
+// activation passes. Static scales (here one that clips) and dynamic
+// ones (absmax of the whole batch) both go through the same code.
+TEST(FusionTest, ConvInt8BitwiseMatchesMaterializedReference) {
+  struct Case {
+    int64_t n, c, f, hw, k, stride, pad;
+  };
+  const Case cases[] = {
+      {1, 4, 16, 12, 3, 1, 1},   // 3x3 pad 1, batch 1
+      {4, 8, 12, 10, 3, 1, 1},   // 3x3 pad 1, batch 4
+      {4, 32, 16, 14, 1, 1, 0},  // 1x1: GEMM on the quantized plane
+      {1, 8, 16, 9, 1, 1, 0},    // 1x1, batch 1
+      {4, 3, 8, 11, 3, 2, 1},    // strided gather
+      {1, 6, 10, 9, 3, 2, 0},    // strided, unpadded, batch 1
+  };
+  const ts::EpilogueAct acts[] = {ts::EpilogueAct::kNone,
+                                  ts::EpilogueAct::kRelu,
+                                  ts::EpilogueAct::kLeakyRelu};
+  const float slope = 0.125f;
+  for (const Case& cs : cases) {
+    const ts::Tensor x = RandomTensor({cs.n, cs.c, cs.hw, cs.hw}, 5 * cs.c);
+    const ts::Tensor w =
+        RandomTensor({cs.f, cs.c, cs.k, cs.k}, 3 * cs.f, -0.5f, 0.5f);
+    const ts::Tensor bias = RandomTensor({cs.f}, 29, -0.2f, 0.2f);
+    const ts::ConvSpec spec{cs.stride, cs.pad};
+    const int64_t ck = cs.c * cs.k * cs.k;
+    const int64_t oh = ts::ConvOutSize(cs.hw, cs.k, cs.stride, cs.pad);
+    const int64_t l = oh * oh;
+    std::vector<int8_t> w_q(cs.f * ck);
+    std::vector<float> w_scales(cs.f);
+    ts::QuantizeRowsInt8(w.data(), cs.f, ck, w_q.data(), w_scales.data());
+    // 0 selects the dynamic scale; 1/127 clips inputs beyond ±1.
+    for (const float static_scale : {0.0f, 1.0f / 127.0f}) {
+      const float scale =
+          static_scale > 0.0f
+              ? static_scale
+              : ts::SymmetricScale(ts::AbsMax(x.data(), x.numel()));
+      for (const ts::EpilogueAct act : acts) {
+        SCOPED_TRACE("n=" + std::to_string(cs.n) + " c=" +
+                     std::to_string(cs.c) + " k=" + std::to_string(cs.k) +
+                     " stride=" + std::to_string(cs.stride) +
+                     " scale=" + std::to_string(static_scale) +
+                     " act=" + std::to_string(int(act)));
+        ts::Tensor ref = ts::Tensor::Uninitialized({cs.n, cs.f, oh, oh});
+        std::vector<int8_t> cols_q(ck * l);
+        for (int64_t i = 0; i < cs.n; ++i) {
+          const ts::Tensor cols = ts::Im2Col(x, i, cs.k, cs.k, spec);
+          ts::QuantizeInt8(cols.data(), ck * l, scale, cols_q.data());
+          ts::Int8GemmOptions opts;
+          opts.a_scales = w_scales.data();
+          opts.a_scales_len = cs.f;
+          opts.b_scales = &scale;
+          opts.b_scales_len = 1;
+          float* out_i = ref.data() + i * cs.f * l;
+          ts::GemmInt8(w_q.data(), cols_q.data(), out_i, cs.f, ck, l, opts);
+          for (int64_t fi = 0; fi < cs.f; ++fi)
+            for (int64_t j = 0; j < l; ++j) out_i[fi * l + j] += bias.flat(fi);
+        }
+        for (int64_t i = 0; i < ref.numel(); ++i) {
+          const float v = ref.flat(i);
+          if (act == ts::EpilogueAct::kRelu) {
+            ref.flat(i) = v > 0.0f ? v : 0.0f;
+          } else if (act == ts::EpilogueAct::kLeakyRelu) {
+            ref.flat(i) = v > 0.0f ? v : slope * v;
+          }
+        }
+        for (const ts::Device dev :
+             {ts::Device::kSerial, ts::Device::kParallel}) {
+          ts::DeviceGuard guard(dev);
+          const ts::Tensor got = ts::Conv2dForwardInt8(
+              x, w_q.data(), w_scales.data(), cs.f, cs.c, cs.k, cs.k,
+              static_scale, bias, spec, act, slope);
+          EXPECT_EQ(BitsOf(ref), BitsOf(got)) << "device=" << int(dev);
+        }
+      }
     }
   }
 }
@@ -204,34 +293,16 @@ void WarmStats(nn::Sequential& seq, const ts::Tensor& x) {
 TEST(FusionTest, SequentialWithoutBnFusedIsBitwise) {
   auto seq = MakeConvStack(/*with_bn=*/false, 42);
   seq->SetTraining(false);
-  ag::NoGradGuard no_grad;
   const ts::Tensor x = RandomTensor({2, 3, 10, 10}, 9);
-  ts::Tensor off, on;
-  {
-    FusionGuard g(false);
-    off = seq->Forward(ag::Variable(x)).value();
-  }
-  {
-    FusionGuard g(true);
-    on = seq->Forward(ag::Variable(x)).value();
-  }
-  EXPECT_EQ(BitsOf(off), BitsOf(on));
+  EXPECT_EQ(BitsOf(UnfusedEval(*seq, x)), BitsOf(FusedEval(*seq, x)));
 }
 
 TEST(FusionTest, BnFoldStaysWithinRelativeBound) {
   auto seq = MakeConvStack(/*with_bn=*/true, 43);
   const ts::Tensor x = RandomTensor({2, 3, 10, 10}, 9);
   WarmStats(*seq, x);
-  ag::NoGradGuard no_grad;
-  ts::Tensor off, on;
-  {
-    FusionGuard g(false);
-    off = seq->Forward(ag::Variable(x)).value();
-  }
-  {
-    FusionGuard g(true);
-    on = seq->Forward(ag::Variable(x)).value();
-  }
+  const ts::Tensor off = UnfusedEval(*seq, x);
+  const ts::Tensor on = FusedEval(*seq, x);
   // Folding reassociates (conv ∘ affine) into one conv — not bitwise,
   // but tightly bounded.
   EXPECT_LT(MaxRelDiff(off, on), 1e-3);
@@ -239,14 +310,10 @@ TEST(FusionTest, BnFoldStaysWithinRelativeBound) {
 
 TEST(FusionTest, EligibilityGate) {
   auto seq = MakeConvStack(/*with_bn=*/false, 44);
-  FusionGuard g(true);
   seq->SetTraining(false);
   {
     ag::NoGradGuard no_grad;
     EXPECT_TRUE(nn::FusedEvalEligible(*seq));
-    ts::SetFusionEnabled(false);  // the kill switch wins over everything
-    EXPECT_FALSE(nn::FusedEvalEligible(*seq));
-    ts::SetFusionEnabled(true);
     seq->SetCalibrating(true);
     EXPECT_FALSE(nn::FusedEvalEligible(*seq));
     seq->SetCalibrating(false);
@@ -264,15 +331,12 @@ TEST(FusionTest, FoldedCacheInvalidatedOnParameterLoad) {
   auto seq = MakeConvStack(/*with_bn=*/true, 45);
   const ts::Tensor x = RandomTensor({2, 3, 10, 10}, 9);
   WarmStats(*seq, x);
-  ag::NoGradGuard no_grad;
-  FusionGuard g(true);
-  const ts::Tensor y1 = seq->Forward(ag::Variable(x)).value();  // builds cache
+  const ts::Tensor y1 = FusedEval(*seq, x);  // builds cache
   const ts::Tensor neww = RandomTensor({8, 3, 3, 3}, 77, -0.4f, 0.4f);
   ASSERT_TRUE(seq->LoadNamedParameter("layer0.weight", neww).ok());
-  const ts::Tensor y2 = seq->Forward(ag::Variable(x)).value();
+  const ts::Tensor y2 = FusedEval(*seq, x);
   EXPECT_NE(BitsOf(y1), BitsOf(y2));  // stale cache would reproduce y1
-  ts::SetFusionEnabled(false);
-  const ts::Tensor y2_ref = seq->Forward(ag::Variable(x)).value();
+  const ts::Tensor y2_ref = UnfusedEval(*seq, x);
   EXPECT_LT(MaxRelDiff(y2_ref, y2), 1e-3);
 }
 
@@ -282,45 +346,35 @@ TEST(FusionTest, BnCacheInvalidatedByTrainingStats) {
   auto seq = MakeConvStack(/*with_bn=*/true, 46);
   const ts::Tensor x = RandomTensor({2, 3, 10, 10}, 9);
   WarmStats(*seq, x);
-  FusionGuard g(true);
-  ts::Tensor y1;
-  {
-    ag::NoGradGuard no_grad;
-    y1 = seq->Forward(ag::Variable(x)).value();
-  }
+  const ts::Tensor y1 = FusedEval(*seq, x);
   WarmStats(*seq, x);  // more EMA updates -> new stats
-  ag::NoGradGuard no_grad;
-  const ts::Tensor y2 = seq->Forward(ag::Variable(x)).value();
+  const ts::Tensor y2 = FusedEval(*seq, x);
   EXPECT_NE(BitsOf(y1), BitsOf(y2));
-  ts::SetFusionEnabled(false);
-  const ts::Tensor y2_ref = seq->Forward(ag::Variable(x)).value();
+  const ts::Tensor y2_ref = UnfusedEval(*seq, x);
   EXPECT_LT(MaxRelDiff(y2_ref, y2), 1e-3);
 }
 
-// Low-precision fused eval must match the unfused low-precision eval
-// bitwise: the epilogue's dequant + bias + activation replays the same
-// scalar formulas the separate passes apply.
-TEST(FusionTest, LowPrecisionFusedIsBitwise) {
-  for (const auto prec : {nn::Precision::kBf16, nn::Precision::kInt8}) {
-    geotorch::Rng rng(47);
-    nn::Sequential seq;
-    seq.Add(std::make_unique<nn::Conv2d>(4, 12, 3, rng, 1, 1));
-    seq.Add(std::make_unique<nn::ReluLayer>());
-    seq.SetTraining(false);
-    seq.SetPrecision(prec);
-    ag::NoGradGuard no_grad;
-    const ts::Tensor x = RandomTensor({2, 4, 12, 12}, 21);
-    ts::Tensor off, on;
-    {
-      FusionGuard g(false);
-      off = seq.Forward(ag::Variable(x)).value();
-    }
-    {
-      FusionGuard g(true);
-      on = seq.Forward(ag::Variable(x)).value();
-    }
-    EXPECT_EQ(BitsOf(off), BitsOf(on)) << "precision=" << int(prec);
-  }
+// An int8 Conv2d has one code path: its Forward is ForwardFusedEval
+// with no activation. So the Sequential fused walk (ReLU in the GEMM
+// epilogue) must match calling the layers one by one (plain int8 conv,
+// then a separate ReLU pass) bitwise.
+TEST(FusionTest, Int8SequentialMatchesLayerByLayer) {
+  geotorch::Rng rng(47);
+  auto conv = std::make_unique<nn::Conv2d>(4, 12, 3, rng, 1, 1);
+  auto relu = std::make_unique<nn::ReluLayer>();
+  nn::Conv2d* conv_ptr = conv.get();
+  nn::ReluLayer* relu_ptr = relu.get();
+  nn::Sequential seq;
+  seq.Add(std::move(conv));
+  seq.Add(std::move(relu));
+  seq.SetTraining(false);
+  seq.SetPrecision(nn::Precision::kInt8);
+  const ts::Tensor x = RandomTensor({2, 4, 12, 12}, 21);
+  ag::NoGradGuard no_grad;
+  const ts::Tensor fused = seq.Forward(ag::Variable(x)).value();
+  const ts::Tensor by_layer =
+      relu_ptr->Forward(conv_ptr->Forward(ag::Variable(x))).value();
+  EXPECT_EQ(BitsOf(by_layer), BitsOf(fused));
 }
 
 // The observability counters that make the fused paths visible.

@@ -20,7 +20,6 @@
 #include "core/rng.h"
 #include "nn/layers.h"
 #include "tensor/device.h"
-#include "tensor/fusion.h"
 #include "tensor/tensor.h"
 
 namespace {
@@ -61,7 +60,6 @@ struct Replica {
 }  // namespace
 
 int main() {
-  ts::SetFusionEnabled(true);
   ts::SetDefaultDevice(ts::Device::kSerial);
 
   auto live = std::make_unique<Replica>(11);
@@ -108,7 +106,7 @@ int main() {
         // Exercise the precision flip path on the offline copy too: it
         // bumps the state version and forces a folded-cache rebuild
         // with requantization on the next fused forward.
-        off->seq.SetPrecision(round % 2 == 0 ? nn::Precision::kBf16
+        off->seq.SetPrecision(round % 2 == 0 ? nn::Precision::kInt8
                                              : nn::Precision::kF32);
       }
       published.store(off);

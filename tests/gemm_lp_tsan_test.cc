@@ -1,12 +1,11 @@
-// Thread-safety harness for the low-precision GEMM kernels, built with
+// Thread-safety harness for the int8 GEMM kernel, built with
 // -fsanitize=thread (see tests/CMakeLists.txt). Not a gtest: it links a
-// minimal TSan-instrumented subset of the library and drives the bf16
-// and int8 paths through the same 2-D tile dispatch as the f32 kernel —
-// concurrent bf16 rounding / int8 panel packing into per-thread
-// workspaces, disjoint C-tile stores, and the prepacked-B read-only
-// sharing that serving relies on. Both paths promise serial == parallel
-// bitwise (fixed K order for bf16, exact i32 accumulation for int8), so
-// every check here is a memcmp, not a tolerance.
+// minimal TSan-instrumented subset of the library and drives the int8
+// path through the same 2-D tile dispatch as the f32 kernel —
+// concurrent int8 panel packing into per-thread workspaces, disjoint
+// C-tile stores, and the prepacked-B read-only sharing that serving
+// relies on. Exact i32 accumulation promises serial == parallel
+// bitwise, so every check here is a memcmp, not a tolerance.
 
 #include <cmath>
 #include <cstdint>
@@ -44,32 +43,8 @@ bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b,
   return false;
 }
 
-// Serial reference vs parallel, on-the-fly vs prepacked B — all four
+// Serial reference vs parallel, on-the-fly vs prepacked B — all three
 // must agree bitwise while TSan watches the pool traffic.
-void CheckBf16Once(int64_t m, int64_t k, int64_t n, uint64_t seed) {
-  std::vector<float> a(m * k), b(k * n);
-  FillUniform(a, seed);
-  FillUniform(b, seed + 1);
-
-  std::vector<float> c_serial(m * n, 0.0f);
-  ts::GemmOptions serial_opts;
-  serial_opts.allow_parallel = false;
-  ts::GemmBf16(a.data(), b.data(), c_serial.data(), m, k, n, serial_opts);
-
-  std::vector<float> c_parallel(m * n, 0.0f);
-  ts::GemmBf16(a.data(), b.data(), c_parallel.data(), m, k, n);
-  BitwiseEqual(c_serial, c_parallel, "bf16 serial vs parallel", m, k, n);
-
-  std::vector<uint16_t> b_bf16(k * n);
-  ts::ConvertToBf16(b.data(), b_bf16.data(), k * n);
-  std::vector<uint16_t> packed(ts::Bf16PackedBSize(k, n));
-  ts::PackBf16B(b_bf16.data(), k, n, packed.data());
-  std::vector<float> c_packed(m * n, 0.0f);
-  ts::GemmBf16(a.data(), ts::Bf16PackedB{packed.data()}, c_packed.data(), m,
-               k, n);
-  BitwiseEqual(c_serial, c_packed, "bf16 prepacked", m, k, n);
-}
-
 void CheckInt8Once(int64_t m, int64_t k, int64_t n, uint64_t seed) {
   std::vector<float> a(m * k), b(k * n);
   FillUniform(a, seed);
@@ -124,13 +99,12 @@ int main() {
   uint64_t seed = 1234;
   for (int iter = 0; iter < 4; ++iter) {
     for (const Shape& s : shapes) {
-      CheckBf16Once(s.m, s.k, s.n, seed++);
       CheckInt8Once(s.m, s.k, s.n, seed++);
     }
   }
 
   // Serving with several engines in one process: client threads issue
-  // low-precision GEMMs against one shared read-only prepacked weight
+  // int8 GEMMs against one shared read-only prepacked weight
   // blob while the pool-parallel path runs on the main thread. The
   // packed panels are written once here and only ever read afterwards;
   // TSan confirms no write leaks into the shared phase.
@@ -138,11 +112,6 @@ int main() {
     const int64_t m = 16, k = 1024, n = 256;
     std::vector<float> b(k * n);
     FillUniform(b, 77);
-    std::vector<uint16_t> b_bf16(k * n);
-    ts::ConvertToBf16(b.data(), b_bf16.data(), k * n);
-    std::vector<uint16_t> packed_bf16(ts::Bf16PackedBSize(k, n));
-    ts::PackBf16B(b_bf16.data(), k, n, packed_bf16.data());
-
     const float b_scale = ts::SymmetricScale(ts::AbsMax(b.data(), k * n));
     std::vector<int8_t> b_q(k * n);
     ts::QuantizeInt8(b.data(), k * n, b_scale, b_q.data());
@@ -163,8 +132,6 @@ int main() {
         opts.allow_parallel = false;  // each client computes serially
         std::vector<float> c(m * n);
         for (int i = 0; i < 8; ++i) {
-          ts::GemmBf16(a.data(), ts::Bf16PackedB{packed_bf16.data()}, c.data(),
-                       m, k, n, ts::GemmOptions{0.0f, false, false, false});
           ts::GemmInt8(a_q.data(), ts::Int8PackedB{packed_int8.data()},
                        c.data(), m, k, n, opts);
         }
@@ -172,7 +139,6 @@ int main() {
     }
     // Pool-parallel traffic concurrent with the serial clients.
     for (int i = 0; i < 8; ++i) {
-      CheckBf16Once(192, 512, 512, seed++);
       CheckInt8Once(192, 512, 512, seed++);
     }
     for (auto& c : clients) c.join();

@@ -1,6 +1,6 @@
-// Numerics of the low-precision inference path (DESIGN.md §10): the
-// bf16/int8 conversion helpers, the quantization error bound, the
-// low-precision GEMM kernels against references, the pre-packed
+// Numerics of the int8 inference path (DESIGN.md §10): the
+// quantization helpers and their error bound, the int8 GEMM kernel
+// against an int32 reference, the pre-packed
 // weight-operand path (bitwise identical to on-the-fly packing), and
 // the eval-only gate on Linear (training / grad-enabled forwards stay
 // f32 regardless of the precision setting).
@@ -35,36 +35,6 @@ std::vector<float> RandomVec(int64_t n, uint64_t seed, float lo = -2.0f,
   std::vector<float> v(n);
   for (auto& x : v) x = static_cast<float>(rng.Uniform(lo, hi));
   return v;
-}
-
-// --- conversion helpers ----------------------------------------------------
-
-TEST(QuantTest, Bf16RoundTripsExactValues) {
-  // Values with <= 8 significand bits survive the round trip exactly.
-  for (float x : {0.0f, 1.0f, -1.0f, 0.5f, -0.375f, 2048.0f, 1.5f}) {
-    EXPECT_EQ(ts::RoundThroughBf16(x), x) << x;
-  }
-  // bf16 keeps 7 fraction bits, so the ulp at 1.0 is 2^-7 and the
-  // midpoint 1 + 2^-8 is exactly between 1.0 and 1 + 2^-7;
-  // round-to-even picks 1.0 (even significand).
-  EXPECT_EQ(ts::RoundThroughBf16(1.0f + 0x1p-8f), 1.0f);
-  // A hair above the midpoint rounds up.
-  EXPECT_EQ(ts::RoundThroughBf16(1.0f + 0x1p-8f + 0x1p-16f), 1.0f + 0x1p-7f);
-  // NaN stays NaN, infinities stay put.
-  EXPECT_TRUE(std::isnan(
-      ts::F32FromBf16(ts::Bf16FromF32(std::nanf("")))));
-  EXPECT_EQ(ts::RoundThroughBf16(INFINITY), INFINITY);
-  EXPECT_EQ(ts::RoundThroughBf16(-INFINITY), -INFINITY);
-}
-
-TEST(QuantTest, Bf16RelativeErrorWithinHalfUlp) {
-  const std::vector<float> xs = RandomVec(4096, 11, -100.0f, 100.0f);
-  for (float x : xs) {
-    // 7 fraction bits: the ulp at x is at most 2^-7 * |x|, and RNE
-    // lands within half of that.
-    EXPECT_LE(std::fabs(ts::RoundThroughBf16(x) - x),
-              std::fabs(x) * 0x1p-8f);
-  }
 }
 
 // --- int8 quantization error bound -----------------------------------------
@@ -112,33 +82,6 @@ TEST(QuantTest, PerChannelScalesBoundEveryChannel) {
 
 // --- GEMM kernels against references ---------------------------------------
 
-// The bf16 GEMM must agree with an f32 GEMM over bf16-rounded operands
-// up to f32 accumulation-order differences.
-TEST(QuantTest, GemmBf16MatchesRoundedReference) {
-  for (auto [m, k, n] : {std::array<int64_t, 3>{7, 13, 9},
-                         std::array<int64_t, 3>{16, 262, 33},
-                         std::array<int64_t, 3>{61, 130, 70}}) {
-    const std::vector<float> a = RandomVec(m * k, 7 * m + k);
-    const std::vector<float> b = RandomVec(k * n, 13 * n + k);
-    std::vector<float> got(m * n), want(m * n, 0.0f);
-    ts::GemmBf16(a.data(), b.data(), got.data(), m, k, n);
-    for (int64_t i = 0; i < m; ++i) {
-      for (int64_t j = 0; j < n; ++j) {
-        float acc = 0.0f;
-        for (int64_t p = 0; p < k; ++p) {
-          acc += ts::RoundThroughBf16(a[i * k + p]) *
-                 ts::RoundThroughBf16(b[p * n + j]);
-        }
-        want[i * n + j] = acc;
-      }
-    }
-    for (int64_t i = 0; i < m * n; ++i) {
-      EXPECT_NEAR(got[i], want[i], 1e-3f)
-          << m << "x" << k << "x" << n << " element " << i;
-    }
-  }
-}
-
 TEST(QuantTest, GemmInt8MatchesInt32Reference) {
   for (auto [m, k, n] : {std::array<int64_t, 3>{7, 13, 9},
                          std::array<int64_t, 3>{16, 262, 33},
@@ -179,26 +122,6 @@ TEST(QuantTest, GemmInt8MatchesInt32Reference) {
 // Packing B once at SetPrecision time must change nothing numerically:
 // the packed blob holds exactly the panels the kernel would have built
 // per call, so outputs are bitwise identical, including odd tails.
-TEST(QuantTest, PrepackedBf16BitwiseEqualsOnTheFly) {
-  for (auto [m, k, n] : {std::array<int64_t, 3>{7, 13, 9},
-                         std::array<int64_t, 3>{16, 262, 512},
-                         std::array<int64_t, 3>{61, 530, 700}}) {
-    const std::vector<float> a = RandomVec(m * k, k + 17);
-    const std::vector<float> b = RandomVec(k * n, n + 19);
-    std::vector<uint16_t> b_bf16(k * n);
-    ts::ConvertToBf16(b.data(), b_bf16.data(), k * n);
-    std::vector<float> unpacked(m * n), packed_out(m * n);
-    ts::GemmBf16(a.data(), b_bf16.data(), unpacked.data(), m, k, n);
-    std::vector<uint16_t> packed(ts::Bf16PackedBSize(k, n));
-    ts::PackBf16B(b_bf16.data(), k, n, packed.data());
-    ts::GemmBf16(a.data(), ts::Bf16PackedB{packed.data()}, packed_out.data(),
-                 m, k, n);
-    EXPECT_EQ(0, std::memcmp(unpacked.data(), packed_out.data(),
-                             m * n * sizeof(float)))
-        << m << "x" << k << "x" << n;
-  }
-}
-
 TEST(QuantTest, PrepackedInt8BitwiseEqualsOnTheFly) {
   for (auto [m, k, n] : {std::array<int64_t, 3>{7, 13, 9},
                          std::array<int64_t, 3>{16, 262, 512},
@@ -229,9 +152,8 @@ TEST(QuantTest, PrepackedInt8BitwiseEqualsOnTheFly) {
 
 // --- serial vs parallel ----------------------------------------------------
 
-// Both low-precision kernels fix their K-accumulation order (bf16) or
-// accumulate exactly in i32 (int8), so crossing the parallel-dispatch
-// threshold must not change a single bit.
+// The int8 kernel accumulates exactly in i32, so crossing the
+// parallel-dispatch threshold must not change a single bit.
 TEST(QuantTest, LowPrecisionGemmSerialEqualsParallelBitwise) {
   const int64_t m = 128, k = 96, n = 128;  // m*k*n > kParallelMinWork
   const std::vector<float> a = RandomVec(m * k, 41);
@@ -247,20 +169,15 @@ TEST(QuantTest, LowPrecisionGemmSerialEqualsParallelBitwise) {
   iopts.b_scales = b_scales.data();
   iopts.b_scales_len = n;
 
-  std::vector<float> bf16_serial(m * n), bf16_parallel(m * n);
   std::vector<float> int8_serial(m * n), int8_parallel(m * n);
   {
     ts::DeviceGuard guard(ts::Device::kSerial);
-    ts::GemmBf16(a.data(), b.data(), bf16_serial.data(), m, k, n);
     ts::GemmInt8(aq.data(), bq.data(), int8_serial.data(), m, k, n, iopts);
   }
   {
     ts::DeviceGuard guard(ts::Device::kParallel);
-    ts::GemmBf16(a.data(), b.data(), bf16_parallel.data(), m, k, n);
     ts::GemmInt8(aq.data(), bq.data(), int8_parallel.data(), m, k, n, iopts);
   }
-  EXPECT_EQ(0, std::memcmp(bf16_serial.data(), bf16_parallel.data(),
-                           m * n * sizeof(float)));
   EXPECT_EQ(0, std::memcmp(int8_serial.data(), int8_parallel.data(),
                            m * n * sizeof(float)));
 }

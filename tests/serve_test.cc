@@ -95,8 +95,10 @@ TEST(EngineOptionsTest, FromEnvParsesPrecision) {
   EnvVarGuard guard({"GEOTORCH_SERVE_PRECISION"});
   unsetenv("GEOTORCH_SERVE_PRECISION");
   EXPECT_EQ(serve::EngineOptions::FromEnv().precision, nn::Precision::kF32);
+  // Only f32 and int8 are precisions; any other value is ignored and
+  // the engine serves f32.
   setenv("GEOTORCH_SERVE_PRECISION", "bf16", 1);
-  EXPECT_EQ(serve::EngineOptions::FromEnv().precision, nn::Precision::kBf16);
+  EXPECT_EQ(serve::EngineOptions::FromEnv().precision, nn::Precision::kF32);
   setenv("GEOTORCH_SERVE_PRECISION", "int8", 1);
   EXPECT_EQ(serve::EngineOptions::FromEnv().precision, nn::Precision::kInt8);
   setenv("GEOTORCH_SERVE_PRECISION", "float32", 1);

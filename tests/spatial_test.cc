@@ -6,7 +6,6 @@
 
 #include "core/rng.h"
 #include "core/thread_pool.h"
-#include "spatial/config.h"
 #include "spatial/grid.h"
 #include "spatial/join.h"
 #include "spatial/strtree.h"
@@ -286,9 +285,9 @@ TEST(JoinTest, DistanceJoinParallelMatchesSerial) {
   EXPECT_FALSE(serial.empty());
 }
 
-TEST(ConfigTest, ParallelKillSwitchForcesSerialExecution) {
-  // With the switch off, parallel options fall back to the serial path
-  // and must produce the same result.
+TEST(JoinTest, StrTreeJoinSerialOptionMatchesParallel) {
+  // `parallel = false` keeps the probes on the calling thread and must
+  // produce the same pairs in the same order.
   Rng rng(30);
   GridPartitioner grid(Envelope(0, 0, 10, 10), 5, 5);
   std::vector<Polygon> cells = grid.CellPolygons();
@@ -302,11 +301,9 @@ TEST(ConfigTest, ParallelKillSwitchForcesSerialExecution) {
   opts.parallel = true;
   opts.pool = &pool;
   auto with_parallel = PointInPolygonJoin(points, cells, opts);
-  const bool was_enabled = ParallelSpatialEnabled();
-  SetParallelSpatialEnabled(false);
-  auto with_kill_switch = PointInPolygonJoin(points, cells, opts);
-  SetParallelSpatialEnabled(was_enabled);
-  EXPECT_EQ(with_parallel, with_kill_switch);
+  opts.parallel = false;
+  auto serial = PointInPolygonJoin(points, cells, opts);
+  EXPECT_EQ(with_parallel, serial);
 }
 
 }  // namespace
