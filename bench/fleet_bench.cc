@@ -120,7 +120,8 @@ serve::FleetOptions BenchFleetOptions(int replicas) {
 
 // One fleet serving every model at `replicas` replicas; `clients`
 // closed-loop threads PER MODEL submit back-to-back. Returns one
-// record per model.
+// record per model, its throughput timed from the common start to that
+// model's last response.
 std::vector<Record> RunOnce(const std::vector<ModelSpec>& zoo, int replicas,
                             int clients, int requests_per_client) {
   serve::Fleet fleet(BenchFleetOptions(replicas));
@@ -130,8 +131,9 @@ std::vector<Record> RunOnce(const std::vector<ModelSpec>& zoo, int replicas,
 
   std::vector<std::vector<int64_t>> latencies(
       static_cast<size_t>(zoo.size()) * clients);
+  std::vector<int64_t> done_ns(latencies.size());
   std::atomic<int64_t> errors{0};
-  Stopwatch timer;
+  const int64_t start_ns = obs::NowNs();
   std::vector<std::thread> threads;
   for (size_t mi = 0; mi < zoo.size(); ++mi) {
     for (int c = 0; c < clients; ++c) {
@@ -151,11 +153,11 @@ std::vector<Record> RunOnce(const std::vector<ModelSpec>& zoo, int replicas,
           }
           lat.push_back((obs::NowNs() - t0) / 1000);
         }
+        done_ns[mi * clients + c] = obs::NowNs();
       });
     }
   }
   for (auto& t : threads) t.join();
-  const double seconds = timer.ElapsedSeconds();
   fleet.Shutdown();
   if (errors.load() > 0) {
     std::printf("WARNING: %lld submits failed\n",
@@ -169,13 +171,15 @@ std::vector<Record> RunOnce(const std::vector<ModelSpec>& zoo, int replicas,
     rec.replicas = replicas;
     rec.clients = clients;
     std::vector<int64_t> all;
+    int64_t last_ns = start_ns;
     for (int c = 0; c < clients; ++c) {
       const auto& lat = latencies[mi * clients + c];
       all.insert(all.end(), lat.begin(), lat.end());
+      last_ns = std::max(last_ns, done_ns[mi * clients + c]);
     }
     rec.requests = static_cast<int64_t>(all.size());
-    rec.seconds = seconds;
-    rec.throughput_rps = rec.requests / std::max(seconds, 1e-9);
+    rec.seconds = static_cast<double>(last_ns - start_ns) * 1e-9;
+    rec.throughput_rps = rec.requests / std::max(rec.seconds, 1e-9);
     std::sort(all.begin(), all.end());
     rec.p50_us = Percentile(all, 0.50);
     rec.p99_us = Percentile(all, 0.99);

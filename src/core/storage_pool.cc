@@ -1,30 +1,22 @@
 #include "core/storage_pool.h"
 
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 #include <new>
 #include <string>
 
 #include "obs/obs.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define GEO_POOL_POISON(p, n) ASAN_POISON_MEMORY_REGION(p, n)
+#define GEO_POOL_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION(p, n)
+#else
+#define GEO_POOL_POISON(p, n) ((void)(p), (void)(n))
+#define GEO_POOL_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
+
 namespace geotorch {
 namespace {
-
-// GEOTORCH_POOL=0|off|false starts the pool disabled. Parsed here rather
-// than through core/env.h: the pool's TSan test compiles this file with
-// core's thread_pool and memory units only.
-bool PoolEnabledFromEnv() {
-  const char* v = std::getenv("GEOTORCH_POOL");
-  return v == nullptr || (std::strcmp(v, "0") != 0 &&
-                          std::strcmp(v, "off") != 0 &&
-                          std::strcmp(v, "false") != 0);
-}
-
-std::atomic<bool>& EnabledFlag() {
-  static std::atomic<bool> flag{PoolEnabledFromEnv()};
-  return flag;
-}
 
 void* AlignedNew(size_t bytes) {
   return ::operator new(bytes, std::align_val_t{StoragePool::kAlignment});
@@ -52,18 +44,10 @@ StoragePool& StoragePool::Global() {
   return *pool;
 }
 
-bool StoragePool::Enabled() {
-  return EnabledFlag().load(std::memory_order_relaxed);
-}
-
-void StoragePool::SetEnabled(bool on) {
-  EnabledFlag().store(on, std::memory_order_relaxed);
-}
-
 void* StoragePool::Allocate(size_t bytes, size_t* class_bytes) {
   *class_bytes = 0;
   if (bytes == 0) return nullptr;
-  const int cls = Enabled() ? ClassIndex(bytes) : -1;
+  const int cls = ClassIndex(bytes);
   if (cls < 0) {
     bypasses_.fetch_add(1, std::memory_order_relaxed);
     GEO_OBS_COUNT("pool.bypass", 1);
@@ -78,6 +62,7 @@ void* StoragePool::Allocate(size_t bytes, size_t* class_bytes) {
     if (!list.empty()) {
       void* p = list.back();
       list.pop_back();
+      GEO_POOL_UNPOISON(p, size);
       shard.cached_bytes -= static_cast<int64_t>(size);
       hits_.fetch_add(1, std::memory_order_relaxed);
       bytes_recycled_.fetch_add(static_cast<int64_t>(size),
@@ -98,7 +83,7 @@ void* StoragePool::Allocate(size_t bytes, size_t* class_bytes) {
 void StoragePool::Deallocate(void* p, size_t class_bytes) {
   if (p == nullptr) return;
   const int cls = class_bytes == 0 ? -1 : ClassIndex(class_bytes);
-  if (cls < 0 || !Enabled()) {
+  if (cls < 0) {
     AlignedDelete(p);
     return;
   }
@@ -108,6 +93,9 @@ void StoragePool::Deallocate(void* p, size_t class_bytes) {
     const int64_t size = static_cast<int64_t>(class_bytes);
     if (shard.cached_bytes + size <=
         max_cached_per_shard_.load(std::memory_order_relaxed)) {
+      // Poisoned under the shard lock: once it is released, another
+      // thread may pop the block and unpoison it.
+      GEO_POOL_POISON(p, class_bytes);
       shard.free[cls].push_back(p);
       shard.cached_bytes += size;
       return;
@@ -124,7 +112,11 @@ int64_t StoragePool::Trim() {
     std::vector<void*> drop;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
-      for (std::vector<void*>& list : shard.free) {
+      for (int cls = 0; cls < kNumClasses; ++cls) {
+        std::vector<void*>& list = shard.free[cls];
+        for (void* p : list) {
+          GEO_POOL_UNPOISON(p, size_t{1} << (cls + kMinClassLog2));
+        }
         drop.insert(drop.end(), list.begin(), list.end());
         list.clear();
       }

@@ -9,10 +9,6 @@
 
 /// Size-bucketed caching allocator under every pooled tensor buffer
 /// (DESIGN.md §7).
-///
-/// This is the benchmark's stand-in for src/core/storage_pool.h,
-/// compiled only when the library tree lacks that unit; it follows the
-/// API and behaviour pool_test and pool_tsan_test pin.
 namespace geotorch {
 
 /// Caching pool of 64-byte-aligned blocks in power-of-two size classes
@@ -21,9 +17,10 @@ namespace geotorch {
 /// returns to the list it came from. Each shard is a mutex plus one LIFO
 /// free list per class, caching at most a configurable byte cap (128 MiB
 /// by default); frees beyond the cap go back to the OS as evictions.
-/// Zero-byte and >1 GiB requests, and every request while the pool is
-/// disabled (GEOTORCH_POOL=0|off|false, or SetEnabled(false)), bypass
-/// the cache as plain aligned new/delete.
+/// Zero-byte and >1 GiB requests bypass the cache as plain aligned
+/// new/delete. Under AddressSanitizer a cached block is poisoned while it
+/// sits in a free list, so a use after free of a recycled block is
+/// reported as use-after-poison.
 class StoragePool {
  public:
   static constexpr int kMinClassLog2 = 8;   ///< 256 B
@@ -45,10 +42,6 @@ class StoragePool {
 
   /// Process-wide pool.
   static StoragePool& Global();
-
-  /// Runtime kill switch shared by every pool; starts from GEOTORCH_POOL.
-  static bool Enabled();
-  static void SetEnabled(bool on);
 
   /// Returns a block of at least `bytes` bytes, 64-byte aligned, and
   /// stores in *class_bytes the size to hand back to Deallocate (0 for

@@ -16,9 +16,7 @@ namespace ts = ::geotorch::tensor;
 namespace {
 
 // Stacks per-sample tensors (each of shape `sample_shape`) into one
-// (B, ...) tensor. Hand-rolled memcpy instead of tensor::Stack keeps
-// the engine's dependency surface down to tensor/core/obs, which is
-// what lets serve_tsan_test recompile it standalone.
+// (B, ...) tensor.
 template <typename GetSample>
 ts::Tensor StackRows(int64_t b, const ts::Shape& sample_shape,
                      const GetSample& get) {

@@ -19,9 +19,7 @@ namespace geotorch::serve {
 
 /// One loaded model version behind a fleet replica (DESIGN.md §11).
 /// Type-erased on purpose: the fleet routes, swaps, and retires
-/// snapshots without knowing the model family, which keeps fleet.cc's
-/// dependency surface identical to engine.cc's (tensor/core/obs) so
-/// fleet_tsan_test can recompile the router + reload path standalone.
+/// snapshots without knowing the model family.
 ///
 /// `owner` keeps the module (or whatever backs `forward`) alive;
 /// in-flight batches hold a shared_ptr to the whole snapshot, so a

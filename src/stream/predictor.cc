@@ -60,9 +60,7 @@ ts::Tensor OnlinePredictor::Stack(int64_t next, int64_t len,
                                   int64_t stride) const {
   // Mirrors GridDataset::FrameStack: frames next - k*stride for
   // k = len..1, oldest first, stacked along channels. Missing history
-  // is zero — Tensor::Zeros covers the gaps, and the memcpy below
-  // (rather than tensor/ops Concat) keeps the stream TU buildable in
-  // the minimal-source TSan rebuild.
+  // is zero — Tensor::Zeros covers the gaps.
   const int64_t c = WindowAggregator::kChannels;
   const int64_t frame_elems = c * height_ * width_;
   ts::Tensor out = ts::Tensor::Zeros({len * c, height_, width_});

@@ -10,8 +10,7 @@ namespace geotorch::stream {
 
 /// Adapts synth::TaxiEventStream to the pipeline's EventSource
 /// contract. Lives in its own TU so the stream stages themselves stay
-/// free of the synth dependency (the TSan harness compiles the stage
-/// sources directly and substitutes its own inline source).
+/// free of the synth dependency (tests substitute their own sources).
 class TaxiEventSource : public EventSource {
  public:
   explicit TaxiEventSource(const synth::TaxiStreamConfig& config)

@@ -1,9 +1,8 @@
 // ThreadSanitizer stress for the out-of-core DataFrame layer: reader
 // threads pinning and scanning partitions race budget-driven evictions
 // triggered by other threads' admissions, plus frame destruction racing
-// in-flight spills (the Unregister/evicting_ handshake). Compiled as a
-// minimal-source recompile so TSan instruments the store and partition
-// code itself (see tests/CMakeLists.txt).
+// in-flight spills (the Unregister/evicting_ handshake). The `tsan`
+// preset runs it under ThreadSanitizer.
 
 #include <gtest/gtest.h>
 

@@ -4,10 +4,8 @@
 // polls stats — the exact interleaving the snapshot-swap protocol must
 // survive. Snapshots share read-only versioned panels (as replicas of
 // a real model share prepacked weight buffers), so TSan also watches
-// for writes racing the panel reads. Built with -fsanitize=thread
-// against fleet.cc + engine.cc (see tests/CMakeLists.txt) — fleet.cc
-// deliberately depends only on tensor/core/obs so this minimal
-// recompile stays minimal.
+// for writes racing the panel reads. The `tsan` preset runs it under
+// ThreadSanitizer.
 
 #include <gtest/gtest.h>
 

@@ -1,10 +1,9 @@
-// Thread-safety harness for the int8 GEMM kernel, built with
-// -fsanitize=thread (see tests/CMakeLists.txt). Not a gtest: it links a
-// minimal TSan-instrumented subset of the library and drives the int8
-// path through the same 2-D tile dispatch as the f32 kernel —
-// concurrent int8 panel packing into per-thread workspaces, disjoint
-// C-tile stores, and the prepacked-B read-only sharing that serving
-// relies on. Exact i32 accumulation promises serial == parallel
+// Thread-safety harness for the int8 GEMM kernel; the `tsan` preset
+// runs it under ThreadSanitizer, and with the portable (non-native)
+// micro-kernels. Not a gtest: it drives the int8 path through the same
+// 2-D tile dispatch as the f32 kernel — concurrent int8 panel packing
+// into per-thread workspaces, disjoint C-tile stores, and the
+// prepacked-B read-only sharing that serving relies on. Exact i32 accumulation promises serial == parallel
 // bitwise, so every check here is a memcmp, not a tolerance.
 
 #include <cmath>

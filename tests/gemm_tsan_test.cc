@@ -1,10 +1,8 @@
-// Thread-safety harness for the parallel GEMM path, built with
-// -fsanitize=thread (see tests/CMakeLists.txt). Not a gtest: it links a
-// minimal TSan-instrumented subset of the library (gemm, thread pool,
-// workspace arena, device state) and hammers the 2-D tile dispatch so
-// the sanitizer can observe every cross-thread access pattern —
-// concurrent packing into per-thread workspaces, disjoint C-tile
-// stores, and pool wakeup/join synchronization.
+// Thread-safety harness for the parallel GEMM path; the `tsan` preset
+// runs it under ThreadSanitizer. Not a gtest: it hammers the 2-D tile
+// dispatch so the sanitizer can observe every cross-thread access
+// pattern — concurrent packing into per-thread workspaces, disjoint
+// C-tile stores, and pool wakeup/join synchronization.
 
 #include <cmath>
 #include <cstdint>

@@ -1,8 +1,8 @@
 // ThreadSanitizer stress for the observability subsystem: worker
 // threads hammer counters, histograms, and nested spans while the main
 // thread concurrently aggregates, exports JSON, toggles the runtime
-// switch, and resets. Compiled with -fsanitize=thread (see
-// tests/CMakeLists.txt); any data race fails the run.
+// switch, and resets. Under the `tsan` preset any data race fails the
+// run.
 
 #include <atomic>
 #include <cstdio>

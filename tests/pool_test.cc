@@ -18,19 +18,15 @@ namespace {
 namespace ts = ::geotorch::tensor;
 namespace ag = ::geotorch::autograd;
 
-// Restores pool enablement and drains cached blocks so tests do not
-// leak state (pointers, stats baselines) into each other.
+// Drains cached blocks so tests do not leak state (pointers, stats
+// baselines) into each other.
 class PoolTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    StoragePool::SetEnabled(true);
     StoragePool::Global().Trim();
     StoragePool::Global().ResetStats();
   }
-  void TearDown() override {
-    StoragePool::SetEnabled(true);
-    StoragePool::Global().Trim();
-  }
+  void TearDown() override { StoragePool::Global().Trim(); }
 };
 
 TEST_F(PoolTest, RecyclesFreedBlockSameClass) {
@@ -62,19 +58,18 @@ TEST_F(PoolTest, RoundsUpToSizeClassAndAligns) {
   EXPECT_GE(stats.hits, 1);
 }
 
-TEST_F(PoolTest, KillSwitchBypassesCache) {
-  StoragePool::SetEnabled(false);
-  StoragePool::Global().ResetStats();
+#if defined(__SANITIZE_ADDRESS__)
+// A block parked in a free list is poisoned, so ASan reports a write
+// through a dangling pointer to it even though the pool still owns it.
+TEST_F(PoolTest, WriteToCachedBlockIsUseAfterPoison) {
+  volatile float* stale = nullptr;
   {
     ts::Tensor a = ts::Tensor::Zeros({1024});
+    stale = a.data();
   }
-  ts::Tensor b = ts::Tensor::Zeros({1024});
-  const StoragePool::Stats stats = StoragePool::Global().GetStats();
-  EXPECT_EQ(stats.hits, 0);
-  EXPECT_EQ(stats.misses, 0);
-  EXPECT_GE(stats.bypasses, 2);
-  EXPECT_EQ(stats.cached_blocks, 0);
+  EXPECT_DEATH(stale[7] = 1.0f, "use-after-poison");
 }
+#endif
 
 TEST_F(PoolTest, TrimReleasesCachedBlocks) {
   { ts::Tensor a = ts::Tensor::Zeros({1 << 12}); }

@@ -1,8 +1,7 @@
 // ThreadSanitizer stress for the serving engine: many client threads
 // submitting while batches run, rejects racing accepts on a tiny
 // queue, and Shutdown racing in-flight submits from several threads at
-// once. Built with -fsanitize=thread against the engine sources (see
-// tests/CMakeLists.txt) — the library build is uninstrumented.
+// once. The `tsan` preset runs it under ThreadSanitizer.
 
 #include <gtest/gtest.h>
 

@@ -2,9 +2,8 @@
 // STR-tree bulk-loads, partition-parallel join probes, and the grid
 // fast path, exercised concurrently from several client threads that
 // share one pool (the worst case the preprocessing pipeline can
-// produce). Compiled with -fsanitize=thread against the spatial and
-// core sources directly (see tests/CMakeLists.txt); sizes are small
-// because TSan is slow.
+// produce). The `tsan` preset runs it under ThreadSanitizer; sizes are
+// small because TSan is slow.
 
 #include <gtest/gtest.h>
 

@@ -2,9 +2,8 @@
 // aggregator, and predictor stages racing each other over the bounded
 // rings, the predictor's submits racing the fleet's hot reloads
 // (snapshot pointer swaps), stats pollers and hot-cell-index readers
-// racing the aggregator thread, and Stop racing all of it. Built by
-// recompiling the minimal source subset with -fsanitize=thread (see
-// tests/CMakeLists.txt); any data race aborts the test.
+// racing the aggregator thread, and Stop racing all of it. Under the
+// `tsan` preset any data race aborts the test.
 
 #include <gtest/gtest.h>
 
@@ -38,9 +37,7 @@ using geotorch::Status;
 
 // Synthetic ordered source: a burst of uniform events per tick, clock
 // advancing one window slide every few ticks, unbounded duration (the
-// test always ends via Stop). No synth dependency on purpose — this TU
-// plus the stream/serve/spatial/tensor/core sources is the whole
-// instrumented binary.
+// test always ends via Stop).
 class BurstSource : public stream::EventSource {
  public:
   explicit BurstSource(uint64_t seed) : rng_(seed) {}
