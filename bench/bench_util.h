@@ -2,11 +2,13 @@
 #define GEOTORCH_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/memory.h"
 
@@ -104,6 +106,16 @@ inline std::string PlusMinus(double mean, double dev, int precision = 3) {
 inline void PrintRule(int width = 78) {
   for (int i = 0; i < width; ++i) std::putchar('-');
   std::putchar('\n');
+}
+
+/// Nearest-rank percentile (p in [0, 1]) of an ascending-sorted sample;
+/// 0 for an empty one. The latency columns of the serve, fleet, stream
+/// and quant benches all use it.
+inline int64_t Percentile(const std::vector<int64_t>& sorted_us, double p) {
+  if (sorted_us.empty()) return 0;
+  const size_t idx = static_cast<size_t>(
+      p * static_cast<double>(sorted_us.size() - 1) + 0.5);
+  return sorted_us[std::min(idx, sorted_us.size() - 1)];
 }
 
 }  // namespace geotorch::bench

@@ -130,7 +130,6 @@ SpillOutcome RunOutOfCore(const std::vector<synth::TripRecord>& trips,
   }
 
   df::PartitionStore::Options opts;
-  opts.enabled = true;
   opts.resident_budget_bytes = std::max<int64_t>(
       1 << 20, static_cast<int64_t>(budget_fraction *
                                     static_cast<double>(out.dataset_bytes)));

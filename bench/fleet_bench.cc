@@ -100,13 +100,6 @@ struct Record {
   int64_t p99_us = 0;
 };
 
-int64_t Percentile(std::vector<int64_t>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0;
-  const size_t idx = static_cast<size_t>(
-      p * static_cast<double>(sorted_us.size() - 1) + 0.5);
-  return sorted_us[std::min(idx, sorted_us.size() - 1)];
-}
-
 serve::FleetOptions BenchFleetOptions(int replicas) {
   serve::FleetOptions opts;
   opts.replicas = replicas;

@@ -449,10 +449,9 @@ int RunGemmSweep(const std::string& json_path, bool smoke) {
 // ---------------------------------------------------------------------------
 // Observability overhead A/B: the same GEMM workload with the
 // instrumentation runtime-enabled vs runtime-disabled. The disabled
-// path is one relaxed atomic load per instrumented site, so it stands
-// in for a GEOTORCH_OBS=OFF compile-out build; the acceptance budget
-// for the delta is <2%. Invoked by --obs_ab[=PATH] (PATH gets a small
-// JSON report).
+// path is one relaxed atomic load per instrumented site; the
+// acceptance budget for the delta is <2%. Invoked by --obs_ab[=PATH]
+// (PATH gets a small JSON report).
 // ---------------------------------------------------------------------------
 
 int RunObsAb(const std::string& json_path, bool smoke) {

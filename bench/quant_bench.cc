@@ -209,13 +209,6 @@ struct ServeRow {
   double mean_batch = 0;
 };
 
-int64_t Percentile(std::vector<int64_t>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0;
-  const size_t idx = static_cast<size_t>(
-      p * static_cast<double>(sorted_us.size() - 1) + 0.5);
-  return sorted_us[std::min(idx, sorted_us.size() - 1)];
-}
-
 ServeRow ServeOnce(const std::string& model_name,
                    models::RasterClassifier& model, nn::Precision precision,
                    const std::vector<data::Sample>& samples, int clients,

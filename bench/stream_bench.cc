@@ -77,13 +77,6 @@ struct Record {
   int64_t dropped_outside = 0;
 };
 
-int64_t Percentile(std::vector<int64_t>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0;
-  const size_t idx = static_cast<size_t>(
-      p * static_cast<double>(sorted_us.size() - 1) + 0.5);
-  return sorted_us[std::min(idx, sorted_us.size() - 1)];
-}
-
 // A PeriodicalCnn snapshot over the aggregator's 2-channel pickup/count
 // frames; closeness-only stacks keep the warmup short.
 serve::SnapshotFactory CnnFactory(models::GridModelConfig config) {

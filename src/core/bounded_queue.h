@@ -1,0 +1,141 @@
+#ifndef GEOTORCH_CORE_BOUNDED_QUEUE_H_
+#define GEOTORCH_CORE_BOUNDED_QUEUE_H_
+
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <cstddef>
+#include <deque>
+#include <limits>
+#include <mutex>
+#include <optional>
+#include <utility>
+#include <vector>
+
+#include "core/check.h"
+
+namespace geotorch {
+
+/// The one hand-off queue of the library: the ThreadPool's task queue,
+/// the serving Engine's request queue and the stream pipeline's two
+/// rings are all built on it (DESIGN.md §5, §9, §14).
+///
+/// Push blocks while the queue is full (producers slow to the
+/// consumer's pace instead of growing an unbounded buffer); Pop blocks
+/// while it is empty. Close() starts the drain: pushes are refused from
+/// then on, pops keep succeeding until the buffered items are gone, and
+/// only then does Pop return false. That ordering is what makes every
+/// drain lossless — each item admitted before Close is consumed.
+///
+/// A mutex + two condvars rather than a lock-free ring on purpose: the
+/// consumers do tensor-sized work per item, so the handoff is never the
+/// bottleneck, and the blocking semantics (backpressure, drain) are the
+/// actual product here.
+template <typename T>
+class BoundedQueue {
+ public:
+  using Clock = std::chrono::steady_clock;
+  static constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();
+
+  explicit BoundedQueue(size_t capacity = kUnbounded) : capacity_(capacity) {
+    GEO_CHECK_GE(capacity, 1u);
+  }
+  BoundedQueue(const BoundedQueue&) = delete;
+  BoundedQueue& operator=(const BoundedQueue&) = delete;
+
+  /// Blocks until there is room (backpressure) or the queue is closed;
+  /// false means closed-and-refused (the item was NOT enqueued).
+  bool Push(T item) {
+    std::unique_lock<std::mutex> lock(mu_);
+    not_full_.wait(lock,
+                   [this] { return items_.size() < capacity_ || closed_; });
+    if (closed_) return false;
+    items_.push_back(std::move(item));
+    lock.unlock();
+    not_empty_.notify_one();
+    return true;
+  }
+
+  /// Non-blocking push; false when full or closed (closed() tells the
+  /// two apart). Lets producers reject or count would-block events
+  /// instead of stalling.
+  bool TryPush(T item) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (closed_ || items_.size() >= capacity_) return false;
+      items_.push_back(std::move(item));
+    }
+    not_empty_.notify_one();
+    return true;
+  }
+
+  /// Blocks until an item is available or the queue is closed AND
+  /// empty; false only in the latter case (drain complete).
+  bool Pop(T* out) {
+    std::unique_lock<std::mutex> lock(mu_);
+    not_empty_.wait(lock, [this] { return !items_.empty() || closed_; });
+    if (items_.empty()) return false;  // closed and drained
+    *out = std::move(items_.front());
+    items_.pop_front();
+    lock.unlock();
+    not_full_.notify_one();
+    return true;
+  }
+
+  /// Blocks until at least one item is available, then appends up to
+  /// `max` (>= 1) of them to `out` in FIFO order and returns how many.
+  /// Returns 0 only when the queue is closed and drained, or when
+  /// `deadline` passes with nothing queued. A closed queue never
+  /// blocks: it hands out what is buffered at once.
+  size_t PopBatch(size_t max, std::vector<T>* out,
+                  std::optional<Clock::time_point> deadline = std::nullopt) {
+    GEO_CHECK_GE(max, 1u);
+    std::unique_lock<std::mutex> lock(mu_);
+    const auto ready = [this] { return !items_.empty() || closed_; };
+    if (deadline) {
+      if (!not_empty_.wait_until(lock, *deadline, ready)) return 0;
+    } else {
+      not_empty_.wait(lock, ready);
+    }
+    const size_t n = std::min(max, items_.size());
+    for (size_t i = 0; i < n; ++i) {
+      out->push_back(std::move(items_.front()));
+      items_.pop_front();
+    }
+    lock.unlock();
+    if (n > 0) not_full_.notify_all();
+    return n;
+  }
+
+  /// Refuses further pushes; buffered items remain poppable. Idempotent.
+  void Close() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_ = true;
+    }
+    not_empty_.notify_all();
+    not_full_.notify_all();
+  }
+
+  size_t size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return items_.size();
+  }
+  size_t capacity() const { return capacity_; }
+  bool closed() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return closed_;
+  }
+
+ private:
+  const size_t capacity_;
+  mutable std::mutex mu_;
+  std::condition_variable not_empty_;
+  std::condition_variable not_full_;
+  std::deque<T> items_;
+  bool closed_ = false;
+};
+
+}  // namespace geotorch
+
+#endif  // GEOTORCH_CORE_BOUNDED_QUEUE_H_

@@ -23,11 +23,7 @@ ThreadPool::ThreadPool(int num_threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  cv_.notify_all();
+  tasks_.Close();
   for (auto& w : workers_) w.join();
 }
 
@@ -36,27 +32,16 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
   std::future<void> fut = packaged.get_future();
   GEO_OBS_COUNT("pool.tasks_submitted", 1);
   const int64_t enqueue_ns = GEO_OBS_ON() ? obs::NowNs() : 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    GEO_CHECK(!shutdown_);
-    tasks_.push({std::move(packaged), enqueue_ns});
-    GEO_OBS_HIST("pool.queue_depth", static_cast<int64_t>(tasks_.size()));
-  }
-  cv_.notify_one();
+  const bool queued = tasks_.Push({std::move(packaged), enqueue_ns});
+  GEO_CHECK(queued) << "Submit on a ThreadPool that is shutting down";
+  GEO_OBS_HIST("pool.queue_depth", static_cast<int64_t>(tasks_.size()));
   return fut;
 }
 
 void ThreadPool::WorkerLoop() {
   t_inside_pool_worker = true;
-  for (;;) {
-    PendingTask pending;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return shutdown_ || !tasks_.empty(); });
-      if (shutdown_ && tasks_.empty()) return;
-      pending = std::move(tasks_.front());
-      tasks_.pop();
-    }
+  PendingTask pending;
+  while (tasks_.Pop(&pending)) {
     const int64_t start_ns = GEO_OBS_ON() ? obs::NowNs() : 0;
     if (pending.enqueue_ns != 0 && start_ns != 0) {
       GEO_OBS_HIST("pool.task_latency_us",
@@ -66,6 +51,7 @@ void ThreadPool::WorkerLoop() {
     if (start_ns != 0) {
       GEO_OBS_HIST("pool.task_run_us", (obs::NowNs() - start_ns) / 1000);
     }
+    pending = {};  // release the task's captures now, not at the next pop
   }
 }
 

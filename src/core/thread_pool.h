@@ -1,14 +1,13 @@
 #ifndef GEOTORCH_CORE_THREAD_POOL_H_
 #define GEOTORCH_CORE_THREAD_POOL_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
+
+#include "core/bounded_queue.h"
 
 namespace geotorch {
 
@@ -19,12 +18,15 @@ class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers (>= 1).
   explicit ThreadPool(int num_threads);
+  /// Closes the task queue, lets the workers run every task already
+  /// submitted, and joins them.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task; the future resolves when it completes.
+  /// Enqueues a task; the future resolves when it completes. Submitting
+  /// to a pool that is being destroyed is a checked error.
   std::future<void> Submit(std::function<void()> task);
 
   /// Runs fn(i) for i in [0, n) across the pool and blocks until all
@@ -52,10 +54,7 @@ class ThreadPool {
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
-  std::queue<PendingTask> tasks_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool shutdown_ = false;
+  BoundedQueue<PendingTask> tasks_;  // unbounded: Submit never blocks
 };
 
 }  // namespace geotorch

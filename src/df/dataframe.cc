@@ -226,22 +226,14 @@ void Partition::Init() {
     bytes += c->ByteSize();
   }
   resident_bytes_ = bytes;
-  // The store decision is made once, here: a partition created while
-  // spilling is disabled stays unmanaged for its whole life even if the
-  // store is reconfigured later.
-  PartitionStore& store = PartitionStore::Global();
-  if (store.options().enabled) {
-    store_ = &store;
-    store_->Register(this, bytes);
-    store_->EnforceBudget(this);
-  }
+  store_ = &PartitionStore::Global();
+  store_->Register(this, bytes);
+  store_->EnforceBudget(this);
 }
 
 Partition::~Partition() {
-  if (store_ != nullptr) {
-    store_->Unregister(this);
-    if (!spill_path_.empty()) std::remove(spill_path_.c_str());
-  }
+  store_->Unregister(this);
+  if (!spill_path_.empty()) std::remove(spill_path_.c_str());
 }
 
 // --- DataFrame ------------------------------------------------------------

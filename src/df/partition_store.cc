@@ -26,24 +26,17 @@ const Column& Partition::column(int i) const {
 }
 
 SharedColumn Partition::column_ptr(int i) const {
-  if (store_ == nullptr) return columns_[i];
   std::lock_guard<std::mutex> lock(mu_);
   if (!resident_.load(std::memory_order_relaxed)) FaultInLocked();
   return columns_[i];
 }
 
 int64_t Partition::ByteSize() const {
-  if (store_ == nullptr) {
-    int64_t bytes = 0;
-    for (const auto& c : columns_) bytes += c->ByteSize();
-    return bytes;
-  }
   std::lock_guard<std::mutex> lock(mu_);
   return resident_.load(std::memory_order_relaxed) ? resident_bytes_ : 0;
 }
 
 Partition::Pin::Pin(const Partition& p) : p_(&p) {
-  if (p_->store_ == nullptr) return;  // unmanaged: always resident
   {
     std::lock_guard<std::mutex> lock(p_->mu_);
     if (!p_->resident_.load(std::memory_order_relaxed)) p_->FaultInLocked();
@@ -57,7 +50,7 @@ Partition::Pin::Pin(const Partition& p) : p_(&p) {
 }
 
 Partition::Pin::~Pin() {
-  if (p_ == nullptr || p_->store_ == nullptr) return;
+  if (p_ == nullptr) return;  // moved from
   std::lock_guard<std::mutex> lock(p_->mu_);
   --p_->pin_count_;
 }
@@ -116,7 +109,6 @@ bool Partition::SpillLocked(int64_t* file_bytes) const {
 
 PartitionStore::Options PartitionStore::Options::FromEnv() {
   Options opts;
-  opts.enabled = EnvBool("GEOTORCH_DF_SPILL", true);
   const int64_t mb = EnvInt64("GEOTORCH_DF_RESIDENT_MB", 0, 0);
   if (mb > 0) opts.resident_budget_bytes = mb << 20;
   opts.spill_dir = EnvString("GEOTORCH_DF_SPILL_DIR", opts.spill_dir);
@@ -215,9 +207,7 @@ void PartitionStore::EnforceBudget(const Partition* exclude) {
     const Partition* victim = nullptr;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!opts_.enabled || resident_bytes_ <= opts_.resident_budget_bytes) {
-        return;
-      }
+      if (resident_bytes_ <= opts_.resident_budget_bytes) return;
       if (attempts >= lru_.size()) return;  // only pinned/excluded left
       // Coldest first; the freshly admitted/pinned partition is exempt
       // (the budget is honored to within one partition by design).

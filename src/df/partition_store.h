@@ -17,10 +17,10 @@ class Partition;
 
 /// Process-wide residency manager for DataFrame partitions — the
 /// out-of-core layer under `src/df` (DESIGN.md §12). Every Partition
-/// created while the store is enabled registers here; when the summed
-/// bytes of resident partitions exceed the budget, the coldest
-/// unpinned partitions are spilled to GTDF files in the spill
-/// directory and their columns dropped. Touching a spilled partition
+/// registers here at construction; when the summed bytes of resident
+/// partitions exceed the budget, the coldest unpinned partitions are
+/// spilled to GTDF files in the spill directory and their columns
+/// dropped. Touching a spilled partition
 /// faults it back in (fixed-width columns as zero-copy spans over the
 /// mmap'ed file), re-admits it at the hot end of the LRU, and may in
 /// turn evict someone else. Pinned partitions (Partition::Pin — taken
@@ -29,16 +29,12 @@ class Partition;
 /// column disappearing mid-scan.
 ///
 /// Knobs (read once at first use; Configure() overrides):
-///   GEOTORCH_DF_SPILL=0        kill switch — partitions never register
 ///   GEOTORCH_DF_RESIDENT_MB=N  resident-set byte budget (default: no
 ///                              budget, so nothing ever spills)
 ///   GEOTORCH_DF_SPILL_DIR=dir  spill directory (default geotorch_spill)
 class PartitionStore {
  public:
   struct Options {
-    /// When false, partitions do not register and the engine behaves
-    /// exactly as the RAM-resident implementation it grew out of.
-    bool enabled = true;
     int64_t resident_budget_bytes = std::numeric_limits<int64_t>::max();
     std::string spill_dir = "geotorch_spill";
 
@@ -49,10 +45,9 @@ class PartitionStore {
   /// still unregister safely). First call reads Options::FromEnv().
   static PartitionStore& Global();
 
-  /// Replaces the configuration. Applies to partitions created after
-  /// the call (an existing partition keeps the store decision made at
-  /// its construction); the budget applies to everyone at the next
-  /// admission. Intended for tests and bench harnesses.
+  /// Replaces the configuration. The budget applies to every
+  /// partition at the next admission; the spill directory to the next
+  /// spill. Intended for tests and bench harnesses.
   void Configure(const Options& options);
   Options options() const;
 

@@ -10,12 +10,9 @@
 /// Low-overhead observability: monotonic counters, log2-bucket
 /// histograms, and RAII trace spans aggregated per thread and exported
 /// as JSON (DESIGN.md §6). Instrumentation sites use the GEO_OBS_*
-/// macros below, which
-///   - compile to nothing when GEOTORCH_OBS_DISABLED is defined
-///     (cmake -DGEOTORCH_OBS=OFF), and
-///   - short-circuit on a single relaxed atomic load when observability
-///     is disabled at runtime (SetEnabled(false) or GEOTORCH_OBS=0 in
-///     the environment).
+/// macros below, which short-circuit on a single relaxed atomic load
+/// when observability is disabled at runtime (SetEnabled(false) or
+/// GEOTORCH_OBS=0 in the environment).
 /// The fast path is lock-free for counters/histograms (relaxed atomics)
 /// and takes one uncontended per-thread mutex for spans; cross-thread
 /// merging happens only at export time.
@@ -137,19 +134,6 @@ void Reset();
 // GEO_OBS_ON()             expression: instrumentation live right now?
 //                          (use to gate timestamp capture at call sites)
 
-#if defined(GEOTORCH_OBS_DISABLED)
-
-#define GEO_OBS_ON() (false)
-#define GEO_OBS_COUNT(name, n) \
-  do {                         \
-  } while (0)
-#define GEO_OBS_HIST(name, v) \
-  do {                        \
-  } while (0)
-#define GEO_OBS_SPAN(var, name)
-
-#else
-
 #define GEO_OBS_ON() (::geotorch::obs::Enabled())
 #define GEO_OBS_COUNT(name, n)                            \
   do {                                                    \
@@ -168,7 +152,5 @@ void Reset();
     }                                                         \
   } while (0)
 #define GEO_OBS_SPAN(var, name) ::geotorch::obs::TraceSpan var(name)
-
-#endif  // GEOTORCH_OBS_DISABLED
 
 #endif  // GEOTORCH_OBS_OBS_H_

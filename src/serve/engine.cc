@@ -33,12 +33,21 @@ ts::Tensor StackRows(int64_t b, const ts::Shape& sample_shape,
   return out;
 }
 
+// An obs::NowNs() timestamp as a point on the queue's clock (both are
+// steady_clock).
+std::chrono::steady_clock::time_point AtNs(int64_t ns) {
+  using Clock = std::chrono::steady_clock;
+  return Clock::time_point(std::chrono::duration_cast<Clock::duration>(
+      std::chrono::nanoseconds(ns)));
+}
+
 }  // namespace
 
 Engine::Engine(BatchForward forward, SampleSpec spec, EngineOptions options)
     : forward_(std::move(forward)),
       spec_(std::move(spec)),
-      options_(options) {
+      options_(options),
+      queue_(static_cast<size_t>(options_.max_queue)) {
   GEO_CHECK(forward_ != nullptr);
   GEO_CHECK_GE(options_.max_batch, 1);
   GEO_CHECK_GE(options_.max_queue, 1);
@@ -90,32 +99,33 @@ Result<ts::Tensor> Engine::Submit(const data::Sample& sample,
   }
 
   const int64_t t0 = obs::NowNs();
-  std::future<ts::Tensor> fut;
+  Request req;
+  req.sample = sample;
+  req.enqueue_ns = t0;
+  std::future<ts::Tensor> fut = req.promise.get_future();
+  bool admitted;
   {
+    // Push and count under mu_, which RunBatch also takes to advance
+    // answered_: a request counts toward Drain's target before the
+    // batcher can answer it, and a refused push never counts.
     std::lock_guard<std::mutex> lock(mu_);
-    if (draining_) {
+    admitted = queue_.TryPush(std::move(req));
+    if (admitted) requests_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (!admitted) {
+    if (queue_.closed()) {
       return Status::InvalidArgument("engine is shut down");
     }
-    if (static_cast<int>(queue_.size()) >= options_.max_queue) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      GEO_OBS_COUNT("serve.rejected", 1);
-      return Status::OutOfRange(
-          "serve queue full (" + std::to_string(options_.max_queue) +
-          " waiting) — backpressure, retry later");
-    }
-    Request req;
-    req.sample = sample;
-    req.enqueue_ns = t0;
-    fut = req.promise.get_future();
-    queue_.push_back(std::move(req));
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    GEO_OBS_COUNT("serve.requests", 1);
-    if (GEO_OBS_ON()) {
-      obs::SetGauge("serve.queue_depth",
-                    static_cast<int64_t>(queue_.size()));
-    }
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    GEO_OBS_COUNT("serve.rejected", 1);
+    return Status::OutOfRange(
+        "serve queue full (" + std::to_string(options_.max_queue) +
+        " waiting) — backpressure, retry later");
   }
-  cv_.notify_one();
+  GEO_OBS_COUNT("serve.requests", 1);
+  if (GEO_OBS_ON()) {
+    obs::SetGauge("serve.queue_depth", static_cast<int64_t>(queue_.size()));
+  }
 
   if (deadline_us > 0) {
     // Abandoning the future is safe: the promise keeps the shared state
@@ -137,53 +147,40 @@ Result<ts::Tensor> Engine::Submit(const data::Sample& sample,
 }
 
 void Engine::BatcherLoop() {
+  const size_t max_batch = static_cast<size_t>(options_.max_batch);
+  const int64_t delay_ns = static_cast<int64_t>(options_.max_delay_us) * 1000;
+  const int64_t quiet_ns = std::max<int64_t>(1000, delay_ns / 16);
   for (;;) {
     std::vector<Request> taken;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return !queue_.empty() || draining_; });
-      if (queue_.empty() && draining_) return;
-      // A request is waiting. Give the batch up to max_delay_us —
-      // counted from the oldest request's enqueue — to fill before
-      // running it partial. Concurrent clients arrive within
-      // microseconds of each other, so once a quiet window passes
-      // with no new arrival the queue has stopped growing and waiting
-      // longer only adds latency (with fewer clients than max_batch
-      // the batch would never fill and every cycle would burn the
-      // whole budget): run what we have. The window is 1/16 of the
-      // budget — wide enough to catch back-to-back submits, narrow
-      // enough that an unfillable batch costs little dead time.
-      // Drain skips the wait entirely, and so does a stream that just
-      // proved it cannot coalesce (skip_fill_wait_, set by RunBatch):
-      // a lone sequential client submits only after the previous
-      // reply, so even one quiet window per request is pure added
-      // latency — run immediately until batching pressure reappears.
-      const int64_t deadline_ns =
-          queue_.front().enqueue_ns +
-          static_cast<int64_t>(options_.max_delay_us) * 1000;
-      const int64_t quiet_ns =
-          std::max<int64_t>(1000, options_.max_delay_us * 1000 / 16);
-      while (!skip_fill_wait_ &&
-             static_cast<int>(queue_.size()) < options_.max_batch &&
-             !draining_) {
-        const int64_t now = obs::NowNs();
-        if (now >= deadline_ns) break;
-        const size_t before = queue_.size();
-        cv_.wait_for(lock, std::chrono::nanoseconds(
-                               std::min(deadline_ns - now, quiet_ns)));
-        if (queue_.size() == before) break;  // no arrivals: stop waiting
+    if (queue_.PopBatch(max_batch, &taken) == 0) return;  // closed, drained
+    // A request is waiting. Give the batch up to max_delay_us —
+    // counted from the oldest request's enqueue — to fill before
+    // running it partial. Concurrent clients arrive within
+    // microseconds of each other, so once a quiet window passes
+    // with no new arrival the queue has stopped growing and waiting
+    // longer only adds latency (with fewer clients than max_batch
+    // the batch would never fill and every cycle would burn the
+    // whole budget): run what we have. The window is 1/16 of the
+    // budget — wide enough to catch back-to-back submits, narrow
+    // enough that an unfillable batch costs little dead time.
+    // Shutdown skips the wait entirely (a closed queue never blocks),
+    // and so does a stream that just proved it cannot coalesce
+    // (skip_fill_wait_, set by RunBatch): a lone sequential client
+    // submits only after the previous reply, so even one quiet window
+    // per request is pure added latency — run immediately until
+    // batching pressure reappears.
+    const int64_t deadline_ns = taken.front().enqueue_ns + delay_ns;
+    while (!skip_fill_wait_ && taken.size() < max_batch) {
+      const int64_t now = obs::NowNs();
+      if (now >= deadline_ns) break;
+      const int64_t until = now + std::min(deadline_ns - now, quiet_ns);
+      if (queue_.PopBatch(max_batch - taken.size(), &taken, AtNs(until)) ==
+          0) {
+        break;  // no arrivals in the window: stop waiting
       }
-      const size_t take =
-          std::min(queue_.size(), static_cast<size_t>(options_.max_batch));
-      taken.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        taken.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      if (GEO_OBS_ON()) {
-        obs::SetGauge("serve.queue_depth",
-                      static_cast<int64_t>(queue_.size()));
-      }
+    }
+    if (GEO_OBS_ON()) {
+      obs::SetGauge("serve.queue_depth", static_cast<int64_t>(queue_.size()));
     }
     RunBatch(std::move(taken));
   }
@@ -228,10 +225,7 @@ void Engine::RunBatch(std::vector<Request> requests) {
   // wait; partial-but-plural batches (say 4 steady clients under
   // max_batch 16) keep their quiet window, because for them it is
   // what makes batching happen.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    skip_fill_wait_ = b == 1 && queue_.empty();
-  }
+  skip_fill_wait_ = b == 1 && queue_.size() == 0;
 
   ts::Shape row_shape(out.shape().begin() + 1, out.shape().end());
   if (row_shape.empty()) row_shape = {1};
@@ -263,17 +257,10 @@ void Engine::Drain() {
   drained_cv_.wait(lock, [this, target] { return answered_ >= target; });
 }
 
-int Engine::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(queue_.size());
-}
+int Engine::queue_depth() const { return static_cast<int>(queue_.size()); }
 
 void Engine::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    draining_ = true;
-  }
-  cv_.notify_all();
+  queue_.Close();
   std::lock_guard<std::mutex> join_lock(join_mu_);
   if (batcher_.joinable()) batcher_.join();
 }

@@ -4,13 +4,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "core/bounded_queue.h"
 #include "core/status.h"
 #include "data/dataloader.h"
 #include "serve/config.h"
@@ -105,9 +105,11 @@ class Engine {
   /// reload path uses to retire a swapped-out model snapshot.
   void Drain();
 
-  /// Requests currently waiting in the queue (excludes any batch the
-  /// forward is running right now). The fleet router uses this plus
-  /// its own in-flight accounting for least-loaded replica choice.
+  /// Requests currently waiting in the queue (excludes the batch the
+  /// batcher is filling or running right now). For tests and
+  /// monitoring: the fleet router does not read it, it routes on its
+  /// own per-replica count of outstanding (accepted, not yet answered)
+  /// requests.
   int queue_depth() const;
 
   EngineStats stats() const;
@@ -131,21 +133,24 @@ class Engine {
   SampleSpec spec_;
   EngineOptions options_;
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
+  /// Admitted requests, capacity max_queue. Shutdown closes it; the
+  /// batcher then serves what is buffered and exits.
+  BoundedQueue<Request> queue_;
+
+  /// Drain's bookkeeping. Submit pushes and counts (requests_) under
+  /// mu_, and RunBatch advances answered_ under mu_, so every answered
+  /// request was counted first and the count order is the queue order.
+  std::mutex mu_;
   /// Signalled by RunBatch each time answered_ advances; Drain waits on
-  /// it. Separate from cv_ so drain wake-ups never contend with the
-  /// batcher's fill-wait.
+  /// it.
   std::condition_variable drained_cv_;
-  std::deque<Request> queue_;
   /// Requests answered so far (output row committed to the caller's
   /// future). Guarded by mu_; together with the accepted count
   /// (requests_) it defines Drain's completion predicate
   /// answered_ >= target.
   int64_t answered_ = 0;
-  bool draining_ = false;
-  /// Guarded by mu_. Set by RunBatch when the batch it just ran was a
-  /// singleton AND the queue was empty at completion: the request
+  /// Batcher thread only. Set by RunBatch when the batch it just ran
+  /// was a singleton AND the queue was empty at completion: the request
   /// stream demonstrably does not coalesce (a lone sequential client
   /// only submits after the previous reply), so the next cycle skips
   /// the fill-wait and runs immediately instead of burning a quiet

@@ -1,8 +1,6 @@
 #include "spatial/join.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "core/check.h"
 #include "core/thread_pool.h"
@@ -10,17 +8,6 @@
 
 namespace geotorch::spatial {
 namespace {
-
-JoinStrategy ParseJoinStrategyEnv() {
-  const char* env = std::getenv("GEOTORCH_JOIN");
-  if (env == nullptr) return JoinStrategy::kAuto;
-  if (std::strcmp(env, "nested") == 0) return JoinStrategy::kNestedLoop;
-  if (std::strcmp(env, "strtree") == 0 || std::strcmp(env, "tree") == 0) {
-    return JoinStrategy::kStrTree;
-  }
-  if (std::strcmp(env, "grid") == 0) return JoinStrategy::kGridHash;
-  return JoinStrategy::kAuto;
-}
 
 /// Runs `probe(i, buffer)` for every probe index in [0, n), fanning
 /// contiguous index chunks out across the pool with one result buffer
@@ -69,17 +56,11 @@ std::vector<Pair> RunProbes(int64_t n, const JoinOptions& options,
 
 }  // namespace
 
-JoinStrategy DefaultJoinStrategy() {
-  static const JoinStrategy strategy = ParseJoinStrategyEnv();
-  return strategy;
-}
-
 std::vector<JoinPair> PointInPolygonJoin(const std::vector<Point>& points,
                                          const std::vector<Polygon>& polygons,
                                          const JoinOptions& options,
                                          const GridPartitioner* grid) {
   JoinStrategy strategy = options.strategy;
-  if (strategy == JoinStrategy::kAuto) strategy = DefaultJoinStrategy();
   if (strategy == JoinStrategy::kAuto) {
     strategy =
         grid != nullptr ? JoinStrategy::kGridHash : JoinStrategy::kStrTree;

@@ -32,10 +32,6 @@ enum class JoinStrategy {
   kAuto,        ///< kGridHash when a grid is supplied, else kStrTree
 };
 
-/// Default strategy, overridable with the GEOTORCH_JOIN environment
-/// variable: "nested", "strtree", "grid", or "auto" (the default).
-JoinStrategy DefaultJoinStrategy();
-
 /// How a join executes. Probe-side rows fan out across the pool in
 /// contiguous chunks with per-chunk result buffers; the buffers are
 /// concatenated in chunk order, so the output is identical to the

@@ -15,13 +15,11 @@ Pipeline::Pipeline(EventSource* source, serve::Fleet* fleet,
     : source_(source),
       fleet_(fleet),
       model_(std::move(model)),
-      options_(options) {
+      options_(options),
+      event_ring_(static_cast<size_t>(options_.queue)),
+      window_ring_(static_cast<size_t>(options_.window_queue)) {
   GEO_CHECK(source_ != nullptr);
   GEO_CHECK(fleet_ != nullptr);
-  event_ring_ = std::make_unique<BoundedRing<Event>>(
-      static_cast<size_t>(options_.queue));
-  window_ring_ = std::make_unique<BoundedRing<ClosedWindow>>(
-      static_cast<size_t>(options_.window_queue));
 
   WindowAggregator::Options agg_opts;
   agg_opts.window_sec = options_.window_sec;
@@ -64,7 +62,7 @@ void Pipeline::ProducerLoop() {
     bool closed = false;
     for (Event& e : tick) {
       e.ingest_ns = ingest_ns;
-      if (!event_ring_->Push(std::move(e))) {
+      if (!event_ring_.Push(std::move(e))) {
         closed = true;  // Stop() closed the ring mid-tick
         break;
       }
@@ -72,7 +70,7 @@ void Pipeline::ProducerLoop() {
     }
     if (closed) break;
     obs::SetGauge("stream.queue_depth",
-                  static_cast<int64_t>(event_ring_->size()));
+                  static_cast<int64_t>(event_ring_.size()));
     if (options_.target_eps > 0) {
       // Pace admitted events to target_eps wall-clock, sleeping in
       // short slices so Stop stays responsive.
@@ -87,13 +85,13 @@ void Pipeline::ProducerLoop() {
       }
     }
   }
-  event_ring_->Close();
+  event_ring_.Close();
 }
 
 void Pipeline::AggregatorLoop() {
   Event event;
   std::vector<ClosedWindow> closed;
-  while (event_ring_->Pop(&event)) {
+  while (event_ring_.Pop(&event)) {
     {
       GEO_OBS_SPAN(agg_span, "stream.aggregate");
       closed.clear();
@@ -101,22 +99,22 @@ void Pipeline::AggregatorLoop() {
     }
     events_processed_.fetch_add(1, std::memory_order_relaxed);
     for (ClosedWindow& w : closed) {
-      window_ring_->Push(std::move(w));
+      window_ring_.Push(std::move(w));
       obs::SetGauge("stream.window_queue_depth",
-                    static_cast<int64_t>(window_ring_->size()));
+                    static_cast<int64_t>(window_ring_.size()));
     }
   }
   // Event ring drained: seal the tail as a final partial window so no
   // admitted event is unrepresented downstream.
   closed.clear();
   aggregator_->Flush(&closed);
-  for (ClosedWindow& w : closed) window_ring_->Push(std::move(w));
-  window_ring_->Close();
+  for (ClosedWindow& w : closed) window_ring_.Push(std::move(w));
+  window_ring_.Close();
 }
 
 void Pipeline::PredictorLoop() {
   ClosedWindow window;
-  while (window_ring_->Pop(&window)) {
+  while (window_ring_.Pop(&window)) {
     predictor_->Predict(window);  // failures counted inside
   }
   if (source_done_.load(std::memory_order_acquire)) {
@@ -135,7 +133,7 @@ void Pipeline::Stop() {
   stop_requested_.store(true, std::memory_order_release);
   // Unblocks a producer stalled in backpressure; already-admitted
   // events stay poppable (Close refuses pushes, not pops).
-  event_ring_->Close();
+  event_ring_.Close();
   if (producer_.joinable()) producer_.join();
   if (agg_thread_.joinable()) agg_thread_.join();
   if (predict_thread_.joinable()) predict_thread_.join();
@@ -164,8 +162,8 @@ PipelineStats Pipeline::stats() const {
   s.predictions_failed = predictor_->predictions_failed();
   s.index_rebuilds = aggregator_->index_rebuilds();
   s.active_cells = aggregator_->active_cells();
-  s.queue_depth = static_cast<int64_t>(event_ring_->size());
-  s.window_queue_depth = static_cast<int64_t>(window_ring_->size());
+  s.queue_depth = static_cast<int64_t>(event_ring_.size());
+  s.window_queue_depth = static_cast<int64_t>(window_ring_.size());
   return s;
 }
 

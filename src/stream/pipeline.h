@@ -7,13 +7,13 @@
 #include <thread>
 #include <vector>
 
+#include "core/bounded_queue.h"
 #include "serve/fleet.h"
 #include "spatial/grid.h"
 #include "stream/aggregator.h"
 #include "stream/event.h"
 #include "stream/options.h"
 #include "stream/predictor.h"
-#include "stream/ring.h"
 
 namespace geotorch::stream {
 
@@ -97,8 +97,8 @@ class Pipeline {
   std::string model_;
   StreamOptions options_;
 
-  std::unique_ptr<BoundedRing<Event>> event_ring_;
-  std::unique_ptr<BoundedRing<ClosedWindow>> window_ring_;
+  BoundedQueue<Event> event_ring_;
+  BoundedQueue<ClosedWindow> window_ring_;
   std::unique_ptr<WindowAggregator> aggregator_;
   std::unique_ptr<OnlinePredictor> predictor_;
 

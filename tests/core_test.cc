@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <future>
+#include <thread>
+#include <vector>
 
+#include "core/bounded_queue.h"
 #include "core/env.h"
 #include "core/memory.h"
 #include "core/rng.h"
@@ -155,6 +160,179 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
 TEST(ThreadPoolTest, ZeroIterationsIsNoop) {
   ThreadPool pool(2);
   pool.ParallelFor(0, [&](int64_t) { FAIL(); });
+}
+
+TEST(ThreadPoolTest, DestructorRunsQueuedTasks) {
+  std::promise<void> gate;
+  std::shared_future<void> gate_open = gate.get_future().share();
+  std::atomic<int> ran{0};
+  std::vector<std::future<void>> futs;
+  // Opens the gate while the pool below is being destroyed, so the
+  // destructor closes a queue that still holds nine tasks.
+  std::thread opener([&gate] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gate.set_value();
+  });
+  {
+    ThreadPool pool(1);
+    futs.push_back(pool.Submit([&] {
+      gate_open.wait();  // the only worker parks here
+      ran += 1;
+    }));
+    for (int i = 0; i < 9; ++i) futs.push_back(pool.Submit([&] { ran += 1; }));
+  }
+  opener.join();
+  EXPECT_EQ(ran.load(), 10);
+  for (auto& f : futs) f.get();  // no broken promise: every task ran
+}
+
+// --- BoundedQueue -----------------------------------------------------------
+
+TEST(BoundedQueueTest, FifoPushPop) {
+  BoundedQueue<int> q(8);
+  EXPECT_TRUE(q.Push(1));
+  EXPECT_TRUE(q.Push(2));
+  EXPECT_TRUE(q.Push(3));
+  int v = 0;
+  EXPECT_TRUE(q.Pop(&v));
+  EXPECT_EQ(v, 1);
+  EXPECT_TRUE(q.Pop(&v));
+  EXPECT_EQ(v, 2);
+  EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(BoundedQueueTest, TryPushRefusesWhenFull) {
+  BoundedQueue<int> q(2);
+  EXPECT_TRUE(q.TryPush(1));
+  EXPECT_TRUE(q.TryPush(2));
+  EXPECT_FALSE(q.TryPush(3));  // full: backpressure, not growth
+  int v = 0;
+  EXPECT_TRUE(q.Pop(&v));
+  EXPECT_TRUE(q.TryPush(3));
+}
+
+TEST(BoundedQueueTest, BlockedPushResumesWhenConsumerPops) {
+  BoundedQueue<int> q(1);
+  ASSERT_TRUE(q.Push(1));
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(q.Push(2));  // blocks until the pop below
+    pushed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(pushed.load());  // still parked in backpressure
+  int v = 0;
+  EXPECT_TRUE(q.Pop(&v));
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  EXPECT_TRUE(q.Pop(&v));
+  EXPECT_EQ(v, 2);
+}
+
+TEST(BoundedQueueTest, CloseRefusesPushesButDrainsBuffered) {
+  BoundedQueue<int> q(8);
+  ASSERT_TRUE(q.Push(1));
+  ASSERT_TRUE(q.Push(2));
+  q.Close();
+  EXPECT_FALSE(q.Push(3));  // refused, NOT enqueued
+  int v = 0;
+  EXPECT_TRUE(q.Pop(&v));  // buffered items survive the close
+  EXPECT_EQ(v, 1);
+  EXPECT_TRUE(q.Pop(&v));
+  EXPECT_EQ(v, 2);
+  EXPECT_FALSE(q.Pop(&v));  // closed and drained
+}
+
+TEST(BoundedQueueTest, CloseWakesBlockedConsumer) {
+  BoundedQueue<int> q(4);
+  std::atomic<bool> done{false};
+  std::thread consumer([&] {
+    int v = 0;
+    EXPECT_FALSE(q.Pop(&v));  // wakes with "drained" on Close
+    done.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  q.Close();
+  consumer.join();
+  EXPECT_TRUE(done.load());
+}
+
+TEST(BoundedQueueTest, PopBatchCapsAtMaxAndAppendsInOrder) {
+  BoundedQueue<int> q(8);
+  for (int i = 1; i <= 5; ++i) ASSERT_TRUE(q.Push(i));
+  std::vector<int> out = {0};  // appended to, never cleared
+  EXPECT_EQ(q.PopBatch(3, &out), 3u);
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.PopBatch(8, &out), 2u);  // takes what is queued, no wait
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(BoundedQueueTest, PopBatchDeadlineWithNothingQueuedReturnsZero) {
+  using Clock = BoundedQueue<int>::Clock;
+  BoundedQueue<int> q(4);
+  std::vector<int> out;
+  const Clock::time_point start = Clock::now();
+  EXPECT_EQ(q.PopBatch(4, &out, start + std::chrono::milliseconds(20)), 0u);
+  EXPECT_GE(Clock::now() - start, std::chrono::milliseconds(20));
+  EXPECT_TRUE(out.empty());
+  // A deadline already in the past still hands out what is queued.
+  ASSERT_TRUE(q.Push(7));
+  EXPECT_EQ(q.PopBatch(4, &out, start), 1u);
+  EXPECT_EQ(out, (std::vector<int>{7}));
+}
+
+TEST(BoundedQueueTest, PopBatchWakesOnPush) {
+  BoundedQueue<int> q(4);
+  std::vector<int> out;
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_TRUE(q.Push(9));
+  });
+  EXPECT_EQ(q.PopBatch(4, &out), 1u);  // blocks until the push
+  producer.join();
+  EXPECT_EQ(out, (std::vector<int>{9}));
+}
+
+TEST(BoundedQueueTest, CloseHandsOutBufferedBatchesThenZero) {
+  BoundedQueue<int> q(8);
+  for (int i = 1; i <= 3; ++i) ASSERT_TRUE(q.Push(i));
+  q.Close();
+  std::vector<int> out;
+  EXPECT_EQ(q.PopBatch(2, &out), 2u);
+  EXPECT_EQ(q.PopBatch(2, &out), 1u);
+  EXPECT_EQ(q.PopBatch(2, &out), 0u);  // closed and drained: no block
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(BoundedQueueTest, PopBatchReleasesEveryBlockedProducer) {
+  BoundedQueue<int> q(2);
+  ASSERT_TRUE(q.Push(1));
+  ASSERT_TRUE(q.Push(2));
+  std::vector<std::thread> producers;
+  for (int i = 0; i < 2; ++i) {
+    producers.emplace_back([&q, i] { EXPECT_TRUE(q.Push(10 + i)); });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  std::vector<int> out;
+  EXPECT_EQ(q.PopBatch(2, &out), 2u);  // frees two slots at once
+  // Both parked producers must get in without any further pop.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (q.size() < 2 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(q.size(), 2u);
+  q.Close();  // unblocks a stuck producer so the joins below return
+  for (auto& t : producers) t.join();
+}
+
+TEST(BoundedQueueTest, UnboundedByDefault) {
+  BoundedQueue<int> q;
+  EXPECT_EQ(q.capacity(), BoundedQueue<int>::kUnbounded);
+  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(q.TryPush(i));
+  EXPECT_EQ(q.size(), 1000u);
 }
 
 TEST(RngTest, Deterministic) {

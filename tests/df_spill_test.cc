@@ -46,7 +46,6 @@ class ScopedSpillConfig {
                              const std::string& dir = TempPath("spill"))
       : saved_(PartitionStore::Global().options()), dir_(dir) {
     PartitionStore::Options opts;
-    opts.enabled = true;
     opts.resident_budget_bytes = budget_bytes;
     opts.spill_dir = dir_;
     PartitionStore::Global().Configure(opts);
@@ -416,34 +415,15 @@ TEST(PartitionSpillTest, ReEvictionReusesSpillFile) {
   EXPECT_EQ(s1.spill_bytes, s0.spill_bytes);
 }
 
-TEST(PartitionSpillTest, DisabledStoreBehavesLikeRamResident) {
-  PartitionStore::Options saved = PartitionStore::Global().options();
-  PartitionStore::Options opts;
-  opts.enabled = false;
-  opts.resident_budget_bytes = 1;  // would evict everything if enabled
-  PartitionStore::Global().Configure(opts);
-  {
-    DataFrame frame = BuildWideFrame(100, 4);
-    EXPECT_TRUE(frame.partition(0).resident());
-    EXPECT_GT(frame.ByteSize(), 0);
-    EXPECT_EQ(frame.SortByInt64("id").CollectInt64("id").size(), 100u);
-  }
-  PartitionStore::Global().Configure(saved);
-}
-
 TEST(PartitionStoreTest, FromEnvParsesKnobs) {
-  setenv("GEOTORCH_DF_SPILL", "0", 1);
   setenv("GEOTORCH_DF_RESIDENT_MB", "3", 1);
   setenv("GEOTORCH_DF_SPILL_DIR", "env_spill_dir", 1);
   PartitionStore::Options opts = PartitionStore::Options::FromEnv();
-  EXPECT_FALSE(opts.enabled);
   EXPECT_EQ(opts.resident_budget_bytes, 3LL << 20);
   EXPECT_EQ(opts.spill_dir, "env_spill_dir");
-  unsetenv("GEOTORCH_DF_SPILL");
   unsetenv("GEOTORCH_DF_RESIDENT_MB");
   unsetenv("GEOTORCH_DF_SPILL_DIR");
   opts = PartitionStore::Options::FromEnv();
-  EXPECT_TRUE(opts.enabled);
   EXPECT_EQ(opts.resident_budget_bytes,
             std::numeric_limits<int64_t>::max());
   EXPECT_EQ(opts.spill_dir, "geotorch_spill");

@@ -26,7 +26,6 @@ class DfSpillTsanTest : public ::testing::Test {
   void SetUp() override {
     saved_ = PartitionStore::Global().options();
     PartitionStore::Options opts;
-    opts.enabled = true;
     opts.resident_budget_bytes = 16 << 10;  // 16 KB: constant churn
     opts.spill_dir = kSpillDir;
     PartitionStore::Global().Configure(opts);

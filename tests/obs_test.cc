@@ -106,24 +106,12 @@ TEST_F(ObsTest, CounterInterningAndAdd) {
   EXPECT_EQ(it->second, 7);
 }
 
-// Macro behavior differs by build flavor: live by default, fully
-// compiled out under -DGEOTORCH_OBS=OFF.
-#if !defined(GEOTORCH_OBS_DISABLED)
 TEST_F(ObsTest, CounterMacroCachesAndAdds) {
   for (int i = 0; i < 5; ++i) {
     GEO_OBS_COUNT("test.macro_counter", 2);
   }
   EXPECT_EQ(obs::GetCounter("test.macro_counter")->value(), 10);
 }
-#else
-TEST_F(ObsTest, MacrosCompileOut) {
-  GEO_OBS_COUNT("test.macro_counter", 2);
-  GEO_OBS_HIST("test.macro_hist", 1);
-  GEO_OBS_SPAN(unused_span, "test_macro_span");
-  EXPECT_FALSE(GEO_OBS_ON());
-  EXPECT_EQ(obs::GetCounter("test.macro_counter")->value(), 0);
-}
-#endif
 
 TEST_F(ObsTest, HistogramStatsAndBuckets) {
   obs::Histogram* h = obs::GetHistogram("test.hist");
@@ -254,7 +242,6 @@ TEST_F(ObsTest, JsonExportStructureAndContent) {
   EXPECT_NE(json.find("\"json_leaf\""), std::string::npos);
 }
 
-#if !defined(GEOTORCH_OBS_DISABLED)
 // The parallel spatial engine instruments its hot paths; a join driven
 // through both strategies must surface its spans and counters in the
 // trace export. An explicit multi-thread pool forces the parallel
@@ -373,7 +360,6 @@ TEST_F(ObsTest, DataFrameSpillCountersGaugeAndSpans) {
 
   const auto saved = df::PartitionStore::Global().options();
   df::PartitionStore::Options opts;
-  opts.enabled = true;
   opts.resident_budget_bytes = 1;  // spill everything evictable
   opts.spill_dir = "obs_test_spill";
   df::PartitionStore::Global().Configure(opts);
@@ -424,7 +410,6 @@ TEST_F(ObsTest, DataFrameSpillCountersGaugeAndSpans) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
   }
 }
-#endif
 
 TEST_F(ObsTest, JsonEscapesSpecialCharacters) {
   obs::SetGauge("quote\"back\\slash", 1);

@@ -162,12 +162,10 @@ TEST_F(PoolTest, TrainStepHitRateAfterWarmup) {
   EXPECT_EQ(stats.bypasses, 0);
 
   // The same numbers flow through obs counters for dashboards.
-#if !defined(GEOTORCH_OBS_DISABLED)
   if (obs::Enabled()) {
     EXPECT_EQ(obs::GetCounter("pool.hit")->value(), stats.hits);
     EXPECT_EQ(obs::GetCounter("pool.miss")->value(), stats.misses);
   }
-#endif
 }
 
 // Eager autograd release: backward on a deep chain should hold only the

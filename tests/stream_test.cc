@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -30,7 +29,6 @@
 #include "stream/options.h"
 #include "stream/pipeline.h"
 #include "stream/predictor.h"
-#include "stream/ring.h"
 #include "stream/taxi_source.h"
 #include "synth/taxi.h"
 #include "tensor/ops.h"
@@ -66,77 +64,6 @@ stream::Event At(double lon, double lat, int64_t time_sec,
   e.is_pickup = is_pickup;
   e.ingest_ns = ingest_ns;
   return e;
-}
-
-// --- BoundedRing ------------------------------------------------------------
-
-TEST(BoundedRingTest, FifoPushPop) {
-  stream::BoundedRing<int> ring(8);
-  EXPECT_TRUE(ring.Push(1));
-  EXPECT_TRUE(ring.Push(2));
-  EXPECT_TRUE(ring.Push(3));
-  int v = 0;
-  EXPECT_TRUE(ring.Pop(&v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(ring.Pop(&v));
-  EXPECT_EQ(v, 2);
-  EXPECT_EQ(ring.size(), 1u);
-}
-
-TEST(BoundedRingTest, TryPushRefusesWhenFull) {
-  stream::BoundedRing<int> ring(2);
-  EXPECT_TRUE(ring.TryPush(1));
-  EXPECT_TRUE(ring.TryPush(2));
-  EXPECT_FALSE(ring.TryPush(3));  // full: backpressure, not growth
-  int v = 0;
-  EXPECT_TRUE(ring.Pop(&v));
-  EXPECT_TRUE(ring.TryPush(3));
-}
-
-TEST(BoundedRingTest, BlockedPushResumesWhenConsumerPops) {
-  stream::BoundedRing<int> ring(1);
-  ASSERT_TRUE(ring.Push(1));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(ring.Push(2));  // blocks until the pop below
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());  // still parked in backpressure
-  int v = 0;
-  EXPECT_TRUE(ring.Pop(&v));
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_TRUE(ring.Pop(&v));
-  EXPECT_EQ(v, 2);
-}
-
-TEST(BoundedRingTest, CloseRefusesPushesButDrainsBuffered) {
-  stream::BoundedRing<int> ring(8);
-  ASSERT_TRUE(ring.Push(1));
-  ASSERT_TRUE(ring.Push(2));
-  ring.Close();
-  EXPECT_FALSE(ring.Push(3));  // refused, NOT enqueued
-  int v = 0;
-  EXPECT_TRUE(ring.Pop(&v));  // buffered items survive the close
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(ring.Pop(&v));
-  EXPECT_EQ(v, 2);
-  EXPECT_FALSE(ring.Pop(&v));  // closed and drained
-}
-
-TEST(BoundedRingTest, CloseWakesBlockedConsumer) {
-  stream::BoundedRing<int> ring(4);
-  std::atomic<bool> done{false};
-  std::thread consumer([&] {
-    int v = 0;
-    EXPECT_FALSE(ring.Pop(&v));  // wakes with "drained" on Close
-    done.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  ring.Close();
-  consumer.join();
-  EXPECT_TRUE(done.load());
 }
 
 // --- StreamOptions::FromEnv -------------------------------------------------
