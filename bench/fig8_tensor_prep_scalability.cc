@@ -15,8 +15,10 @@
 // PartitionStore resident budget *below* the dataset size: partitions
 // spill to GTDF files and fault back in on demand, the run completes
 // with bounded peak resident bytes, and the RAM-only baseline given the
-// same budget OOMs (DESIGN.md §12). --json=PATH writes BENCH_df.json;
-// --smoke shrinks the sweep for CI.
+// same budget OOMs (DESIGN.md §12). The CSV ingest row times ReadCsv,
+// the first stage of the geobench prep pass, serially and partitioned on
+// the pool. --json=PATH writes BENCH_df.json; --smoke shrinks the sweep
+// for CI.
 
 #include <algorithm>
 #include <cstdio>
@@ -30,6 +32,7 @@
 #include "core/memory.h"
 #include "core/stopwatch.h"
 #include "core/thread_pool.h"
+#include "df/csv.h"
 #include "df/dataframe.h"
 #include "df/partition_store.h"
 #include "prep/st_manager.h"
@@ -192,6 +195,60 @@ SpillOutcome RunOutOfCore(const std::vector<synth::TripRecord>& trips,
   return out;
 }
 
+// ReadCsv of one taxi CSV, serial (rows_per_partition 0) and partitioned
+// on the pool, each the median of alternating repeats.
+struct IngestOutcome {
+  int64_t records = 0;
+  int64_t rows_per_partition = 0;
+  double serial_s = 0.0;
+  double partitioned_s = 0.0;
+  bool rows_ok = false;
+};
+
+IngestOutcome RunCsvIngest(int64_t records, int64_t rows_per_partition) {
+  synth::TaxiTripConfig config;
+  config.num_records = records;
+  config.seed = 7;
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "fig8_csv_ingest.csv")
+          .string();
+  const df::DataFrame frame =
+      synth::TripsToDataFrame(synth::GenerateTaxiTrips(config), 4);
+  IngestOutcome out;
+  out.records = records;
+  out.rows_per_partition = rows_per_partition;
+  if (!df::WriteCsv(frame, path).ok()) {
+    std::printf("WARNING: cannot write %s\n", path.c_str());
+    return out;
+  }
+  const auto time_read = [&](int64_t rows_per_part) {
+    df::CsvReadOptions opts;
+    opts.rows_per_partition = rows_per_part;
+    Stopwatch timer;
+    Result<df::DataFrame> read = df::ReadCsv(path, frame.schema(), opts);
+    const double seconds = timer.ElapsedSeconds();
+    out.rows_ok = out.rows_ok && read.ok() && read->NumRows() == records;
+    return seconds;
+  };
+  out.rows_ok = true;
+  std::vector<double> serial;
+  std::vector<double> partitioned;
+  time_read(0);  // warm-up: page cache and allocator
+  time_read(rows_per_partition);
+  for (int i = 0; i < 7; ++i) {
+    serial.push_back(time_read(0));
+    partitioned.push_back(time_read(rows_per_partition));
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  out.serial_s = median(serial);
+  out.partitioned_s = median(partitioned);
+  std::remove(path.c_str());
+  return out;
+}
+
 RunOutcome RunBaseline(const std::vector<synth::TripRecord>& trips,
                        int64_t memory_limit) {
   baseline::BaselineOptions options;
@@ -344,6 +401,22 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
   }
   PrintRule();
 
+  // CSV ingest, geobench prep's first stage at its partition size.
+  const IngestOutcome ingest =
+      RunCsvIngest(smoke ? 100000 : 1000000, smoke ? 12500 : 125000);
+  std::printf("\ncsv ingest: ReadCsv of %lld records (%d pool threads)\n",
+              static_cast<long long>(ingest.records),
+              ThreadPool::Global().num_threads());
+  PrintRule();
+  std::printf("%-28s %-12s\n", "rows_per_partition", "time (s)");
+  PrintRule();
+  std::printf("%-28s %-12.3f\n", "0 (serial)", ingest.serial_s);
+  std::printf("%-28lld %-12.3f\n",
+              static_cast<long long>(ingest.rows_per_partition),
+              ingest.partitioned_s);
+  PrintRule();
+  if (!ingest.rows_ok) std::printf("WARNING: csv ingest row count mismatch\n");
+
   if (!json_path.empty()) {
     BenchJsonWriter json(json_path, "fig8_tensor_prep");
     if (json.ok()) {
@@ -375,6 +448,17 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
             i + 1 < spill_rows.size() ? "," : "");
       }
       std::fprintf(f, "  ],\n");
+      std::fprintf(
+          f,
+          "  \"csv_ingest\": {\"records\": %lld, "
+          "\"rows_per_partition\": %lld, \"serial_s\": %.4f, "
+          "\"partitioned_s\": %.4f, \"speedup\": %.2f, "
+          "\"hardware_threads\": %u, \"rows_ok\": %s},\n",
+          static_cast<long long>(ingest.records),
+          static_cast<long long>(ingest.rows_per_partition), ingest.serial_s,
+          ingest.partitioned_s, ingest.serial_s / ingest.partitioned_s,
+          std::max(1u, std::thread::hardware_concurrency()),
+          ingest.rows_ok ? "true" : "false");
       json.Finish();
     }
   }

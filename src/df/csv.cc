@@ -1,12 +1,18 @@
 #include "df/csv.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string_view>
 #include <system_error>
 #include <vector>
+
+#include "core/thread_pool.h"
+#include "df/partition_store.h"
+#include "obs/obs.h"
 
 namespace geotorch::df {
 namespace {
@@ -87,7 +93,13 @@ class BlockWriter {
 // the next read; the buffer grows only when a single line fills it.
 class LineReader {
  public:
-  explicit LineReader(std::FILE* f) : f_(f), buf_(kBlockBytes) {}
+  // Reads from the current position of `f`, at most `limit` bytes; the
+  // buffer starts no larger than that.
+  explicit LineReader(std::FILE* f,
+                      int64_t limit = std::numeric_limits<int64_t>::max())
+      : f_(f),
+        buf_(std::clamp<int64_t>(limit, 1, kBlockBytes)),
+        limit_(limit) {}
 
   // Sets *line to the next line, without its '\n' or a '\r' before it,
   // as a view into the buffer valid until the next call. Returns false
@@ -118,6 +130,11 @@ class LineReader {
 
   bool failed() const { return std::ferror(f_) != 0; }
 
+  // Bytes of the input taken by the lines returned so far.
+  int64_t consumed() const {
+    return read_ - static_cast<int64_t>(end_ - pos_);
+  }
+
  private:
   void Refill() {
     const size_t carry = end_ - pos_;
@@ -125,16 +142,20 @@ class LineReader {
     pos_ = 0;
     end_ = carry;
     if (end_ == buf_.size()) buf_.resize(buf_.size() * 2);
-    const size_t got =
-        std::fread(buf_.data() + end_, 1, buf_.size() - end_, f_);
+    const size_t want = static_cast<size_t>(
+        std::min<int64_t>(buf_.size() - end_, limit_ - read_));
+    const size_t got = std::fread(buf_.data() + end_, 1, want, f_);
     end_ += got;
+    read_ += static_cast<int64_t>(got);
     eof_ = got == 0;
   }
 
   std::FILE* f_;
   std::vector<char> buf_;
-  size_t pos_ = 0;  // start of the unread bytes
-  size_t end_ = 0;  // end of the bytes read so far
+  const int64_t limit_;
+  int64_t read_ = 0;  // bytes read from f_
+  size_t pos_ = 0;    // start of the unread bytes
+  size_t end_ = 0;    // end of the bytes read so far
   bool eof_ = false;
 };
 
@@ -205,6 +226,242 @@ Status ParseRow(std::string_view line, const Schema& schema,
   return Status::OK();
 }
 
+// One empty column per schema field, each with room for `rows` rows.
+std::vector<Column> EmptyColumns(const Schema& schema, int64_t rows) {
+  std::vector<Column> cols;
+  for (int c = 0; c < schema.num_fields(); ++c) {
+    Column& col = cols.emplace_back(schema.type(c));
+    switch (schema.type(c)) {
+      case DataType::kDouble:
+        col.mutable_doubles().reserve(rows);
+        break;
+      case DataType::kInt64:
+        col.mutable_int64s().reserve(rows);
+        break;
+      case DataType::kString:
+        col.mutable_strings().reserve(rows);
+        break;
+      case DataType::kGeometry:
+        col.mutable_points().reserve(rows);
+        break;
+    }
+  }
+  return cols;
+}
+
+// Parses data rows from `in` into `cols` until `max_rows` rows are in or
+// the input ends, and returns how many it parsed. *line_no counts every
+// line read, empty ones included.
+Result<int64_t> ParseLines(LineReader& in, const Schema& schema,
+                           const std::string& path, int64_t max_rows,
+                           int64_t* line_no, std::vector<Column>& cols) {
+  int64_t rows = 0;
+  std::string_view line;
+  while (rows < max_rows && in.Next(&line)) {
+    ++*line_no;
+    if (line.empty()) continue;
+    GEO_RETURN_NOT_OK(ParseRow(line, schema, cols, *line_no, path));
+    ++rows;
+  }
+  return rows;
+}
+
+DataFrame SinglePartition(const Schema& schema, std::vector<Column> cols) {
+  std::vector<std::pair<std::string, Column>> named;
+  for (int c = 0; c < schema.num_fields(); ++c) {
+    named.emplace_back(schema.name(c), std::move(cols[c]));
+  }
+  return DataFrame::FromColumns(std::move(named));
+}
+
+// Most rows between two checkpoints of the boundary scan. A parse task
+// seeks to the checkpoint at or before its first row and skips fewer
+// rows than the spacing from there, and reads fewer than that past its
+// last row; a spacing of at most the task's rows bounds both by them.
+constexpr int64_t kCheckpointRows = 1024;
+
+// Without a resident budget, a parse task takes consecutive partitions
+// up to this many rows, so small partitions do not each pay for a task,
+// an fopen and a seek.
+constexpr int64_t kTaskRows = 16384;
+
+// A data row the parse can seek to.
+struct Checkpoint {
+  int64_t row;      // index among the data rows
+  int64_t offset;   // byte offset of the start of its line
+  int64_t line_no;  // number of the line before it
+};
+
+// What the boundary scan found in one byte range of the body.
+struct ScanRange {
+  std::vector<Checkpoint> checkpoints;  // row and line_no within the range
+  int64_t rows = 0;
+  int64_t lines = 0;
+  bool failed = false;
+};
+
+// Counts the lines, and the rows among them, that start in [begin, end)
+// of the body, which starts at `body_start`, and keeps a checkpoint
+// every `spacing` rows. The range need not start at a line: a line
+// through byte begin - 1 belongs to the range before. Lines are split
+// and classified by LineReader itself, so an empty or "\r"-only line
+// counts as a line and not as a row, wherever its bytes fall relative
+// to blocks and ranges.
+ScanRange ScanBody(const std::string& path, int64_t body_start, int64_t begin,
+                   int64_t end, int64_t spacing) {
+  ScanRange out;
+  const int64_t from = begin > body_start ? begin - 1 : begin;
+  File file(std::fopen(path.c_str(), "rb"));
+  if (!file || fseeko(file.get(), from, SEEK_SET) != 0) {
+    out.failed = true;
+    return out;
+  }
+  LineReader in(file.get());
+  std::string_view line;
+  // Drop the rest of the line through byte from (just a '\n' when
+  // `begin` is a line start).
+  if (from < begin && !in.Next(&line)) {
+    out.failed = in.failed();
+    return out;
+  }
+  for (int64_t offset = from + in.consumed(); offset < end && in.Next(&line);
+       offset = from + in.consumed()) {
+    if (!line.empty()) {
+      if (out.rows % spacing == 0) {
+        out.checkpoints.push_back({out.rows, offset, out.lines});
+      }
+      ++out.rows;
+    }
+    ++out.lines;
+  }
+  out.failed = in.failed();
+  return out;
+}
+
+// Parses data rows [begin, end) into consecutive partitions of
+// `rows_per_partition` rows (the last may be shorter), appended to
+// *parts. Reading starts at checkpoint `from` (from.row <= begin) and
+// stops short of byte `limit`, a line start at or after the end of row
+// end - 1.
+Status ParseRun(const std::string& path, const Schema& schema,
+                const Checkpoint& from, int64_t begin, int64_t end,
+                int64_t limit, int64_t rows_per_partition,
+                std::vector<std::vector<Column>>* parts) {
+  File file(std::fopen(path.c_str(), "rb"));
+  if (!file) return Status::IoError("cannot open for read: " + path);
+  if (fseeko(file.get(), from.offset, SEEK_SET) != 0) {
+    return Status::IoError("read failed: " + path);
+  }
+  LineReader in(file.get(), limit - from.offset);
+  const auto short_read = [&] {
+    return Status::IoError((in.failed() ? "read failed: " : "short read: ") +
+                           path);
+  };
+  int64_t line_no = from.line_no;
+  std::string_view line;
+  for (int64_t row = from.row; row < begin;) {
+    if (!in.Next(&line)) return short_read();
+    ++line_no;
+    if (!line.empty()) ++row;
+  }
+  for (int64_t row = begin; row < end; row += rows_per_partition) {
+    const int64_t want = std::min(rows_per_partition, end - row);
+    std::vector<Column> cols = EmptyColumns(schema, want);
+    GEO_ASSIGN_OR_RETURN(const int64_t got, ParseLines(in, schema, path, want,
+                                                       &line_no, cols));
+    if (got < want) return short_read();
+    parts->push_back(std::move(cols));
+  }
+  return Status::OK();
+}
+
+// Reads the body of `path`, bytes [body_start, file_size), into
+// partitions of `rows_per_partition` rows in two passes on the global
+// pool. Pass 1 splits the body into pool-width byte ranges and counts
+// each range's lines and rows, keeping checkpoints to seek to; prefix
+// sums over the ranges place every checkpoint in the whole file. Pass 2
+// parses runs of partitions, each from its own FILE*, starting at the
+// checkpoint at or before the run's first row.
+Result<DataFrame> ReadPartitioned(const std::string& path,
+                                  const Schema& schema,
+                                  int64_t rows_per_partition,
+                                  int64_t body_start, int64_t file_size) {
+  ThreadPool& pool = ThreadPool::Global();
+  const int width = pool.num_threads();
+  // Partitions per parse task. Under a resident budget a task parses
+  // one partition, so at most `width` parsed partitions wait
+  // unregistered.
+  const bool budgeted =
+      PartitionStore::Global().options().resident_budget_bytes <
+      std::numeric_limits<int64_t>::max();
+  const int64_t per_task =
+      budgeted ? 1 : std::max<int64_t>(1, kTaskRows / rows_per_partition);
+  std::vector<Checkpoint> checkpoints;
+  int64_t total_rows = 0;
+  {
+    GEO_OBS_SPAN(scan_span, "df.read_csv.scan");
+    const int64_t body = file_size - body_start;
+    const int64_t spacing =
+        std::min(rows_per_partition * per_task, kCheckpointRows);
+    std::vector<ScanRange> ranges(width);
+    pool.ParallelFor(width, [&](int64_t j) {
+      ranges[j] = ScanBody(path, body_start, body_start + body * j / width,
+                           body_start + body * (j + 1) / width, spacing);
+    });
+    int64_t lines = 0;
+    for (const ScanRange& range : ranges) {
+      if (range.failed) return Status::IoError("read failed: " + path);
+      for (const Checkpoint& c : range.checkpoints) {
+        checkpoints.push_back(
+            {total_rows + c.row, c.offset, 1 + lines + c.line_no});
+      }
+      total_rows += range.rows;
+      lines += range.lines;
+    }
+    // Sentinel: the end of the file, as the start of a row past the last.
+    checkpoints.push_back({total_rows, file_size, 1 + lines});
+  }
+  if (total_rows == 0) return SinglePartition(schema, EmptyColumns(schema, 0));
+
+  const auto at_or_after = [&](int64_t row) {
+    return std::partition_point(
+        checkpoints.begin(), checkpoints.end(),
+        [row](const Checkpoint& c) { return c.row < row; });
+  };
+  GEO_OBS_SPAN(parse_span, "df.read_csv.parse");
+  const int64_t num_parts = (total_rows - 1) / rows_per_partition + 1;
+  const int64_t num_tasks = (num_parts - 1) / per_task + 1;
+  std::vector<std::shared_ptr<const Partition>> partitions;
+  partitions.reserve(num_parts);
+  // Waves of `width` tasks. A wave's partitions are built (which
+  // registers them with the PartitionStore) in index order before the
+  // next wave parses, and the first failure in index order is the one
+  // with the lowest line number.
+  for (int64_t first = 0; first < num_tasks; first += width) {
+    const int64_t n = std::min<int64_t>(width, num_tasks - first);
+    std::vector<std::vector<std::vector<Column>>> runs(n);
+    std::vector<Status> status(n);
+    pool.ParallelFor(n, [&](int64_t k) {
+      const int64_t begin = (first + k) * per_task * rows_per_partition;
+      const int64_t end =
+          std::min(begin + per_task * rows_per_partition, total_rows);
+      auto from = at_or_after(begin);
+      if (from->row > begin) --from;
+      status[k] = ParseRun(path, schema, *from, begin, end,
+                           at_or_after(end)->offset, rows_per_partition,
+                           &runs[k]);
+    });
+    for (int64_t k = 0; k < n; ++k) {
+      GEO_RETURN_NOT_OK(status[k]);
+      for (std::vector<Column>& cols : runs[k]) {
+        partitions.push_back(std::make_shared<Partition>(std::move(cols)));
+      }
+    }
+  }
+  return DataFrame::FromPartitions(std::make_shared<Schema>(schema.fields()),
+                                   std::move(partitions));
+}
+
 }  // namespace
 
 Status WriteCsv(const DataFrame& frame, const std::string& path) {
@@ -262,45 +519,25 @@ Result<DataFrame> ReadCsv(const std::string& path, const Schema& schema,
     if (in.failed()) return Status::IoError("read failed: " + path);
     return Status::IoError("empty CSV: " + path);
   }
-  std::vector<Column> cols;
-  for (int c = 0; c < schema.num_fields(); ++c) {
-    cols.emplace_back(schema.type(c));
-  }
-  std::vector<std::shared_ptr<const Partition>> partitions;
-  int64_t chunk_rows = 0;
-  // Hands the accumulated columns off as a finished partition — which
-  // registers with the PartitionStore, so a budget can spill it while
-  // the rest of the file is still streaming through the parser.
-  const auto flush = [&] {
-    partitions.push_back(std::make_shared<Partition>(std::move(cols)));
-    cols.clear();
-    for (int c = 0; c < schema.num_fields(); ++c) {
-      cols.emplace_back(schema.type(c));
+  if (options.rows_per_partition > 0) {
+    if (fseeko(file.get(), 0, SEEK_END) != 0) {
+      return Status::IoError("read failed: " + path);
     }
-    chunk_rows = 0;
-  };
+    const int64_t file_size = ftello(file.get());
+    if (file_size < in.consumed()) {
+      return Status::IoError("read failed: " + path);
+    }
+    return ReadPartitioned(path, schema, options.rows_per_partition,
+                           in.consumed(), file_size);
+  }
+  std::vector<Column> cols = EmptyColumns(schema, 0);
   int64_t line_no = 1;
-  while (in.Next(&line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    Status st = ParseRow(line, schema, cols, line_no, path);
-    if (!st.ok()) return st;
-    if (options.rows_per_partition > 0 &&
-        ++chunk_rows >= options.rows_per_partition) {
-      flush();
-    }
-  }
+  GEO_RETURN_NOT_OK(ParseLines(in, schema, path,
+                               std::numeric_limits<int64_t>::max(), &line_no,
+                               cols)
+                        .status());
   if (in.failed()) return Status::IoError("read failed: " + path);
-  if (partitions.empty()) {
-    std::vector<std::pair<std::string, Column>> named;
-    for (int c = 0; c < schema.num_fields(); ++c) {
-      named.emplace_back(schema.name(c), std::move(cols[c]));
-    }
-    return DataFrame::FromColumns(std::move(named));
-  }
-  if (chunk_rows > 0) flush();
-  return DataFrame::FromPartitions(
-      std::make_shared<Schema>(schema.fields()), std::move(partitions));
+  return SinglePartition(schema, std::move(cols));
 }
 
 }  // namespace geotorch::df

@@ -20,13 +20,17 @@ namespace geotorch::df {
 Status WriteCsv(const DataFrame& frame, const std::string& path);
 
 struct CsvReadOptions {
-  /// When > 0, the reader flushes a completed partition every
-  /// `rows_per_partition` rows instead of materializing the whole file
-  /// into one partition. Each flushed partition registers with the
-  /// PartitionStore immediately, so under a resident budget an
-  /// arbitrarily large CSV ingests with bounded memory — cold chunks
-  /// spill to GTDF while the tail of the file is still being parsed.
-  /// 0 (default) preserves the single-partition behavior.
+  /// When > 0, the file is read into partitions of `rows_per_partition`
+  /// rows, scanned and parsed in parallel on ThreadPool::Global().
+  /// Partition i holds data rows [i*R, (i+1)*R), bitwise what a serial
+  /// read gives, and partitions register with the PartitionStore in
+  /// index order. Parsing runs in waves of pool width, so under a
+  /// resident budget at most pool-width parsed partitions wait
+  /// unregistered, and an arbitrarily large CSV ingests with bounded
+  /// memory: cold partitions spill to GTDF while later ones still
+  /// parse. Called from a pool worker, the read runs inline with the
+  /// same result. 0 (default) reads the file on the calling thread into
+  /// one partition.
   int64_t rows_per_partition = 0;
 };
 
@@ -48,7 +52,8 @@ struct CsvReadOptions {
 ///   - string: the raw bytes between the commas, possibly empty;
 ///   - geometry: "x;y", two doubles as above.
 /// Any other input returns IoError naming the file and line; nothing
-/// throws.
+/// throws. With several bad rows, the error names the first, whatever
+/// `rows_per_partition` is.
 Result<DataFrame> ReadCsv(const std::string& path, const Schema& schema,
                           const CsvReadOptions& options = {});
 

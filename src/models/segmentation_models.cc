@@ -5,10 +5,6 @@ namespace geotorch::models {
 namespace ag = ::geotorch::autograd;
 namespace ts = ::geotorch::tensor;
 
-namespace {
-Rng MakeRng(uint64_t seed) { return Rng(seed); }
-}  // namespace
-
 DoubleConv::DoubleConv(int64_t in, int64_t out, Rng& rng)
     : conv1_(in, out, 3, rng, 1, 1), conv2_(out, out, 3, rng, 1, 1) {
   RegisterModule("conv1", &conv1_);

@@ -500,6 +500,7 @@ Tensor Slice(const Tensor& a, int dim, int64_t start, int64_t end) {
   const int64_t in_dim = a.shape()[dim];
   const int64_t out_dim = end - start;
 
+  if (out_dim * inner == 0) return out;  // empty: data() may be null
   const float* pa = a.data();
   float* po = out.data();
   for (int64_t o = 0; o < outer; ++o) {

@@ -377,7 +377,7 @@ TEST(MemoryTest, RssIsPositive) { EXPECT_GT(CurrentRssBytes(), 0); }
 TEST(StopwatchTest, MeasuresElapsed) {
   Stopwatch sw;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GT(sw.ElapsedSeconds(), 0.0);
   EXPECT_GE(sw.ElapsedMillis(), sw.ElapsedSeconds() * 1000.0 * 0.99);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
@@ -10,10 +11,13 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/thread_pool.h"
+#include "df/partition_store.h"
 #include "synth/taxi.h"
 
 namespace geotorch::df {
@@ -44,6 +48,84 @@ Schema MixedSchema() {
 }
 
 const char kHeader[] = "id,v,name,pt\n";
+
+// Each row of `part` as bytes: doubles and points by their bits, so NaN
+// payloads and signed zeros compare too.
+std::vector<std::string> RowBytes(const Partition& part) {
+  std::vector<std::string> rows(part.num_rows());
+  const auto put = [](std::string& out, const void* p, size_t n) {
+    out.append(static_cast<const char*>(p), n);
+  };
+  for (int c = 0; c < part.num_columns(); ++c) {
+    const Column& col = part.column(c);
+    for (int64_t r = 0; r < part.num_rows(); ++r) {
+      switch (part.column_type(c)) {
+        case DataType::kDouble:
+          put(rows[r], &col.doubles()[r], sizeof(double));
+          break;
+        case DataType::kInt64:
+          put(rows[r], &col.int64s()[r], sizeof(int64_t));
+          break;
+        case DataType::kString: {
+          const std::string& v = col.strings()[r];
+          rows[r] += std::to_string(v.size()) + ':' + v;
+          break;
+        }
+        case DataType::kGeometry:
+          put(rows[r], &col.points()[r], sizeof(spatial::Point));
+          break;
+      }
+    }
+  }
+  return rows;
+}
+
+std::vector<std::string> RowBytes(const DataFrame& frame) {
+  std::vector<std::string> rows;
+  for (int pi = 0; pi < frame.num_partitions(); ++pi) {
+    for (std::string& row : RowBytes(frame.partition(pi))) {
+      rows.push_back(std::move(row));
+    }
+  }
+  return rows;
+}
+
+// Gives the PartitionStore a finite budget far above what these tests
+// hold: nothing spills, but a partitioned read then parses one
+// partition per pool task instead of runs of small partitions.
+class ScopedFiniteBudget {
+ public:
+  ScopedFiniteBudget() : saved_(PartitionStore::Global().options()) {
+    PartitionStore::Options opts = saved_;
+    opts.resident_budget_bytes = int64_t{1} << 40;
+    PartitionStore::Global().Configure(opts);
+  }
+  ~ScopedFiniteBudget() { PartitionStore::Global().Configure(saved_); }
+
+ private:
+  PartitionStore::Options saved_;
+};
+
+// Reads `path` serially (rows_per_partition 0) and partitioned on the
+// pool (rows_per_partition 2); both must fail with the same Status or
+// both succeed with the same rows. Returns the serial result.
+Result<DataFrame> ReadBothWays(const std::string& path,
+                               const std::string& label) {
+  Result<DataFrame> serial = DataFrame();
+  Result<DataFrame> chunked = DataFrame();
+  CsvReadOptions opts;
+  opts.rows_per_partition = 2;
+  EXPECT_NO_THROW(serial = ReadCsv(path, MixedSchema())) << label;
+  EXPECT_NO_THROW(chunked = ReadCsv(path, MixedSchema(), opts)) << label;
+  EXPECT_EQ(serial.ok(), chunked.ok()) << label;
+  if (!serial.ok() || !chunked.ok()) {
+    EXPECT_EQ(serial.status().ToString(), chunked.status().ToString())
+        << label;
+  } else {
+    EXPECT_EQ(RowBytes(*serial), RowBytes(*chunked)) << label;
+  }
+  return serial;
+}
 
 // -------------------------------------------------- malformed input
 
@@ -79,8 +161,7 @@ TEST(CsvReadTest, MalformedCellsFailWithLineNumber) {
   const std::string path = TempPath("malformed.csv");
   for (const BadCase& bc : cases) {
     WriteFile(path, kHeader + bc.body);
-    Result<DataFrame> r = DataFrame();
-    ASSERT_NO_THROW(r = ReadCsv(path, MixedSchema())) << bc.label;
+    Result<DataFrame> r = ReadBothWays(path, bc.label);
     ASSERT_FALSE(r.ok()) << bc.label;
     EXPECT_EQ(r.status().code(), StatusCode::kIoError) << bc.label;
     const std::string line = "line " + std::to_string(bc.error_line) + " ";
@@ -198,8 +279,7 @@ std::string SmallMixedCsv() {
 }
 
 void ExpectFrameOrStatus(const std::string& path, const std::string& label) {
-  Result<DataFrame> r = DataFrame();
-  ASSERT_NO_THROW(r = ReadCsv(path, MixedSchema())) << label;
+  Result<DataFrame> r = ReadBothWays(path, label);
   if (!r.ok()) return;
   const int64_t rows = r->NumRows();
   EXPECT_LE(rows, 4) << label;
@@ -219,7 +299,7 @@ TEST(CsvReadTest, EveryPrefixTruncation) {
     ExpectFrameOrStatus(path, "prefix " + std::to_string(n));
   }
   // The untouched file parses in full.
-  Result<DataFrame> r = ReadCsv(path, MixedSchema());
+  Result<DataFrame> r = ReadBothWays(path, "whole file");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->NumRows(), 4);
 }
@@ -237,6 +317,133 @@ TEST(CsvReadTest, EverySingleByteSubstitution) {
                                     std::to_string(b));
       if (HasFailure()) return;
     }
+  }
+}
+
+// ------------------------------------------------ partitioned read
+
+// Rows with CRLF and LF endings, empty and "\r"-only lines between them,
+// and `tail` after the last newline. `pad` widens the first row, so a
+// sweep of pads moves where the pool's byte ranges start across the
+// rows, into "\r\n" pairs too.
+std::string RaggedCsv(size_t pad, const std::string& tail) {
+  std::string csv = "id,v,name,pt\r\n";
+  for (int i = 0; i < 12; ++i) {
+    csv += std::to_string(i) + "," + std::to_string(i) + ".5," +
+           (i == 0 ? std::string(pad, 'p') : "n" + std::to_string(i)) +
+           "," + std::to_string(i) + ";-" + std::to_string(i);
+    csv += i % 3 == 0 ? "\r\n" : "\n";
+    if (i % 4 == 1) csv += "\r\n";  // a "\r"-only line
+    if (i % 5 == 2) csv += "\n";     // an empty line
+  }
+  return csv + tail;
+}
+
+TEST(CsvPartitionedReadTest, PartitionsHoldTheSerialRowsInOrder) {
+  const std::string path = TempPath("ragged.csv");
+  const int width = ThreadPool::Global().num_threads();
+  int crlf_splits = 0;
+  for (const std::string tail : {"", "\r", "\r\n", "12,12.5,t,12;-12",
+                                 "12,12.5,t,12;-12\r"}) {
+    for (size_t pad = 0; pad < 48; ++pad) {
+      const std::string csv = RaggedCsv(pad, tail);
+      WriteFile(path, csv);
+      // Where ReadCsv's boundary scan starts its byte ranges.
+      const size_t body_start = csv.find('\n') + 1;
+      const size_t body = csv.size() - body_start;
+      for (int j = 1; j < width; ++j) {
+        const size_t at = body_start + body * j / width;
+        crlf_splits += csv[at - 1] == '\r' && csv[at] == '\n';
+      }
+      Result<DataFrame> serial = ReadCsv(path, MixedSchema());
+      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+      const std::vector<std::string> want = RowBytes(*serial);
+      const int64_t rows = static_cast<int64_t>(want.size());
+      ASSERT_EQ(rows, tail.size() > 2 ? 13 : 12);
+      for (const bool budgeted : {false, true}) {
+        std::optional<ScopedFiniteBudget> budget;
+        if (budgeted) budget.emplace();
+        for (int64_t r = 1; r <= 5; ++r) {
+          const std::string label =
+              "pad " + std::to_string(pad) + " tail " +
+              std::to_string(tail.size()) + " R " + std::to_string(r) +
+              (budgeted ? " budgeted" : "");
+          CsvReadOptions opts;
+          opts.rows_per_partition = r;
+          Result<DataFrame> got = ReadCsv(path, MixedSchema(), opts);
+          ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+          ASSERT_EQ(got->num_partitions(), (rows + r - 1) / r) << label;
+          for (int i = 0; i < got->num_partitions(); ++i) {
+            const std::vector<std::string> slice(
+                want.begin() + i * r,
+                want.begin() + std::min(rows, (i + 1) * r));
+            EXPECT_EQ(RowBytes(got->partition(i)), slice)
+                << label << " part " << i;
+          }
+        }
+      }
+    }
+  }
+  if (width > 1) {
+    EXPECT_GT(crlf_splits, 0);
+  }
+}
+
+TEST(CsvPartitionedReadTest, ErrorNamesTheLowestFailingLine) {
+  std::string body;
+  for (int i = 0; i < 40; ++i) {
+    body += i == 17 || i == 31 ? "1,bad,x,1;2\n" : "1,1.5,x,1;2\r\n\n";
+  }
+  const std::string path = TempPath("two_errors.csv");
+  WriteFile(path, kHeader + body);
+  for (const bool budgeted : {false, true}) {
+    std::optional<ScopedFiniteBudget> budget;
+    if (budgeted) budget.emplace();
+    for (int64_t r : {int64_t{0}, int64_t{1}, int64_t{3}, int64_t{8},
+                      int64_t{16}, int64_t{100},
+                      std::numeric_limits<int64_t>::max()}) {
+      CsvReadOptions opts;
+      opts.rows_per_partition = r;
+      Result<DataFrame> got = ReadCsv(path, MixedSchema(), opts);
+      ASSERT_FALSE(got.ok()) << r;
+      EXPECT_EQ(got.status().message(),
+                "bad double cell 'bad' in column 'v' at line 36 of " + path)
+          << r << (budgeted ? " budgeted" : "");
+    }
+  }
+}
+
+TEST(CsvPartitionedReadTest, HeaderOnlyGivesOneEmptyPartition) {
+  const std::string path = TempPath("header_only_partitioned.csv");
+  for (const std::string bytes : {"id,v,name,pt\n", "id,v,name,pt",
+                                  "id,v,name,pt\n\r\n\n\r"}) {
+    WriteFile(path, bytes);
+    CsvReadOptions opts;
+    opts.rows_per_partition = 3;
+    Result<DataFrame> r = ReadCsv(path, MixedSchema(), opts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->num_partitions(), 1);
+    EXPECT_EQ(r->NumRows(), 0);
+    EXPECT_EQ(r->schema().num_fields(), 4);
+  }
+}
+
+// From inside a pool task the read runs inline, with the same result.
+TEST(CsvPartitionedReadTest, ReadFromPoolTaskMatches) {
+  const std::string path = TempPath("from_pool.csv");
+  WriteFile(path, RaggedCsv(5, "12,12.5,t,12;-12"));
+  CsvReadOptions opts;
+  opts.rows_per_partition = 4;
+  Result<DataFrame> outside = ReadCsv(path, MixedSchema(), opts);
+  ASSERT_TRUE(outside.ok()) << outside.status().ToString();
+  Result<DataFrame> inside = DataFrame();
+  ThreadPool::Global()
+      .Submit([&] { inside = ReadCsv(path, MixedSchema(), opts); })
+      .get();
+  ASSERT_TRUE(inside.ok()) << inside.status().ToString();
+  ASSERT_EQ(inside->num_partitions(), outside->num_partitions());
+  for (int i = 0; i < outside->num_partitions(); ++i) {
+    EXPECT_EQ(RowBytes(inside->partition(i)), RowBytes(outside->partition(i)));
   }
 }
 

@@ -522,9 +522,7 @@ TEST(GtcpVersionTest, HandBuiltV1BlobStillParses) {
   // A byte-for-byte v1 file assembled by hand, guarding the PR 5
   // format against accidental layout drift: if this stops parsing,
   // every old f32 checkpoint in the wild stops loading.
-  std::vector<unsigned char> bytes;
-  const char magic[4] = {'G', 'T', 'C', 'P'};
-  bytes.insert(bytes.end(), magic, magic + 4);
+  std::vector<unsigned char> bytes = {'G', 'T', 'C', 'P'};  // magic
   Append(bytes, uint32_t{1});  // version
   Append(bytes, uint32_t{1});  // num tensors
   Append(bytes, uint32_t{1});  // num ints

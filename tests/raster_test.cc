@@ -76,7 +76,9 @@ void WriteRawGtif(const std::string& path, const char* magic, int64_t h,
   const double gt[6] = {0, 1, 0, 0, 0, 1};
   fwrite(gt, sizeof(double), 6, f);
   const std::vector<float> payload(payload_floats, 1.0f);
-  fwrite(payload.data(), sizeof(float), payload.size(), f);
+  if (!payload.empty()) {
+    fwrite(payload.data(), sizeof(float), payload.size(), f);
+  }
   fclose(f);
 }
 

@@ -521,7 +521,7 @@ TEST(EngineTest, BatchedForwardMatchesDirectSingleSampleForward) {
     ag::NoGradGuard no_grad;
     ts::Tensor out = model.Forward(one).value();
     ts::Shape row(out.shape().begin() + 1, out.shape().end());
-    if (row.empty()) row = {1};
+    if (row.empty()) row.push_back(1);
     expected.push_back(Bits(out.Reshape(row)));
   }
 
