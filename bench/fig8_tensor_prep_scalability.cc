@@ -344,17 +344,28 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
               static_cast<long long>(sweep_n),
               std::max(1u, std::thread::hardware_concurrency()));
   PrintRule();
-  std::printf("%-12s %-12s %-12s\n", "partitions", "time (s)", "speedup");
+  // One run takes a few tens of ms, so each count is the median of
+  // repeats after a warm-up, printed beside the fastest and slowest.
+  std::printf("%-12s %-12s %-18s %-12s\n", "partitions", "median (s)",
+              "min-max (s)", "speedup");
   PrintRule();
   double base_secs = 0.0;
   const std::vector<int> part_sweep =
       smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
   for (int p : part_sweep) {
     RunGeoTorch(sweep_trips, p);  // warm-up
-    RunOutcome outcome = RunGeoTorch(sweep_trips, p);
-    if (p == 1) base_secs = outcome.seconds;
-    std::printf("%-12d %-12.2f %-12.2f\n", p, outcome.seconds,
-                base_secs / outcome.seconds);
+    std::vector<double> secs;
+    for (int rep = 0; rep < 7; ++rep) {
+      secs.push_back(RunGeoTorch(sweep_trips, p).seconds);
+    }
+    std::sort(secs.begin(), secs.end());
+    const double median = secs[secs.size() / 2];
+    if (p == 1) base_secs = median;
+    char spread[32];
+    std::snprintf(spread, sizeof(spread), "%.3f-%.3f", secs.front(),
+                  secs.back());
+    std::printf("%-12d %-12.3f %-18s %-12.2f\n", p, median, spread,
+                base_secs / median);
   }
   PrintRule();
 

@@ -494,18 +494,12 @@ int RunObsAb(const std::string& json_path, bool smoke) {
   }
   std::printf("worst overhead: %.2f%% (budget 2%%)\n", worst_delta_pct);
   if (!json_path.empty()) {
-    std::FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\n  \"benchmark\": \"obs_ab\",\n"
+    bench::BenchJsonWriter json(json_path, "obs_ab");
+    if (!json.ok()) return 1;
+    std::fprintf(json.stream(),
                  "  \"worst_delta_pct\": %.3f,\n  \"budget_pct\": 2.0,\n"
-                 "  \"shapes\": [\n%s\n  ]\n}\n",
+                 "  \"shapes\": [\n%s\n  ],\n",
                  worst_delta_pct, rows.c_str());
-    std::fclose(out);
-    std::printf("wrote %s\n", json_path.c_str());
   }
   return 0;
 }
@@ -569,27 +563,21 @@ int RunAllocAb(const std::string& json_path, bool smoke) {
               static_cast<double>(bytes_recycled) / (1024.0 * 1024.0));
 
   if (!json_path.empty()) {
-    std::FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\n  \"benchmark\": \"alloc_ab\",\n"
+    bench::BenchJsonWriter json(json_path, "alloc_ab");
+    if (!json.ok()) return 1;
+    std::fprintf(json.stream(),
                  "  \"config\": \"table7 Periodical CNN, Temperature "
                  "%lldx16x32, batch %d\",\n"
                  "  \"epoch_secs\": %.4f,\n"
                  "  \"pool_hit_rate\": %.4f,\n"
                  "  \"pool_hits\": %lld,\n  \"pool_misses\": %lld,\n"
                  "  \"bytes_recycled\": %lld,\n"
-                 "  \"hit_rate_gate\": 0.9\n}\n",
+                 "  \"hit_rate_gate\": 0.9,\n",
                  static_cast<long long>(steps),
                  static_cast<int>(tc.batch_size), epoch_secs, hit_rate,
                  static_cast<long long>(hits),
                  static_cast<long long>(misses),
                  static_cast<long long>(bytes_recycled));
-    std::fclose(out);
-    std::printf("wrote %s\n", json_path.c_str());
   }
   return hit_rate >= 0.9 ? 0 : 2;
 }

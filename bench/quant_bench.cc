@@ -1,5 +1,5 @@
 // Low-precision inference ablation (DESIGN.md §10): what int8 buys —
-// and costs — end to end. Three sections:
+// and costs. Two sections:
 //
 //   1. per-GEMM sweep over serving-shaped matmuls: f32 vs int8, the
 //      int8 kernel measured both with the weight operand packed per
@@ -13,26 +13,21 @@
 //      int8 (static activation scales calibrated on the val
 //      set), plus through an int8-quantized GTCP checkpoint
 //      (save -> load -> eval), with on-disk sizes for both formats.
-//   3. end-to-end serving throughput: the dynamic-batching engine over
-//      the same trained models, one row per precision, closed-loop
-//      clients as in serve_bench.
 //
-// int8 wins on both memory (a quarter of the bytes streamed) and
-// compute (vdpwssd), and compounds with pre-packing. hardware_threads
-// is reported so multi-core results are read in context.
+// Serving throughput per precision is serve_bench's `precision` rows.
+// hardware_threads is reported so multi-core results are read in
+// context.
 //
 // Flags: --json=PATH (the committed BENCH_quant.json), --smoke for CI.
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -47,8 +42,6 @@
 #include "models/trainer.h"
 #include "nn/precision.h"
 #include "obs/obs.h"
-#include "serve/adapters.h"
-#include "serve/engine.h"
 #include "tensor/device.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
@@ -64,7 +57,6 @@ namespace ds = ::geotorch::datasets;
 namespace io = ::geotorch::io;
 namespace models = ::geotorch::models;
 namespace nn = ::geotorch::nn;
-namespace serve = ::geotorch::serve;
 namespace ts = ::geotorch::tensor;
 
 // ---------------------------------------------------------------- GEMM
@@ -196,100 +188,11 @@ int64_t FileBytes(const std::string& path) {
   return size < 0 ? 0 : size;
 }
 
-// ------------------------------------------------------------ serving
-
-struct ServeRow {
-  std::string model;
-  std::string precision;
-  int clients = 0;
-  int max_batch = 0;
-  int64_t requests = 0;
-  double rps = 0;
-  int64_t p50_us = 0;
-  double mean_batch = 0;
-};
-
-ServeRow ServeOnce(const std::string& model_name,
-                   models::RasterClassifier& model, nn::Precision precision,
-                   const std::vector<data::Sample>& samples, int clients,
-                   int max_batch, int requests_per_client) {
-  serve::EngineOptions opts;
-  opts.max_batch = max_batch;
-  opts.max_delay_us = 200;
-  opts.max_queue = 1024;
-  opts.warmup_batches = 2;
-  opts.precision = precision;
-  serve::SampleSpec spec;
-  spec.x = samples[0].x.shape();
-  for (const auto& e : samples[0].extras) spec.extras.push_back(e.shape());
-  serve::Engine engine(serve::ClassifierForward(model, opts.precision), spec,
-                       opts);
-
-  std::vector<std::vector<int64_t>> latencies(clients);
-  std::atomic<int64_t> errors{0};
-  Stopwatch timer;
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      latencies[c].reserve(requests_per_client);
-      for (int i = 0; i < requests_per_client; ++i) {
-        const data::Sample& s =
-            samples[(c * requests_per_client + i) % samples.size()];
-        const int64_t t0 = obs::NowNs();
-        auto r = engine.Submit(s);
-        if (!r.ok()) {
-          errors.fetch_add(1);
-          continue;
-        }
-        latencies[c].push_back((obs::NowNs() - t0) / 1000);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double seconds = timer.ElapsedSeconds();
-  engine.Shutdown();
-
-  ServeRow row;
-  row.model = model_name;
-  row.precision = nn::PrecisionName(precision);
-  row.clients = clients;
-  row.max_batch = max_batch;
-  row.requests =
-      static_cast<int64_t>(clients) * requests_per_client - errors.load();
-  row.rps = row.requests / std::max(seconds, 1e-9);
-  std::vector<int64_t> all;
-  for (auto& l : latencies) all.insert(all.end(), l.begin(), l.end());
-  std::sort(all.begin(), all.end());
-  row.p50_us = Percentile(all, 0.50);
-  const serve::EngineStats stats = engine.stats();
-  row.mean_batch =
-      stats.batches > 0 ? static_cast<double>(stats.requests) / stats.batches
-                        : 0.0;
-  return row;
-}
-
-ServeRow ServeBest(const std::string& model_name,
-                   models::RasterClassifier& model, nn::Precision precision,
-                   const std::vector<data::Sample>& samples, int clients,
-                   int max_batch, int requests_per_client, int reps) {
-  ServeRow best;
-  for (int r = 0; r < reps; ++r) {
-    ServeRow row = ServeOnce(model_name, model, precision, samples, clients,
-                             max_batch, requests_per_client);
-    if (r == 0 || row.rps > best.rps) best = row;
-  }
-  return best;
-}
-
 // ---------------------------------------------------------------- JSON
 
 void WriteJson(const std::string& path, const std::vector<GemmRow>& gemms,
                const std::vector<ModelRow>& model_rows,
-               const std::vector<ServeRow>& serve_rows,
-               const std::string& headline_model, int headline_clients,
-               int headline_batch, double int8_speedup,
-               double int8_acc_delta) {
+               double int8_acc_delta_max) {
   BenchJsonWriter json(path, "quant_bench");
   if (!json.ok()) return;
   std::FILE* f = json.stream();
@@ -320,27 +223,9 @@ void WriteJson(const std::string& path, const std::vector<GemmRow>& gemms,
         static_cast<long long>(m.ckpt_int8_bytes),
         i + 1 < model_rows.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"serving\": [\n");
-  for (size_t i = 0; i < serve_rows.size(); ++i) {
-    const ServeRow& s = serve_rows[i];
-    std::fprintf(
-        f,
-        "    {\"model\": \"%s\", \"precision\": \"%s\", \"clients\": %d, "
-        "\"max_batch\": %d, \"requests\": %lld, \"throughput_rps\": %.1f, "
-        "\"p50_us\": %lld, \"mean_batch\": %.2f}%s\n",
-        s.model.c_str(), s.precision.c_str(), s.clients, s.max_batch,
-        static_cast<long long>(s.requests), s.rps,
-        static_cast<long long>(s.p50_us), s.mean_batch,
-        i + 1 < serve_rows.size() ? "," : "");
-  }
   std::fprintf(f, "  ],\n  \"summary\": {\n");
-  std::fprintf(f, "    \"serve_model\": \"%s\",\n", headline_model.c_str());
-  std::fprintf(f, "    \"serve_clients\": %d,\n", headline_clients);
-  std::fprintf(f, "    \"serve_max_batch\": %d,\n", headline_batch);
-  std::fprintf(f, "    \"int8_serving_speedup_vs_f32\": %.3f,\n",
-               int8_speedup);
-  std::fprintf(f, "    \"int8_top1_delta_pct\": %.3f\n",
-               100.0 * int8_acc_delta);
+  std::fprintf(f, "    \"int8_top1_delta_pct_max\": %.3f\n",
+               100.0 * int8_acc_delta_max);
   std::fprintf(f, "  },\n");
   json.Finish();
 }
@@ -359,7 +244,7 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
                                                   {64, 2048, 512},
                                                   {256, 256, 256},
                                                   {16, 1024, 6}};
-  std::printf("QUANT BENCH 1/3: GEMM precision sweep (prepacked = weight "
+  std::printf("QUANT BENCH 1/2: GEMM precision sweep (prepacked = weight "
               "operand packed once, the serving path)\n");
   PrintRule();
   std::printf("%-18s %-10s %-10s %-10s %-8s\n", "m x k x n", "f32(ns)",
@@ -400,81 +285,73 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
   tc.lr = 2e-3f;
   tc.seed = 71;
 
-  struct Entry {
-    std::string name;
-    std::unique_ptr<models::RasterClassifier> model;
-  };
-  std::vector<Entry> zoo;
-  {
-    models::RasterModelConfig mc;
-    mc.in_channels = 4;
-    mc.in_height = 28;
-    mc.in_width = 28;
-    mc.num_classes = 6;
-    mc.num_filtered_features = dataset.num_additional_features();
-    mc.base_filters = smoke ? 64 : 256;  // DeepSAT hidden = 4 * filters
-    mc.seed = 17;
-    zoo.push_back({"DeepSAT", std::make_unique<models::DeepSat>(mc)});
-    if (!smoke) {
-      models::RasterModelConfig cc = mc;
-      cc.base_filters = 16;
-      zoo.push_back({"SatCNN", std::make_unique<models::SatCnn>(cc)});
-    }
+  models::RasterModelConfig mc;
+  mc.in_channels = 4;
+  mc.in_height = 28;
+  mc.in_width = 28;
+  mc.num_classes = 6;
+  mc.num_filtered_features = dataset.num_additional_features();
+  mc.base_filters = smoke ? 64 : 256;  // DeepSAT hidden = 4 * filters
+  mc.seed = 17;
+  std::vector<std::pair<std::string, models::RasterModelConfig>> zoo = {
+      {"DeepSAT", mc}};
+  if (!smoke) {
+    mc.base_filters = 16;
+    zoo.push_back({"SatCNN", mc});
   }
+  const auto make = [](const std::string& name,
+                       const models::RasterModelConfig& config)
+      -> std::unique_ptr<models::RasterClassifier> {
+    if (name == "SatCNN") return std::make_unique<models::SatCnn>(config);
+    return std::make_unique<models::DeepSat>(config);
+  };
 
-  std::printf("QUANT BENCH 2/3: top-1 per precision on SAT-6 (n=%lld)\n",
+  std::printf("QUANT BENCH 2/2: top-1 per precision on SAT-6 (n=%lld)\n",
               static_cast<long long>(n_samples));
   PrintRule();
   std::printf("%-10s %-8s %-8s %-10s %-12s %-12s\n", "model", "f32", "int8",
               "int8ckpt", "f32_bytes", "int8_bytes");
   PrintRule();
   std::vector<ModelRow> model_rows;
-  for (auto& e : zoo) {
+  double int8_acc_delta_max = 0.0;
+  for (const auto& [name, config] : zoo) {
+    std::unique_ptr<models::RasterClassifier> model = make(name, config);
     models::ClassificationResult trained =
-        models::TrainClassifier(*e.model, train, val, test, tc);
-    Calibrate(*e.model, val, tc.batch_size);
+        models::TrainClassifier(*model, train, val, test, tc);
+    Calibrate(*model, val, tc.batch_size);
 
     ModelRow row;
-    row.model = e.name;
+    row.model = name;
     row.dataset = "SAT6";
     row.acc_f32 = trained.accuracy;
-    e.model->SetPrecision(nn::Precision::kInt8);
-    row.acc_int8 = EvalAccuracy(*e.model, test, tc.batch_size);
-    e.model->SetPrecision(nn::Precision::kF32);
+    model->SetPrecision(nn::Precision::kInt8);
+    row.acc_int8 = EvalAccuracy(*model, test, tc.batch_size);
+    model->SetPrecision(nn::Precision::kF32);
+    int8_acc_delta_max =
+        std::max(int8_acc_delta_max,
+                 static_cast<double>(std::abs(row.acc_int8 - row.acc_f32)));
 
-    const std::string f32_path = "quant_bench_" + e.name + "_f32.gtcp";
-    const std::string q_path = "quant_bench_" + e.name + "_int8.gtcp";
-    io::SaveStateDict(*e.model, f32_path);
-    io::SaveQuantizedStateDict(*e.model, q_path);
+    const std::string f32_path = "quant_bench_" + name + "_f32.gtcp";
+    const std::string q_path = "quant_bench_" + name + "_int8.gtcp";
+    io::SaveStateDict(*model, f32_path);
+    io::SaveQuantizedStateDict(*model, q_path);
     row.ckpt_f32_bytes = FileBytes(f32_path);
     row.ckpt_int8_bytes = FileBytes(q_path);
     // Round-trip: load the quantized checkpoint into a fresh model and
     // measure top-1 with the dequantized weights — the accuracy a
     // deployment restarting from the small checkpoint actually sees.
-    {
-      models::RasterModelConfig mc;
-      mc.in_channels = 4;
-      mc.in_height = 28;
-      mc.in_width = 28;
-      mc.num_classes = 6;
-      mc.num_filtered_features = dataset.num_additional_features();
-      mc.base_filters =
-          e.name == "SatCNN" ? 16 : (smoke ? int64_t{64} : int64_t{256});
-      mc.seed = 999;
-      std::unique_ptr<models::RasterClassifier> fresh;
-      if (e.name == "SatCNN") {
-        fresh = std::make_unique<models::SatCnn>(mc);
-      } else {
-        fresh = std::make_unique<models::DeepSat>(mc);
-      }
-      const Status st = io::LoadStateDict(*fresh, q_path);
-      if (!st.ok()) {
-        std::printf("WARNING: quantized load failed: %s\n",
-                    st.message().c_str());
-      } else {
-        row.acc_int8_ckpt = EvalAccuracy(*fresh, test, tc.batch_size);
-      }
+    models::RasterModelConfig fresh_config = config;
+    fresh_config.seed = 999;
+    std::unique_ptr<models::RasterClassifier> fresh = make(name, fresh_config);
+    const Status st = io::LoadStateDict(*fresh, q_path);
+    if (!st.ok()) {
+      std::printf("WARNING: quantized load failed: %s\n",
+                  st.message().c_str());
+    } else {
+      row.acc_int8_ckpt = EvalAccuracy(*fresh, test, tc.batch_size);
     }
+    std::remove(f32_path.c_str());
+    std::remove(q_path.c_str());
     std::printf("%-10s %-8.4f %-8.4f %-10.4f %-12lld %-12lld\n",
                 row.model.c_str(), row.acc_f32, row.acc_int8,
                 row.acc_int8_ckpt, static_cast<long long>(row.ckpt_f32_bytes),
@@ -482,79 +359,11 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
     model_rows.push_back(row);
   }
   PrintRule();
-
-  // --- 3. end-to-end serving throughput per precision ----------------
-  const int requests_per_client = smoke ? 24 : 160;
-  const int reps = smoke ? 1 : 3;
-  const std::vector<std::pair<int, int>> serve_configs =
-      smoke ? std::vector<std::pair<int, int>>{{1, 16}}
-            : std::vector<std::pair<int, int>>{{1, 16}, {8, 16}};
-  std::vector<data::Sample> samples;
-  for (int64_t i = 0; i < std::min<int64_t>(dataset.Size(), 64); ++i) {
-    samples.push_back(dataset.Get(i));
-  }
-
-  std::printf("QUANT BENCH 3/3: engine throughput per precision "
-              "(%d req/client)\n",
-              requests_per_client);
-  PrintRule();
-  std::printf("%-10s %-10s %-8s %-10s %-12s %-9s %-10s\n", "model",
-              "precision", "clients", "max_batch", "rps", "p50(us)",
-              "mean_batch");
-  PrintRule();
-  std::vector<ServeRow> serve_rows;
-  for (auto& e : zoo) {
-    for (const auto& [clients, max_batch] : serve_configs) {
-      for (nn::Precision p : {nn::Precision::kF32, nn::Precision::kInt8}) {
-        ServeRow row = ServeBest(e.name, *e.model, p, samples, clients,
-                                 max_batch, requests_per_client, reps);
-        std::printf("%-10s %-10s %-8d %-10d %-12.1f %-9lld %-10.2f\n",
-                    row.model.c_str(), row.precision.c_str(), row.clients,
-                    row.max_batch, row.rps,
-                    static_cast<long long>(row.p50_us), row.mean_batch);
-        serve_rows.push_back(row);
-      }
-    }
-    e.model->SetPrecision(nn::Precision::kF32);
-  }
-  PrintRule();
-
-  // Headline: the config (model, clients, max_batch) whose int8 row
-  // gains the most over its f32 row.
-  std::string headline_model;
-  int headline_clients = 0, headline_batch = 0;
-  double int8_speedup = 0.0;
-  for (const ServeRow& r : serve_rows) {
-    if (r.precision != "int8") continue;
-    for (const ServeRow& base : serve_rows) {
-      if (base.precision != "f32" || base.model != r.model ||
-          base.clients != r.clients || base.max_batch != r.max_batch ||
-          base.rps <= 0) {
-        continue;
-      }
-      const double s = r.rps / base.rps;
-      if (s <= int8_speedup) continue;
-      int8_speedup = s;
-      headline_model = r.model;
-      headline_clients = r.clients;
-      headline_batch = r.max_batch;
-    }
-  }
-  double int8_acc_delta = 0.0;
-  for (const ModelRow& m : model_rows) {
-    if (m.model == headline_model) {
-      int8_acc_delta = std::abs(m.acc_int8 - m.acc_f32);
-    }
-  }
-  std::printf("serving %s (clients=%d, max_batch=%d): int8 %.2fx vs f32; "
-              "top-1 delta int8 %.2f%%\n",
-              headline_model.c_str(), headline_clients, headline_batch,
-              int8_speedup, 100.0 * int8_acc_delta);
+  std::printf("worst top-1 delta int8 vs f32: %.2f%%\n",
+              100.0 * int8_acc_delta_max);
 
   if (!json_path.empty()) {
-    WriteJson(json_path, gemms, model_rows, serve_rows, headline_model,
-              headline_clients, headline_batch, int8_speedup,
-              int8_acc_delta);
+    WriteJson(json_path, gemms, model_rows, int8_acc_delta_max);
   }
   if (!args.trace_json.empty()) {
     geotorch::obs::WriteJsonFile(args.trace_json);

@@ -1,16 +1,28 @@
-// Serving-engine throughput/latency sweep: client concurrency x
-// max_batch over Table-VII grid models. Closed-loop clients submit
-// single samples back-to-back; the engine coalesces them into dynamic
-// micro-batches, so the sweep quantifies what batching buys over
-// batch-size-1 serving (per-forward overhead amortization plus larger
-// GEMMs — on a single-hardware-thread host the win is all
-// amortization). Writes a machine-readable report with --json=PATH
-// (the committed BENCH_serve.json); --smoke shrinks the sweep for CI.
+// Serving bench: every closed-loop serving measurement of the repo,
+// driven through serve::Fleet (the path geobench `serve` and the
+// stream pipeline use) by one client driver. Four row families, each
+// an axis of that driver:
+//
+//   batching   grid models x clients x max_batch at one replica, plus
+//              an int8 row: what dynamic batching buys over batch-1
+//              serving (per-forward overhead amortization plus larger
+//              GEMMs);
+//   precision  SAT-6 classifiers (DeepSAT, SatCNN) at f32 and int8,
+//              calibrated so int8 runs on static activation scales;
+//   replicas   two grid models in one fleet, replicas x clients: the
+//              router's cost and benefit;
+//   reload     one model under load while the main thread hot-swaps
+//              its checkpoint (Fleet::Reload).
+//
+// Exits 1 when any submit, AddModel or Reload fails — a reload that
+// drops a request fails the run. Flags: --json=PATH (the committed
+// BENCH_serve.json), --smoke shrinks every sweep for CI.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,13 +30,16 @@
 
 #include "bench/bench_util.h"
 #include "core/stopwatch.h"
+#include "data/dataloader.h"
 #include "data/dataset.h"
 #include "datasets/benchmarks.h"
+#include "io/checkpoint.h"
 #include "models/grid_models.h"
+#include "models/raster_models.h"
 #include "nn/precision.h"
 #include "obs/obs.h"
 #include "serve/adapters.h"
-#include "serve/engine.h"
+#include "serve/fleet.h"
 #include "tensor/device.h"
 
 namespace geotorch::bench {
@@ -32,109 +47,309 @@ namespace {
 
 namespace data = ::geotorch::data;
 namespace datasets = ::geotorch::datasets;
+namespace io = ::geotorch::io;
 namespace models = ::geotorch::models;
+namespace nn = ::geotorch::nn;
 namespace serve = ::geotorch::serve;
 namespace ts = ::geotorch::tensor;
 
+// Failed submits, AddModel and Reload calls of the whole run; main
+// exits 1 when it is non-zero.
+int64_t g_failures = 0;
+
+void Fail(const std::string& what, const std::string& why) {
+  std::printf("FAIL: %s: %s\n", what.c_str(), why.c_str());
+  ++g_failures;
+}
+
+// One model as the fleet serves it: a replica factory per precision,
+// the per-request input shapes, and the samples clients cycle through.
+struct ServedModel {
+  std::string name;
+  std::function<serve::SnapshotFactory(nn::Precision)> factory;
+  serve::SampleSpec spec;
+  std::vector<data::Sample> samples;
+  models::GridModelConfig config;  // grid models only: reload checkpoint shapes
+};
+
+void SetSamples(ServedModel& m, const data::Dataset& ds) {
+  for (int64_t i = 0; i < std::min<int64_t>(ds.Size(), 64); ++i) {
+    m.samples.push_back(ds.Get(i));
+  }
+  m.spec.x = m.samples[0].x.shape();
+  for (const auto& e : m.samples[0].extras) m.spec.extras.push_back(e.shape());
+}
+
+// A Temperature grid predictor. Grid size moves the compute/dispatch
+// balance batching lives on: small grids spend much of each forward on
+// per-dispatch setup a batch amortizes, 16x16 grids are GEMM-bound.
+// Replicas are hot-reloadable (state dict + panel re-derivation).
+ServedModel TemperatureGrid(const std::string& kind, int64_t grid,
+                            int64_t hidden) {
+  datasets::GridDataset ds =
+      datasets::MakeTemperature(/*timesteps=*/240, grid, grid, /*seed=*/7);
+  ds.MinMaxNormalize();
+  ServedModel m;
+  m.name = kind + "-" + std::to_string(grid) + "x" + std::to_string(grid);
+  m.config.channels = ds.channels();
+  m.config.height = ds.height();
+  m.config.width = ds.width();
+  m.config.len_closeness = 3;
+  m.config.len_period = 2;
+  m.config.len_trend = 1;
+  m.config.hidden = hidden;
+  m.config.seed = 42;
+  ds.SetPeriodicalRepresentation(m.config.len_closeness, m.config.len_period,
+                                 m.config.len_trend);
+  SetSamples(m, ds);
+  m.factory = [kind, config = m.config](nn::Precision precision) {
+    return serve::SnapshotFactory([kind, config, precision] {
+      std::shared_ptr<models::GridModel> model;
+      if (kind == "StResNet") {
+        model = std::make_shared<models::StResNet>(config);
+      } else {
+        model = std::make_shared<models::PeriodicalCnn>(config);
+      }
+      serve::ModelSnapshot snap;
+      snap.owner = model;
+      snap.forward = serve::GridForward(*model, precision);
+      snap.load = [model](const std::string& path) {
+        Status st = io::LoadStateDict(*model, path);
+        if (st.ok()) model->SetPrecision(model->precision());
+        return st;
+      };
+      return snap;
+    });
+  };
+  return m;
+}
+
+// A SAT-6 classifier with seeded weights (throughput does not depend on
+// their values). Each replica is calibrated on `calib` before it
+// serves, so its int8 forward uses static activation scales.
+ServedModel Sat6Classifier(
+    const std::string& name, const models::RasterModelConfig& config,
+    const data::Dataset& ds,
+    std::shared_ptr<const std::vector<data::Batch>> calib) {
+  ServedModel m;
+  m.name = name;
+  SetSamples(m, ds);
+  m.factory = [name, config, calib](nn::Precision precision) {
+    return serve::SnapshotFactory([name, config, calib, precision] {
+      std::shared_ptr<models::RasterClassifier> model;
+      if (name == "SatCNN") {
+        model = std::make_shared<models::SatCnn>(config);
+      } else {
+        model = std::make_shared<models::DeepSat>(config);
+      }
+      serve::ModelSnapshot snap;
+      snap.owner = model;
+      snap.forward = serve::ClassifierForward(*model, precision);
+      // Calibrating forwards run f32 and record each layer's input
+      // absmax.
+      model->SetCalibrating(true);
+      for (const data::Batch& batch : *calib) snap.forward(batch);
+      model->SetCalibrating(false);
+      return snap;
+    });
+  };
+  return m;
+}
+
+// The fleet-wide knobs of one run.
+struct FleetShape {
+  int replicas = 1;
+  int max_batch = 8;
+  nn::Precision precision = nn::Precision::kF32;
+};
+
+// `clients` closed-loop threads submitting to `model`.
+struct Load {
+  const ServedModel* model;
+  int clients;
+};
+
 struct Record {
+  std::string family;
   std::string model;
-  std::string precision = "f32";
+  std::string precision;
+  int replicas = 0;
   int max_batch = 0;
   int clients = 0;
   int64_t requests = 0;
+  int64_t failed = 0;
   double seconds = 0.0;
   double throughput_rps = 0.0;
   int64_t p50_us = 0;
   int64_t p99_us = 0;
   double mean_batch = 0.0;
   int64_t batches = 0;
+  double reload_ms = 0.0;  // reload rows only
+  int64_t requests_during_reload = 0;
 };
 
-Record RunOnce(const std::string& model_name, models::GridModel& model,
-               const std::vector<data::Sample>& samples, int max_batch,
-               int clients, int requests_per_client,
-               nn::Precision precision = nn::Precision::kF32) {
-  serve::EngineOptions opts;
-  opts.max_batch = max_batch;
-  opts.max_delay_us = 200;
-  opts.max_queue = 1024;
-  opts.warmup_batches = 2;
-  opts.precision = precision;
-  serve::SampleSpec spec;
-  spec.x = samples[0].x.shape();
-  for (const auto& e : samples[0].extras) spec.extras.push_back(e.shape());
-  serve::Engine engine(serve::GridForward(model, opts.precision), spec, opts);
+// Runs on the calling thread while the clients submit; gets the fleet
+// and the running count of finished submits.
+using During = std::function<void(serve::Fleet&, const std::atomic<int64_t>&)>;
 
-  std::vector<std::vector<int64_t>> latencies(clients);
-  std::atomic<int64_t> errors{0};
-  Stopwatch timer;
+// The client driver. One fleet serves every load's model; all loads'
+// clients run at once, each submitting `requests_per_client` samples
+// back to back. With `during` set, the driver waits for traffic to
+// flow, runs it, and the clients keep submitting until it returns.
+// Returns one record per load, its throughput timed from the common
+// start to that model's last response.
+std::vector<Record> Drive(const std::vector<Load>& loads,
+                          const FleetShape& shape, int requests_per_client,
+                          const During& during = nullptr) {
+  serve::FleetOptions opts;
+  opts.replicas = shape.replicas;
+  opts.tenant_qps = 0;  // measure the router, not admission control
+  opts.engine.max_batch = shape.max_batch;
+  opts.engine.max_delay_us = 200;
+  opts.engine.max_queue = 1024;
+  opts.engine.warmup_batches = 2;
+  opts.engine.precision = shape.precision;
+  serve::Fleet fleet(opts);
+
+  std::vector<Record> records(loads.size());
+  for (size_t li = 0; li < loads.size(); ++li) {
+    const ServedModel& m = *loads[li].model;
+    Record& rec = records[li];
+    rec.model = m.name;
+    rec.precision = nn::PrecisionName(shape.precision);
+    rec.replicas = shape.replicas;
+    rec.max_batch = shape.max_batch;
+    rec.clients = loads[li].clients;
+    const Status st = fleet.AddModel(m.name, m.factory(shape.precision),
+                                     m.spec);
+    if (!st.ok()) {
+      Fail("AddModel " + m.name, st.message());
+      return records;
+    }
+  }
+
+  struct Client {
+    size_t load = 0;
+    int index = 0;  // within its load
+    std::vector<int64_t> latency_us;
+    int64_t failed = 0;
+    int64_t done_ns = 0;
+  };
+  std::vector<Client> clients;
+  for (size_t li = 0; li < loads.size(); ++li) {
+    for (int c = 0; c < loads[li].clients; ++c) {
+      clients.push_back({li, c, {}, 0, 0});
+    }
+  }
+  std::atomic<bool> busy{static_cast<bool>(during)};
+  std::atomic<int64_t> finished{0};
+  const int64_t start_ns = obs::NowNs();
   std::vector<std::thread> threads;
-  threads.reserve(clients);
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      latencies[c].reserve(requests_per_client);
-      for (int i = 0; i < requests_per_client; ++i) {
+  threads.reserve(clients.size());
+  for (size_t ci = 0; ci < clients.size(); ++ci) {
+    threads.emplace_back([&, ci] {
+      Client& cl = clients[ci];
+      const ServedModel& m = *loads[cl.load].model;
+      cl.latency_us.reserve(requests_per_client);
+      for (int i = 0;
+           i < requests_per_client || busy.load(std::memory_order_relaxed);
+           ++i) {
         const data::Sample& s =
-            samples[(c * requests_per_client + i) % samples.size()];
+            m.samples[(cl.index * requests_per_client + i) % m.samples.size()];
         const int64_t t0 = obs::NowNs();
-        auto r = engine.Submit(s);
-        if (!r.ok()) {
-          errors.fetch_add(1);
-          continue;
+        if (fleet.Submit(m.name, "bench", s).ok()) {
+          cl.latency_us.push_back((obs::NowNs() - t0) / 1000);
+        } else {
+          ++cl.failed;
         }
-        latencies[c].push_back((obs::NowNs() - t0) / 1000);
+        finished.fetch_add(1, std::memory_order_relaxed);
       }
+      cl.done_ns = obs::NowNs();
     });
   }
-  for (auto& t : threads) t.join();
-  const double seconds = timer.ElapsedSeconds();
-  engine.Shutdown();
-
-  Record rec;
-  rec.model = model_name;
-  rec.precision = nn::PrecisionName(precision);
-  rec.max_batch = max_batch;
-  rec.clients = clients;
-  rec.requests = static_cast<int64_t>(clients) * requests_per_client -
-                 errors.load();
-  rec.seconds = seconds;
-  rec.throughput_rps = rec.requests / std::max(seconds, 1e-9);
-  std::vector<int64_t> all;
-  for (auto& l : latencies) all.insert(all.end(), l.begin(), l.end());
-  std::sort(all.begin(), all.end());
-  rec.p50_us = Percentile(all, 0.50);
-  rec.p99_us = Percentile(all, 0.99);
-  const serve::EngineStats stats = engine.stats();
-  rec.batches = stats.batches;
-  rec.mean_batch =
-      stats.batches > 0
-          ? static_cast<double>(stats.requests) / stats.batches
-          : 0.0;
-  if (errors.load() > 0) {
-    std::printf("WARNING: %lld submits failed\n",
-                static_cast<long long>(errors.load()));
+  if (during) {
+    while (finished.load() < 16) std::this_thread::yield();
+    during(fleet, finished);
+    busy.store(false);
   }
-  return rec;
+  for (auto& t : threads) t.join();
+  fleet.Shutdown();
+
+  for (size_t li = 0; li < loads.size(); ++li) {
+    Record& rec = records[li];
+    std::vector<int64_t> all;
+    int64_t last_ns = start_ns;
+    for (const Client& cl : clients) {
+      if (cl.load != li) continue;
+      all.insert(all.end(), cl.latency_us.begin(), cl.latency_us.end());
+      rec.failed += cl.failed;
+      last_ns = std::max(last_ns, cl.done_ns);
+    }
+    rec.requests = static_cast<int64_t>(all.size());
+    rec.seconds = static_cast<double>(last_ns - start_ns) * 1e-9;
+    rec.throughput_rps = rec.requests / std::max(rec.seconds, 1e-9);
+    std::sort(all.begin(), all.end());
+    rec.p50_us = Percentile(all, 0.50);
+    rec.p99_us = Percentile(all, 0.99);
+    int64_t accepted = 0;
+    for (const serve::EngineStats& s : fleet.ReplicaStats(rec.model)) {
+      accepted += s.requests;
+      rec.batches += s.batches;
+    }
+    rec.mean_batch = rec.batches > 0
+                         ? static_cast<double>(accepted) / rec.batches
+                         : 0.0;
+    if (rec.failed > 0) {
+      Fail(rec.model, std::to_string(rec.failed) + " submits failed");
+    }
+  }
+  return records;
 }
 
-// Single-hardware-thread hosts jitter by ~10% run to run, which is the
-// same order as the effect being measured; take the best of `reps`
-// runs so each configuration is judged at its achievable throughput.
-Record RunOne(const std::string& model_name, models::GridModel& model,
-              const std::vector<data::Sample>& samples, int max_batch,
-              int clients, int requests_per_client, int reps) {
-  Record best;
+// Hosts jitter by ~10% run to run, the order of the effects measured;
+// keep the run of `reps` with the highest total throughput.
+std::vector<Record> DriveBest(int reps, const std::vector<Load>& loads,
+                              const FleetShape& shape,
+                              int requests_per_client) {
+  std::vector<Record> best;
+  double best_rps = -1.0;
   for (int r = 0; r < reps; ++r) {
-    Record rec = RunOnce(model_name, model, samples, max_batch, clients,
-                         requests_per_client);
-    if (r == 0 || rec.throughput_rps > best.throughput_rps) best = rec;
+    std::vector<Record> run = Drive(loads, shape, requests_per_client);
+    double rps = 0.0;
+    for (const Record& rec : run) rps += rec.throughput_rps;
+    if (rps > best_rps) {
+      best_rps = rps;
+      best = std::move(run);
+    }
   }
   return best;
 }
 
+void PrintRecord(const Record& r) {
+  std::printf("%-10s %-20s %-5s %-5d %-6d %-8d %-10.1f %-8lld %-8lld %-6.2f\n",
+              r.family.c_str(), r.model.c_str(), r.precision.c_str(),
+              r.replicas, r.max_batch, r.clients, r.throughput_rps,
+              static_cast<long long>(r.p50_us),
+              static_cast<long long>(r.p99_us), r.mean_batch);
+}
+
+// The largest throughput ratio of a row over its baseline row seen so
+// far: the batching and int8 headlines.
+struct Headline {
+  Record row;
+  double speedup = 0.0;
+
+  void Offer(const Record& r, double base_rps) {
+    if (base_rps > 0 && r.throughput_rps / base_rps > speedup) {
+      row = r;
+      speedup = r.throughput_rps / base_rps;
+    }
+  }
+};
+
 void WriteJson(const std::string& path, const std::vector<Record>& records,
-               const std::string& speedup_model, double batching_speedup,
-               int speedup_clients, int speedup_batch) {
+               const std::vector<Record>& reloads, const Headline& batching,
+               const Headline& int8) {
   BenchJsonWriter json(path, "serve_bench");
   if (!json.ok()) return;
   std::FILE* f = json.stream();
@@ -143,30 +358,47 @@ void WriteJson(const std::string& path, const std::vector<Record>& records,
     const Record& r = records[i];
     std::fprintf(
         f,
-        "    {\"model\": \"%s\", \"precision\": \"%s\", \"max_batch\": %d, "
-        "\"clients\": %d, "
+        "    {\"family\": \"%s\", \"model\": \"%s\", \"precision\": \"%s\", "
+        "\"replicas\": %d, \"max_batch\": %d, \"clients\": %d, "
         "\"requests\": %lld, \"seconds\": %.6f, \"throughput_rps\": %.1f, "
         "\"p50_us\": %lld, \"p99_us\": %lld, \"mean_batch\": %.2f, "
         "\"batches\": %lld}%s\n",
-        r.model.c_str(), r.precision.c_str(), r.max_batch, r.clients,
-        static_cast<long long>(r.requests), r.seconds, r.throughput_rps,
-        static_cast<long long>(r.p50_us), static_cast<long long>(r.p99_us),
-        r.mean_batch, static_cast<long long>(r.batches),
-        i + 1 < records.size() ? "," : "");
+        r.family.c_str(), r.model.c_str(), r.precision.c_str(), r.replicas,
+        r.max_batch, r.clients, static_cast<long long>(r.requests), r.seconds,
+        r.throughput_rps, static_cast<long long>(r.p50_us),
+        static_cast<long long>(r.p99_us), r.mean_batch,
+        static_cast<long long>(r.batches), i + 1 < records.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"reload_under_load\": [\n");
+  for (size_t i = 0; i < reloads.size(); ++i) {
+    const Record& r = reloads[i];
+    std::fprintf(f,
+                 "    {\"model\": \"%s\", \"replicas\": %d, \"clients\": %d, "
+                 "\"reload_ms\": %.3f, \"requests_during_reload\": %lld, "
+                 "\"dropped\": %lld}%s\n",
+                 r.model.c_str(), r.replicas, r.clients, r.reload_ms,
+                 static_cast<long long>(r.requests_during_reload),
+                 static_cast<long long>(r.failed),
+                 i + 1 < reloads.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"summary\": {\n");
-  std::fprintf(f, "    \"speedup_model\": \"%s\",\n",
-               speedup_model.c_str());
-  std::fprintf(f, "    \"speedup_clients\": %d,\n", speedup_clients);
-  std::fprintf(f, "    \"speedup_max_batch\": %d,\n", speedup_batch);
-  std::fprintf(f, "    \"batching_speedup_vs_batch1\": %.3f\n",
-               batching_speedup);
+  for (const auto& [prefix, h] :
+       {std::pair{"speedup", batching}, std::pair{"int8", int8}}) {
+    if (h.speedup == 0.0) continue;
+    std::fprintf(f,
+                 "    \"%s_model\": \"%s\",\n    \"%s_clients\": %d,\n"
+                 "    \"%s_max_batch\": %d,\n",
+                 prefix, h.row.model.c_str(), prefix, h.row.clients, prefix,
+                 h.row.max_batch);
+  }
+  std::fprintf(f, "    \"batching_speedup_vs_batch1\": %.3f,\n",
+               batching.speedup);
+  std::fprintf(f, "    \"int8_serving_speedup_vs_f32\": %.3f\n", int8.speedup);
   std::fprintf(f, "  },\n");
   json.Finish();
 }
 
-void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
-  (void)args;
+int Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
   // Batching wins must come from the engine, not from thread-level
   // parallelism inside one forward, so pin the parallel backend and
   // report hardware_threads in the JSON for context.
@@ -174,143 +406,185 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
 
   const int requests_per_client = smoke ? 24 : 160;
   const int reps = smoke ? 1 : 3;
-  const std::vector<int> batch_sizes =
-      smoke ? std::vector<int>{1, 8} : std::vector<int>{1, 8, 16};
-  const std::vector<int> client_counts =
-      smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8, 16};
 
-  // Each zoo entry owns its dataset and samples: grid size changes the
-  // compute/dispatch balance, which is the axis batching lives on.
-  // Small grids spend a large fraction of each forward on per-dispatch
-  // graph setup that a batch amortizes; large grids are GEMM-bound
-  // with near-linear batch scaling, so they bound the worst case.
-  struct ZooEntry {
-    std::string name;
-    std::unique_ptr<models::GridModel> model;
-    std::vector<data::Sample> samples;
-  };
-  std::vector<ZooEntry> zoo;
-  auto add_entry = [&zoo](const char* kind, int64_t grid, int64_t hidden) {
-    datasets::GridDataset ds = datasets::MakeTemperature(
-        /*timesteps=*/240, grid, grid, /*seed=*/7);
-    ds.MinMaxNormalize();
-    models::GridModelConfig mc;
-    mc.channels = ds.channels();
-    mc.height = ds.height();
-    mc.width = ds.width();
-    mc.len_closeness = 3;
-    mc.len_period = 2;
-    mc.len_trend = 1;
-    mc.hidden = hidden;
-    mc.seed = 42;
-    ds.SetPeriodicalRepresentation(mc.len_closeness, mc.len_period,
-                                   mc.len_trend);
-    ZooEntry entry;
-    entry.name = std::string(kind) + "-" + std::to_string(grid) + "x" +
-                 std::to_string(grid);
-    if (std::strcmp(kind, "StResNet") == 0) {
-      entry.model = std::make_unique<models::StResNet>(mc);
-    } else {
-      entry.model = std::make_unique<models::PeriodicalCnn>(mc);
-    }
-    for (int64_t i = 0; i < std::min<int64_t>(ds.Size(), 64); ++i) {
-      entry.samples.push_back(ds.Get(i));
-    }
-    zoo.push_back(std::move(entry));
-  };
-  add_entry("PeriodicalCnn", smoke ? 8 : 8, 8);
+  std::vector<ServedModel> grids;
+  grids.push_back(TemperatureGrid("PeriodicalCnn", 8, 8));
+  grids.push_back(TemperatureGrid("PeriodicalCnn", 16, 16));
+  if (!smoke) grids.push_back(TemperatureGrid("StResNet", 16, 16));
+
+  // DeepSAT is the pure-MLP classifier: every FLOP of its forward is a
+  // Linear GEMM, so it shows what int8 buys when the kernel dominates.
+  // SatCNN is the conv-heavy counterpoint.
+  datasets::RasterDatasetOptions dopts;
+  dopts.include_additional_features = true;  // DeepSAT needs features
+  const datasets::RasterClassificationDataset sat6 =
+      datasets::MakeSat6(smoke ? 180 : 600, dopts, /*seed=*/3);
+  const data::SubsetDataset calib_set(
+      &sat6, data::ChronologicalSplit(sat6.Size()).val);
+  auto calib = std::make_shared<std::vector<data::Batch>>();
+  {
+    data::DataLoader loader(&calib_set, /*batch_size=*/16, /*shuffle=*/false);
+    data::Batch batch;
+    while (loader.Next(&batch)) calib->push_back(batch);
+  }
+  models::RasterModelConfig mc;
+  mc.in_channels = 4;
+  mc.in_height = 28;
+  mc.in_width = 28;
+  mc.num_classes = 6;
+  mc.num_filtered_features = sat6.num_additional_features();
+  mc.base_filters = smoke ? 64 : 256;  // DeepSAT hidden = 4 * filters
+  mc.seed = 17;
+  std::vector<ServedModel> classifiers;
+  classifiers.push_back(Sat6Classifier("DeepSAT", mc, sat6, calib));
   if (!smoke) {
-    add_entry("PeriodicalCnn", 16, 16);
-    add_entry("StResNet", 16, 16);
+    mc.base_filters = 16;
+    classifiers.push_back(Sat6Classifier("SatCNN", mc, sat6, calib));
   }
 
-  std::printf("SERVE BENCH: dynamic batching sweep (%d req/client)\n",
+  std::printf("SERVE BENCH: closed-loop clients through serve::Fleet "
+              "(%d req/client)\n",
               requests_per_client);
-  PrintRule();
-  std::printf("%-14s %-10s %-8s %-12s %-9s %-9s %-10s\n", "model",
-              "max_batch", "clients", "rps", "p50(us)", "p99(us)",
-              "mean_batch");
-  PrintRule();
-
+  PrintRule(92);
+  std::printf("%-10s %-20s %-5s %-5s %-6s %-8s %-10s %-8s %-8s %-6s\n",
+              "family", "model", "prec", "repl", "batch", "clients", "rps",
+              "p50(us)", "p99(us)", "mean_b");
+  PrintRule(92);
   std::vector<Record> records;
-  for (auto& m : zoo) {
-    for (int clients : client_counts) {
-      for (int max_batch : batch_sizes) {
-        Record rec = RunOne(m.name, *m.model, m.samples, max_batch, clients,
-                            requests_per_client, reps);
-        std::printf("%-14s %-10d %-8d %-12.1f %-9lld %-9lld %-10.2f\n",
-                    rec.model.c_str(), rec.max_batch, rec.clients,
-                    rec.throughput_rps, static_cast<long long>(rec.p50_us),
-                    static_cast<long long>(rec.p99_us), rec.mean_batch);
-        records.push_back(rec);
-      }
+  // Appends and prints a run's rows; returns the first.
+  auto add = [&records](const char* family, std::vector<Record> rows) {
+    for (Record& r : rows) {
+      r.family = family;
+      PrintRecord(r);
+      records.push_back(r);
     }
-  }
-  PrintRule();
+    return rows.front();
+  };
+  const nn::Precision kF32 = nn::Precision::kF32;
+  const nn::Precision kInt8 = nn::Precision::kInt8;
 
-  // The int8 row over the first zoo model (the f32 row above is the
-  // baseline; this serves the same model through the adapters'
-  // precision path — GEOTORCH_SERVE_PRECISION in production). Grid
-  // models are conv-heavy, so the weight operand rides the GEMM's A
-  // side and cannot be pre-packed: int8 wins on compute alone;
-  // quant_bench has the classifier story.
-  std::printf("int8 (model=%s, clients=4, max_batch=8)\n",
-              zoo.front().name.c_str());
-  Record int8_rec;
-  for (int r = 0; r < reps; ++r) {
-    Record one = RunOnce(zoo.front().name, *zoo.front().model,
-                         zoo.front().samples, /*max_batch=*/8,
-                         /*clients=*/4, requests_per_client,
-                         nn::Precision::kInt8);
-    if (r == 0 || one.throughput_rps > int8_rec.throughput_rps) int8_rec = one;
-  }
-  std::printf("%-14s %-10d %-8d %-12.1f %-9lld %-9lld %-10.2f  [%s]\n",
-              int8_rec.model.c_str(), int8_rec.max_batch, int8_rec.clients,
-              int8_rec.throughput_rps, static_cast<long long>(int8_rec.p50_us),
-              static_cast<long long>(int8_rec.p99_us), int8_rec.mean_batch,
-              int8_rec.precision.c_str());
-  records.push_back(int8_rec);
-  zoo.front().model->SetPrecision(nn::Precision::kF32);
-  PrintRule();
-
-  // Acceptance headline: coalescing (max_batch >= 8) vs batch-size-1
-  // at >= 4 concurrent clients — best batched config over the
-  // batch-1 row with the same model and client count. On a host with
-  // no spare hardware threads the batched forward has no per-row
-  // compute advantage, so the win comes from amortizing per-request
-  // engine overhead across full batches: expect it where clients >=
+  // Batching headline: the best batched row at >= 4 clients over the
+  // batch-1 row of its model and clients. The win comes from amortizing
+  // per-request engine overhead, so expect it where clients >=
   // max_batch keeps batches full.
-  std::string speedup_model;
-  int speedup_clients = 0;
-  int speedup_batch = 0;
-  double speedup = 0.0;
-  for (const Record& r : records) {
-    if (r.clients < 4 || r.max_batch < 8 || r.precision != "f32") continue;
-    for (const Record& base : records) {
-      if (base.max_batch == 1 && base.precision == "f32" &&
-          base.clients == r.clients && base.model == r.model &&
-          base.throughput_rps > 0) {
-        const double s = r.throughput_rps / base.throughput_rps;
-        if (s > speedup) {
-          speedup = s;
-          speedup_model = r.model;
-          speedup_clients = r.clients;
-          speedup_batch = r.max_batch;
+  Headline batching;
+  for (const ServedModel& m : grids) {
+    for (int clients : smoke ? std::vector<int>{1, 4}
+                             : std::vector<int>{1, 2, 4, 8, 16}) {
+      double batch1_rps = 0.0;
+      for (int max_batch : smoke ? std::vector<int>{1, 8}
+                                 : std::vector<int>{1, 8, 16}) {
+        const Record r =
+            add("batching", DriveBest(reps, {{&m, clients}},
+                                      {1, max_batch, kF32},
+                                      requests_per_client));
+        if (max_batch == 1) {
+          batch1_rps = r.throughput_rps;
+        } else if (clients >= 4) {
+          batching.Offer(r, batch1_rps);
         }
       }
     }
   }
+  // Grid models are conv-heavy, so int8 weights ride the GEMM's A side
+  // and cannot be pre-packed: this row is int8's compute-only win.
+  add("batching", DriveBest(reps, {{&grids.front(), 4}}, {1, 8, kInt8},
+                            requests_per_client));
+
+  // int8 headline: the classifier configuration whose int8 row gains
+  // most over its f32 row.
+  Headline int8;
+  for (const ServedModel& m : classifiers) {
+    for (int clients : smoke ? std::vector<int>{1} : std::vector<int>{1, 8}) {
+      double f32_rps = 0.0;
+      for (nn::Precision p : {kF32, kInt8}) {
+        const Record r = add("precision", DriveBest(reps, {{&m, clients}},
+                                                    {1, 16, p},
+                                                    requests_per_client));
+        if (p == kF32) {
+          f32_rps = r.throughput_rps;
+        } else {
+          int8.Offer(r, f32_rps);
+        }
+      }
+    }
+  }
+
+  // On a host without spare hardware threads extra replicas buy no
+  // forward parallelism, so these rows price the router itself.
+  const std::vector<int> replica_counts =
+      smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4};
+  for (int replicas : replica_counts) {
+    for (int clients : smoke ? std::vector<int>{2}
+                             : std::vector<int>{2, 4, 8}) {
+      add("replicas",
+          DriveBest(reps, {{&grids[0], clients}, {&grids[1], clients}},
+                    {replicas, 8, kF32}, requests_per_client));
+    }
+  }
+  PrintRule(92);
+
+  // Reload under load: reload_ms is the whole copy-on-swap cycle
+  // (shadow load per replica, swap, drain), requests_during_reload the
+  // submits that finished while it ran.
+  const ServedModel& reloaded = grids.front();
+  const std::string ckpt_path = "serve_bench_reload.gtcp";
+  {
+    const models::PeriodicalCnn donor(reloaded.config);
+    const Status st = io::SaveStateDict(donor, ckpt_path);
+    if (!st.ok()) Fail("SaveStateDict " + ckpt_path, st.message());
+  }
+  std::printf("hot reload under load (model=%s)\n", reloaded.name.c_str());
+  std::printf("%-9s %-8s %-12s %-16s %-8s\n", "replicas", "clients",
+              "reload(ms)", "served during", "dropped");
+  std::vector<Record> reloads;
+  for (int replicas : replica_counts) {
+    double reload_ms = 0.0;
+    int64_t during = 0;
+    std::vector<Record> run = Drive(
+        {{&reloaded, smoke ? 2 : 4}}, {replicas, 8, kF32},
+        requests_per_client,
+        [&](serve::Fleet& fleet, const std::atomic<int64_t>& finished) {
+          const int64_t before = finished.load();
+          Stopwatch timer;
+          const Status st = fleet.Reload(reloaded.name, ckpt_path);
+          reload_ms = timer.ElapsedSeconds() * 1000.0;
+          during = finished.load() - before;
+          if (!st.ok()) Fail("Reload " + reloaded.name, st.message());
+        });
+    Record& rec = run.front();
+    rec.family = "reload";
+    rec.reload_ms = reload_ms;
+    rec.requests_during_reload = during;
+    std::printf("%-9d %-8d %-12.3f %-16lld %-8lld\n", rec.replicas,
+                rec.clients, rec.reload_ms,
+                static_cast<long long>(rec.requests_during_reload),
+                static_cast<long long>(rec.failed));
+    reloads.push_back(rec);
+  }
+  std::remove(ckpt_path.c_str());
+  PrintRule(92);
+
   std::printf("dynamic batching (%s, max_batch=%d) vs batch 1 at %d "
               "clients: %.2fx\n",
-              speedup_model.c_str(), speedup_batch, speedup_clients, speedup);
+              batching.row.model.c_str(), batching.row.max_batch,
+              batching.row.clients, batching.speedup);
+  std::printf("int8 serving (%s, clients=%d, max_batch=%d) vs f32: %.2fx\n",
+              int8.row.model.c_str(), int8.row.clients, int8.row.max_batch,
+              int8.speedup);
 
   if (!json_path.empty()) {
-    WriteJson(json_path, records, speedup_model, speedup, speedup_clients,
-              speedup_batch);
+    WriteJson(json_path, records, reloads, batching, int8);
   }
   if (!args.trace_json.empty()) {
     geotorch::obs::WriteJsonFile(args.trace_json);
   }
+  if (g_failures > 0) {
+    std::printf("serve_bench: %lld failures\n",
+                static_cast<long long>(g_failures));
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace
@@ -327,6 +601,5 @@ int main(int argc, char** argv) {
       smoke = true;
     }
   }
-  geotorch::bench::Run(args, json_path, smoke);
-  return 0;
+  return geotorch::bench::Run(args, json_path, smoke);
 }
