@@ -17,13 +17,15 @@
 // with bounded peak resident bytes, and the RAM-only baseline given the
 // same budget OOMs (DESIGN.md §12). The CSV ingest row times ReadCsv,
 // the first stage of the geobench prep pass, serially and partitioned on
-// the pool. --json=PATH writes BENCH_df.json; --smoke shrinks the sweep
-// for CI.
+// the pool; the group-by row times the Fig-8 aggregation at the prep
+// pass's shape. --json=PATH writes BENCH_df.json; --smoke shrinks the
+// sweep for CI.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -35,6 +37,7 @@
 #include "df/csv.h"
 #include "df/dataframe.h"
 #include "df/partition_store.h"
+#include "obs/obs.h"
 #include "prep/st_manager.h"
 #include "synth/taxi.h"
 #include "tensor/ops.h"
@@ -50,39 +53,45 @@ struct RunOutcome {
   bool oom = false;
 };
 
+// The Fig-8 feature channels: a point per record, then pickup and
+// dropoff indicators. The input frame is not retained, as in Spark
+// (narrow dependencies are dropped once consumed).
+df::DataFrame Fig8Channels(df::DataFrame raw) {
+  df::DataFrame with_points =
+      prep::STManager::AddSpatialPoints(raw, "lat", "lon", "point");
+  raw = df::DataFrame();
+  const int pickup_idx = with_points.schema().FieldIndex("is_pickup");
+  return with_points
+      .WithColumn("pu", df::DataType::kDouble,
+                  [pickup_idx](const df::RowView& row) -> df::Value {
+                    return static_cast<double>(row.GetInt64(pickup_idx));
+                  })
+      .WithColumn("do", df::DataType::kDouble,
+                  [pickup_idx](const df::RowView& row) -> df::Value {
+                    return 1.0 - static_cast<double>(row.GetInt64(pickup_idx));
+                  });
+}
+
+// Pickups and dropoffs per (cell, 30-minute step).
+prep::StGridSpec Fig8Spec(int cells_x, int cells_y) {
+  prep::StGridSpec spec;
+  spec.partitions_x = cells_x;
+  spec.partitions_y = cells_y;
+  spec.step_duration_sec = 1800;
+  spec.aggs = {{df::AggKind::kSum, "pu", "pickups"},
+               {df::AggKind::kSum, "do", "dropoffs"}};
+  return spec;
+}
+
 RunOutcome RunGeoTorch(const std::vector<synth::TripRecord>& trips,
                        int num_partitions = 4) {
   MemoryTracker& tracker = MemoryTracker::Global();
   tracker.Reset();
   Stopwatch timer;
-  df::DataFrame raw = synth::TripsToDataFrame(trips, num_partitions);
-  df::DataFrame with_points =
-      prep::STManager::AddSpatialPoints(raw, "lat", "lon", "point");
-  const int pickup_idx = with_points.schema().FieldIndex("is_pickup");
   df::DataFrame channels =
-      with_points
-          .WithColumn("pu", df::DataType::kDouble,
-                      [pickup_idx](const df::RowView& row) -> df::Value {
-                        return static_cast<double>(row.GetInt64(pickup_idx));
-                      })
-          .WithColumn("do", df::DataType::kDouble,
-                      [pickup_idx](const df::RowView& row) -> df::Value {
-                        return 1.0 -
-                               static_cast<double>(row.GetInt64(pickup_idx));
-                      });
-  // Release the intermediates as Spark would (narrow dependencies are
-  // not retained): reassigning drops the earlier frames' partitions.
-  raw = df::DataFrame();
-  with_points = df::DataFrame();
-
-  prep::StGridSpec spec;
-  spec.partitions_x = 12;
-  spec.partitions_y = 16;
-  spec.step_duration_sec = 1800;
-  spec.aggs = {{df::AggKind::kSum, "pu", "pickups"},
-               {df::AggKind::kSum, "do", "dropoffs"}};
+      Fig8Channels(synth::TripsToDataFrame(trips, num_partitions));
   prep::StGridResult result =
-      prep::STManager::GetStGridDataFrame(channels, spec);
+      prep::STManager::GetStGridDataFrame(channels, Fig8Spec(12, 16));
   ts::Tensor tensor =
       prep::STManager::GetStGridTensor(result, {"pickups", "dropoffs"});
   RunOutcome outcome;
@@ -144,32 +153,10 @@ SpillOutcome RunOutOfCore(const std::vector<synth::TripRecord>& trips,
 
   {
     Stopwatch timer;
-    df::DataFrame raw = synth::TripsToDataFrame(trips, num_partitions);
-    df::DataFrame with_points =
-        prep::STManager::AddSpatialPoints(raw, "lat", "lon", "point");
-    const int pickup_idx = with_points.schema().FieldIndex("is_pickup");
     df::DataFrame channels =
-        with_points
-            .WithColumn("pu", df::DataType::kDouble,
-                        [pickup_idx](const df::RowView& row) -> df::Value {
-                          return static_cast<double>(row.GetInt64(pickup_idx));
-                        })
-            .WithColumn("do", df::DataType::kDouble,
-                        [pickup_idx](const df::RowView& row) -> df::Value {
-                          return 1.0 - static_cast<double>(
-                                           row.GetInt64(pickup_idx));
-                        });
-    raw = df::DataFrame();
-    with_points = df::DataFrame();
-
-    prep::StGridSpec spec;
-    spec.partitions_x = 12;
-    spec.partitions_y = 16;
-    spec.step_duration_sec = 1800;
-    spec.aggs = {{df::AggKind::kSum, "pu", "pickups"},
-                 {df::AggKind::kSum, "do", "dropoffs"}};
+        Fig8Channels(synth::TripsToDataFrame(trips, num_partitions));
     prep::StGridResult result =
-        prep::STManager::GetStGridDataFrame(channels, spec);
+        prep::STManager::GetStGridDataFrame(channels, Fig8Spec(12, 16));
     ts::Tensor tensor =
         prep::STManager::GetStGridTensor(result, {"pickups", "dropoffs"});
     out.seconds = timer.ElapsedSeconds();
@@ -246,6 +233,61 @@ IngestOutcome RunCsvIngest(int64_t records, int64_t rows_per_partition) {
   out.serial_s = median(serial);
   out.partitioned_s = median(partitioned);
   std::remove(path.c_str());
+  return out;
+}
+
+// Total nanoseconds of the spans named `name` anywhere in the forest.
+int64_t SpanNs(const std::vector<obs::SpanNode>& nodes,
+               const std::string& name) {
+  int64_t ns = 0;
+  for (const obs::SpanNode& n : nodes) {
+    if (n.name == name) ns += n.total_ns;
+    ns += SpanNs(n.children, name);
+  }
+  return ns;
+}
+
+// The Fig-8 aggregation at geobench prep's shape: records in eight
+// partitions, a 32x32 grid, pickups and dropoffs per 30-minute step.
+// df.groupby and prep.st_grid are the obs spans of one
+// GetStGridDataFrame, each the median of repeats after a warm-up.
+struct GroupByOutcome {
+  int64_t records = 0;
+  int partitions = 0;
+  int64_t groups = 0;
+  double groupby_s = 0.0;
+  double st_grid_s = 0.0;
+  bool timed = false;  // false when observability is switched off
+};
+
+GroupByOutcome RunGroupBy(int64_t records) {
+  synth::TaxiTripConfig config;
+  config.num_records = records;
+  config.seed = 1;
+  GroupByOutcome out;
+  out.records = records;
+  out.partitions = 8;
+  const df::DataFrame channels = Fig8Channels(synth::TripsToDataFrame(
+      synth::GenerateTaxiTrips(config), out.partitions));
+  const prep::StGridSpec spec = Fig8Spec(32, 32);
+  out.groups =
+      prep::STManager::GetStGridDataFrame(channels, spec).frame.NumRows();
+  out.timed = obs::Enabled();
+  std::vector<double> groupby;
+  std::vector<double> st_grid;
+  for (int rep = 0; rep < 7; ++rep) {
+    obs::Reset();
+    prep::STManager::GetStGridDataFrame(channels, spec);
+    const std::vector<obs::SpanNode> spans = obs::AggregateSpans();
+    groupby.push_back(SpanNs(spans, "df.groupby") * 1e-9);
+    st_grid.push_back(SpanNs(spans, "prep.st_grid") * 1e-9);
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  out.groupby_s = median(groupby);
+  out.st_grid_s = median(st_grid);
   return out;
 }
 
@@ -428,6 +470,22 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
   PrintRule();
   if (!ingest.rows_ok) std::printf("WARNING: csv ingest row count mismatch\n");
 
+  // The Fig-8 aggregation, geobench prep's largest stage.
+  const GroupByOutcome groupby = RunGroupBy(smoke ? 100000 : 1000000);
+  std::printf("\ngroup-by: GetStGridDataFrame of %lld records, %d "
+              "partitions, %lld groups (%d pool threads)\n",
+              static_cast<long long>(groupby.records), groupby.partitions,
+              static_cast<long long>(groupby.groups),
+              ThreadPool::Global().num_threads());
+  PrintRule();
+  if (groupby.timed) {
+    std::printf("%-28s %-12.4f\n", "df.groupby (s)", groupby.groupby_s);
+    std::printf("%-28s %-12.4f\n", "prep.st_grid (s)", groupby.st_grid_s);
+  } else {
+    std::printf("not timed: observability is off (GEOTORCH_OBS=0)\n");
+  }
+  PrintRule();
+
   if (!json_path.empty()) {
     BenchJsonWriter json(json_path, "fig8_tensor_prep");
     if (json.ok()) {
@@ -470,6 +528,22 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
           ingest.partitioned_s, ingest.serial_s / ingest.partitioned_s,
           std::max(1u, std::thread::hardware_concurrency()),
           ingest.rows_ok ? "true" : "false");
+      char groupby_s[32] = "null";
+      char st_grid_s[32] = "null";
+      if (groupby.timed) {
+        std::snprintf(groupby_s, sizeof(groupby_s), "%.4f",
+                      groupby.groupby_s);
+        std::snprintf(st_grid_s, sizeof(st_grid_s), "%.4f",
+                      groupby.st_grid_s);
+      }
+      std::fprintf(
+          f,
+          "  \"groupby\": {\"records\": %lld, \"partitions\": %d, "
+          "\"groups\": %lld, \"groupby_s\": %s, \"st_grid_s\": %s, "
+          "\"hardware_threads\": %u},\n",
+          static_cast<long long>(groupby.records), groupby.partitions,
+          static_cast<long long>(groupby.groups), groupby_s, st_grid_s,
+          std::max(1u, std::thread::hardware_concurrency()));
       json.Finish();
     }
   }

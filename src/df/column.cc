@@ -193,6 +193,24 @@ void Column::Append(const Value& v) {
   }
 }
 
+void Column::Reserve(int64_t n) {
+  GEO_CHECK(view_ == nullptr) << "cannot reserve on a view column";
+  switch (type_) {
+    case DataType::kDouble:
+      doubles_.reserve(n);
+      return;
+    case DataType::kInt64:
+      int64s_.reserve(n);
+      return;
+    case DataType::kString:
+      strings_.reserve(n);
+      return;
+    case DataType::kGeometry:
+      points_.reserve(n);
+      return;
+  }
+}
+
 Column Column::Gather(const std::vector<int64_t>& indices) const {
   Column out(type_);
   switch (type_) {

@@ -80,6 +80,9 @@ class Column {
   /// Generic single-cell access.
   Value Get(int64_t row) const;
   void Append(const Value& v);
+  /// Reserves room for `n` values (owned columns only), so a builder
+  /// that knows its row count appends without regrowing.
+  void Reserve(int64_t n);
   /// Appends row `row` of `other` (same type).
   void AppendFrom(const Column& other, int64_t row);
 

@@ -1,9 +1,11 @@
 #include "df/dataframe.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <queue>
 #include <span>
@@ -26,18 +28,314 @@ void PublishMemoryGauges() {
   obs::SetGauge("df.tracked_peak_bytes", MemoryTracker::Global().peak_bytes());
 }
 
-// Numeric read of a column cell as double (int64 widens).
-double NumericAt(const Column& col, int64_t row) {
-  if (col.type() == DataType::kDouble) return col.doubles()[row];
-  GEO_CHECK(col.type() == DataType::kInt64)
-      << "aggregation column must be numeric";
-  return static_cast<double>(col.int64s()[row]);
+// --- Group-by ------------------------------------------------------------
+//
+// Every group-by buffer is a flat array of 64-bit words holding
+// fixed-stride records; keys and counts are int64 words, aggregation
+// state and values are doubles stored by bit pattern (Word/Real).
+
+uint64_t Word(double v) { return std::bit_cast<uint64_t>(v); }
+double Real(uint64_t w) { return std::bit_cast<double>(w); }
+
+// What a group keeps for its aggregations: only the doubles each
+// AggKind reads (kCount none; kSum and kMean a sum; kVariance and
+// kStdDev a sum and a sum of squares; kMin a min; kMax a max), and the
+// per-row updates that maintain them.
+class AggLayout {
+ public:
+  enum class Op : uint8_t { kSum, kSumSq, kMin, kMax };
+  struct Update {
+    Op op;
+    uint32_t word;   // state word it updates
+    uint32_t value;  // slot of the row value it reads
+  };
+
+  // `value_col[a]` is aggregation a's source column (-1 for kCount).
+  AggLayout(const std::vector<AggSpec>& aggs,
+            const std::vector<int>& value_col) {
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      agg_word_.push_back(static_cast<uint32_t>(identity_.size()));
+      if (aggs[a].kind == AggKind::kCount) continue;
+      // Aggregations over one column read one row value.
+      const auto seen =
+          std::find(value_cols_.begin(), value_cols_.end(), value_col[a]);
+      const auto slot = static_cast<uint32_t>(seen - value_cols_.begin());
+      if (seen == value_cols_.end()) value_cols_.push_back(value_col[a]);
+      const auto add = [&](Op op, double identity) {
+        updates_.push_back(
+            {op, static_cast<uint32_t>(identity_.size()), slot});
+        identity_.push_back(Word(identity));
+      };
+      switch (aggs[a].kind) {
+        case AggKind::kCount:
+          break;
+        case AggKind::kSum:
+        case AggKind::kMean:
+          add(Op::kSum, 0.0);
+          break;
+        case AggKind::kVariance:
+        case AggKind::kStdDev:
+          add(Op::kSum, 0.0);
+          add(Op::kSumSq, 0.0);
+          break;
+        case AggKind::kMin:
+          add(Op::kMin, std::numeric_limits<double>::infinity());
+          break;
+        case AggKind::kMax:
+          add(Op::kMax, -std::numeric_limits<double>::infinity());
+          break;
+      }
+    }
+  }
+
+  size_t state_words() const { return identity_.size(); }
+  size_t num_values() const { return value_cols_.size(); }
+  // Source column of each row-value slot.
+  const std::vector<int>& value_cols() const { return value_cols_; }
+  // First state word of aggregation `a`.
+  size_t agg_word(size_t a) const { return agg_word_[a]; }
+
+  void Reset(uint64_t* state) const {
+    std::copy(identity_.begin(), identity_.end(), state);
+  }
+
+  // Folds one row's values (one per slot, as words) into `state`.
+  void Accumulate(uint64_t* state, const uint64_t* values) const {
+    for (const Update& u : updates_) {
+      const double s = Real(state[u.word]);
+      const double v = Real(values[u.value]);
+      switch (u.op) {
+        case Op::kSum:
+          state[u.word] = Word(s + v);
+          break;
+        case Op::kSumSq:
+          state[u.word] = Word(s + v * v);
+          break;
+        case Op::kMin:
+          state[u.word] = Word(std::min(s, v));
+          break;
+        case Op::kMax:
+          state[u.word] = Word(std::max(s, v));
+          break;
+      }
+    }
+  }
+
+  // Folds a partial state into a total.
+  void Fold(uint64_t* total, const uint64_t* partial) const {
+    for (const Update& u : updates_) {
+      const double t = Real(total[u.word]);
+      const double p = Real(partial[u.word]);
+      switch (u.op) {
+        case Op::kSum:
+        case Op::kSumSq:
+          total[u.word] = Word(t + p);
+          break;
+        case Op::kMin:
+          total[u.word] = Word(std::min(t, p));
+          break;
+        case Op::kMax:
+          total[u.word] = Word(std::max(t, p));
+          break;
+      }
+    }
+  }
+
+ private:
+  std::vector<int> value_cols_;
+  std::vector<Update> updates_;
+  std::vector<uint32_t> agg_word_;
+  std::vector<uint64_t> identity_;
+};
+
+// Phase-1 output of one (input partition, shard). `partial` holds the
+// pre-aggregated groups in first-seen order, records [hash, keys...,
+// count, state...]; `raw` holds every row that arrived once the
+// pre-aggregation table was full, in row order, records [hash,
+// keys..., values...].
+struct ShardSlice {
+  std::vector<uint64_t> partial;
+  std::unique_ptr<uint64_t[]> raw;
+  size_t num_partial = 0;
+  size_t num_raw = 0;
+};
+
+// The phase-1 pre-aggregation table of one (input partition, shard):
+// at most kGroupByPartialCap groups, probed through a fixed array of
+// 2 × cap 16-bit slots, so a partition's tables stay cache-resident.
+class CappedTable {
+ public:
+  static_assert(2 * kGroupByPartialCap <= 0xffff);
+
+  CappedTable(size_t num_keys, size_t stride, size_t max_groups,
+              ShardSlice* out)
+      : num_keys_(num_keys),
+        stride_(stride),
+        slots_(2 * kGroupByPartialCap, kEmpty),
+        out_(out) {
+    out_->partial.reserve(std::min<size_t>(max_groups, kGroupByPartialCap) *
+                          stride_);
+  }
+
+  bool full() const { return out_->num_partial >= kGroupByPartialCap; }
+
+  // Returns the record of `key`, appending [hash, key, 0, `identity`]
+  // if the key is new. Requires !full().
+  uint64_t* FindOrAdd(const int64_t* key, uint64_t hash,
+                      const AggLayout& layout) {
+    std::vector<uint64_t>& records = out_->partial;
+    constexpr size_t kMask = 2 * kGroupByPartialCap - 1;
+    size_t s = (hash >> 32) & kMask;
+    for (; slots_[s] != kEmpty; s = (s + 1) & kMask) {
+      uint64_t* rec = records.data() + slots_[s] * stride_;
+      if (rec[0] != hash) continue;
+      size_t k = 0;
+      while (k < num_keys_ && key[k] == static_cast<int64_t>(rec[1 + k])) {
+        ++k;
+      }
+      if (k == num_keys_) return rec;
+    }
+    slots_[s] = static_cast<uint16_t>(out_->num_partial++);
+    const size_t at = records.size();
+    records.resize(at + stride_);  // zeroes the count
+    uint64_t* rec = records.data() + at;
+    rec[0] = hash;
+    for (size_t k = 0; k < num_keys_; ++k) {
+      rec[1 + k] = static_cast<uint64_t>(key[k]);
+    }
+    layout.Reset(rec + 2 + num_keys_);
+    return rec;
+  }
+
+ private:
+  static constexpr uint16_t kEmpty = 0xffff;
+
+  size_t num_keys_;
+  size_t stride_;
+  std::vector<uint16_t> slots_;
+  ShardSlice* out_;
+};
+
+// The groups of one output shard in phase 2, stored densely in
+// first-seen order as records [keys..., total count, partial count,
+// partition tag, total state..., partial state...]. The partial
+// accumulates the group's rows of the partition named by the tag; when
+// a later partition reaches the group, the partial folds into the
+// total (the first fold copies). A power-of-two array of record
+// indices, linearly probed and sized once for at least twice the
+// shard's row count, maps a key to its record.
+class ShardTable {
+ public:
+  ShardTable(size_t num_keys, const AggLayout& layout, size_t max_groups)
+      : num_keys_(num_keys),
+        state_words_(layout.state_words()),
+        stride_(num_keys + 3 + 2 * state_words_),
+        layout_(layout) {
+    GEO_CHECK_LT(max_groups, size_t{1} << 31)
+        << "group-by shard holds more than 2^31 groups";
+    size_t slots = 16;
+    while (slots < 2 * max_groups) slots *= 2;
+    slots_.assign(slots, kEmpty);
+    records_.reserve(max_groups * stride_);
+  }
+
+  size_t size() const { return records_.size() / stride_; }
+
+  // The record of `key`; a new key gets a record with no rows.
+  uint64_t* FindOrAdd(const uint64_t* key, uint64_t hash) {
+    const size_t mask = slots_.size() - 1;
+    size_t s = (hash >> 32) & mask;
+    for (; slots_[s] != kEmpty; s = (s + 1) & mask) {
+      uint64_t* rec = records_.data() + slots_[s] * stride_;
+      size_t k = 0;
+      while (k < num_keys_ && key[k] == rec[k]) ++k;
+      if (k == num_keys_) return rec;
+    }
+    slots_[s] = static_cast<uint32_t>(size());
+    const size_t at = records_.size();
+    records_.resize(at + stride_);  // zeroes the counts and states
+    uint64_t* rec = records_.data() + at;
+    std::copy(key, key + num_keys_, rec);
+    rec[num_keys_ + 2] = kNoPartition;
+    return rec;
+  }
+
+  // The partial state of `rec` for partition `pi`. When `rec`'s
+  // partial belongs to an earlier partition, it folds into the total
+  // first and restarts empty.
+  uint64_t* Partial(uint64_t* rec, uint64_t pi) {
+    uint64_t* partial = rec + num_keys_ + 3 + state_words_;
+    if (rec[num_keys_ + 2] != pi) {
+      Flush(rec);
+      rec[num_keys_ + 2] = pi;
+      layout_.Reset(partial);
+    }
+    return partial;
+  }
+  uint64_t& partial_count(uint64_t* rec) { return rec[num_keys_ + 1]; }
+
+  // Folds `rec`'s partial into its total; the first fold copies.
+  void Flush(uint64_t* rec) {
+    uint64_t& partial_count = rec[num_keys_ + 1];
+    if (partial_count == 0) return;
+    uint64_t* total = rec + num_keys_ + 3;
+    const uint64_t* partial = total + state_words_;
+    if (rec[num_keys_] == 0) {
+      std::copy(partial, partial + state_words_, total);
+    } else {
+      layout_.Fold(total, partial);
+    }
+    rec[num_keys_] += partial_count;
+    partial_count = 0;
+  }
+
+  uint64_t* record(size_t g) { return records_.data() + g * stride_; }
+
+ private:
+  static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+  static constexpr uint64_t kNoPartition =
+      std::numeric_limits<uint64_t>::max();
+
+  size_t num_keys_;
+  size_t state_words_;
+  size_t stride_;
+  const AggLayout& layout_;
+  std::vector<uint64_t> records_;
+  std::vector<uint32_t> slots_;
+};
+
+// The output value of `spec` from a group's total count and state
+// (`state` points at the aggregation's first state word).
+void EmitAggValue(const AggSpec& spec, int64_t count, const uint64_t* state,
+                  Column& col) {
+  switch (spec.kind) {
+    case AggKind::kCount:
+      col.mutable_int64s().push_back(count);
+      break;
+    case AggKind::kSum:
+    case AggKind::kMin:
+    case AggKind::kMax:
+      col.mutable_doubles().push_back(Real(state[0]));
+      break;
+    case AggKind::kMean:
+      col.mutable_doubles().push_back(Real(state[0]) /
+                                      static_cast<double>(count));
+      break;
+    case AggKind::kVariance:
+    case AggKind::kStdDev: {
+      const double n = static_cast<double>(count);
+      const double mean = Real(state[0]) / n;
+      const double var = std::max(0.0, Real(state[1]) / n - mean * mean);
+      col.mutable_doubles().push_back(
+          spec.kind == AggKind::kVariance ? var : std::sqrt(var));
+      break;
+    }
+  }
 }
 
-// Hash of one group key (`num_keys` int64s). The shard is `hash %
-// num_shards` and a table slot comes from the high half, so the two
-// stay independent when the shard count is a power of two.
-uint64_t HashKey(const int64_t* key, size_t num_keys) {
+}  // namespace
+
+uint64_t GroupKeyHash(const int64_t* key, size_t num_keys) {
   uint64_t h = 0x9e3779b97f4a7c15ull;
   for (size_t k = 0; k < num_keys; ++k) {
     h = (h ^ static_cast<uint64_t>(key[k])) * 0xff51afd7ed558ccdull;
@@ -47,127 +345,6 @@ uint64_t HashKey(const int64_t* key, size_t num_keys) {
   h ^= h >> 33;
   return h;
 }
-
-// The groups of one hash shard, stored densely in first-seen order:
-// keys (`num_keys` per group), counts, and aggregation state (sum,
-// sumsq, min, max per aggregation). A power-of-two array of group
-// indices, linearly probed and at most half full, maps a key to its
-// group. Group counts routinely reach the row count (every (cell,
-// timestep) pair distinct), so a group costs no allocation of its own.
-class GroupTable {
- public:
-  GroupTable(size_t num_keys, size_t num_aggs)
-      : num_keys_(num_keys), stride_(4 * num_aggs), slots_(16, kEmpty) {}
-
-  size_t size() const { return counts_.size(); }
-  const int64_t* key(size_t g) const { return keys_.data() + g * num_keys_; }
-  int64_t& count(size_t g) { return counts_[g]; }
-  int64_t count(size_t g) const { return counts_[g]; }
-  double* state(size_t g) { return states_.data() + g * stride_; }
-  const double* state(size_t g) const {
-    return states_.data() + g * stride_;
-  }
-
-  // Returns the group of `key` (whose HashKey is `hash`), appending a
-  // group with count 0 and an empty state if the key is new.
-  size_t FindOrAdd(const int64_t* key, uint64_t hash) {
-    const size_t mask = slots_.size() - 1;
-    size_t s = (hash >> 32) & mask;
-    for (; slots_[s] != kEmpty; s = (s + 1) & mask) {
-      // A plain loop: std::equal becomes a memcmp call here, which
-      // costs more than the rest of the probe for one or two keys.
-      const int64_t* other = this->key(slots_[s]);
-      size_t k = 0;
-      while (k < num_keys_ && key[k] == other[k]) ++k;
-      if (k == num_keys_) return slots_[s];
-    }
-    const size_t g = size();
-    slots_[s] = static_cast<uint32_t>(g);
-    keys_.insert(keys_.end(), key, key + num_keys_);
-    counts_.push_back(0);
-    states_.resize(states_.size() + stride_, 0.0);
-    for (size_t i = g * stride_; i < states_.size(); i += 4) {
-      states_[i + 2] = std::numeric_limits<double>::infinity();
-      states_[i + 3] = -std::numeric_limits<double>::infinity();
-    }
-    if (2 * size() > slots_.size()) Grow();
-    return g;
-  }
-
-  // Folds group `g` of `src` into group `dst` of this table; a group's
-  // first fold copies the state.
-  void Merge(size_t dst, const GroupTable& src, size_t g) {
-    double* d = state(dst);
-    const double* s = src.state(g);
-    if (counts_[dst] == 0) {
-      std::copy(s, s + stride_, d);
-    } else {
-      for (size_t i = 0; i < stride_; i += 4) {
-        d[i] += s[i];
-        d[i + 1] += s[i + 1];
-        d[i + 2] = std::min(d[i + 2], s[i + 2]);
-        d[i + 3] = std::max(d[i + 3], s[i + 3]);
-      }
-    }
-    counts_[dst] += src.count(g);
-  }
-
- private:
-  static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
-
-  void Grow() {
-    GEO_CHECK_LT(slots_.size(), size_t{1} << 32)
-        << "group-by shard holds more than 2^31 groups";
-    slots_.assign(2 * slots_.size(), kEmpty);
-    const size_t mask = slots_.size() - 1;
-    for (size_t g = 0; g < size(); ++g) {
-      size_t s = (HashKey(key(g), num_keys_) >> 32) & mask;
-      while (slots_[s] != kEmpty) s = (s + 1) & mask;
-      slots_[s] = static_cast<uint32_t>(g);
-    }
-  }
-
-  size_t num_keys_;
-  size_t stride_;
-  std::vector<int64_t> keys_;
-  std::vector<int64_t> counts_;
-  std::vector<double> states_;
-  std::vector<uint32_t> slots_;
-};
-
-// Appends one output value; `state` is the aggregation's (sum, sumsq,
-// min, max).
-void EmitAggValue(const AggSpec& spec, int64_t count, const double* state,
-                  Column& col) {
-  switch (spec.kind) {
-    case AggKind::kCount:
-      col.mutable_int64s().push_back(count);
-      break;
-    case AggKind::kSum:
-      col.mutable_doubles().push_back(state[0]);
-      break;
-    case AggKind::kMin:
-      col.mutable_doubles().push_back(state[2]);
-      break;
-    case AggKind::kMax:
-      col.mutable_doubles().push_back(state[3]);
-      break;
-    case AggKind::kMean:
-      col.mutable_doubles().push_back(state[0] / static_cast<double>(count));
-      break;
-    case AggKind::kVariance:
-    case AggKind::kStdDev: {
-      const double n = static_cast<double>(count);
-      const double mean = state[0] / n;
-      const double var = std::max(0.0, state[1] / n - mean * mean);
-      col.mutable_doubles().push_back(
-          spec.kind == AggKind::kVariance ? var : std::sqrt(var));
-      break;
-    }
-  }
-}
-
-}  // namespace
 
 // --- Schema ------------------------------------------------------------
 
@@ -392,6 +569,7 @@ DataFrame DataFrame::WithColumn(
       cols.push_back(part.column_ptr(c));  // structural sharing
     }
     Column extra(type);
+    extra.Reserve(part.num_rows());
     for (int64_t r = 0; r < part.num_rows(); ++r) {
       RowView row(&part, schema_.get(), r);
       extra.Append(fn(row));
@@ -432,43 +610,109 @@ DataFrame DataFrame::GroupByAgg(const std::vector<std::string>& keys,
                           ? -1
                           : schema_->FieldIndex(a.column));
   }
+  const AggLayout layout(aggs, agg_idx);
+  for (int c : layout.value_cols()) {
+    GEO_CHECK(schema_->type(c) == DataType::kDouble ||
+              schema_->type(c) == DataType::kInt64)
+        << "aggregation column must be numeric";
+  }
   const size_t num_keys = key_idx.size();
-  const size_t num_aggs = aggs.size();
+  const size_t num_values = layout.num_values();
+  const size_t state_words = layout.state_words();
+  const size_t partial_stride = 2 + num_keys + state_words;
+  const size_t raw_stride = 1 + num_keys + num_values;
+  const auto shards = static_cast<size_t>(num_shards);
 
   GEO_OBS_SPAN(op_span, "df.groupby");
 
-  // Phase 1: per-partition partial aggregation, sharded by key hash so
-  // the merge phase needs no locking.
-  std::vector<std::vector<GroupTable>> partials(partitions_.size());
+  // Phase 1, per input partition: hash each row once and route it to
+  // its shard's capped pre-aggregation table until that table is full;
+  // every later row of that shard goes raw. The first pass marks the
+  // raw rows, so the second copies them into buffers sized exactly.
+  std::vector<std::vector<ShardSlice>> slices(partitions_.size());
   {
     GEO_OBS_SPAN(partial_span, "df.groupby.partial");
     ForEachPartition([&](const Partition& part, int pi) {
+      const int64_t n = part.num_rows();
       std::vector<std::span<const int64_t>> key_cols;
       for (int k : key_idx) key_cols.push_back(part.column(k).int64s());
-      std::vector<const Column*> value_cols;
-      for (int a : agg_idx) {
-        value_cols.push_back(a < 0 ? nullptr : &part.column(a));
+      // Each value slot's column: doubles, or int64s widened per row.
+      std::vector<std::pair<const double*, const int64_t*>> value_cols;
+      for (int c : layout.value_cols()) {
+        const Column& col = part.column(c);
+        value_cols.emplace_back(
+            col.type() == DataType::kDouble ? col.doubles().data() : nullptr,
+            col.type() == DataType::kInt64 ? col.int64s().data() : nullptr);
       }
-      std::vector<GroupTable> shards(num_shards,
-                                     GroupTable(num_keys, num_aggs));
-      std::vector<int64_t> key(num_keys);
-      for (int64_t r = 0; r < part.num_rows(); ++r) {
-        for (size_t k = 0; k < num_keys; ++k) key[k] = key_cols[k][r];
-        const uint64_t hash = HashKey(key.data(), num_keys);
-        GroupTable& table = shards[hash % num_shards];
-        const size_t g = table.FindOrAdd(key.data(), hash);
-        ++table.count(g);
-        double* state = table.state(g);
-        for (size_t a = 0; a < num_aggs; ++a, state += 4) {
-          if (value_cols[a] == nullptr) continue;
-          const double v = NumericAt(*value_cols[a], r);
-          state[0] += v;
-          state[1] += v * v;
-          state[2] = std::min(state[2], v);
-          state[3] = std::max(state[3], v);
+      std::vector<uint64_t> values(num_values);
+      const auto read_values = [&](int64_t r) {
+        for (size_t v = 0; v < num_values; ++v) {
+          const auto [d, i] = value_cols[v];
+          values[v] = Word(d != nullptr ? d[r] : static_cast<double>(i[r]));
         }
+      };
+
+      std::vector<ShardSlice>& out = slices[pi];
+      out.resize(shards);
+      std::vector<CappedTable> tables;
+      tables.reserve(shards);
+      for (size_t s = 0; s < shards; ++s) {
+        tables.emplace_back(num_keys, partial_stride,
+                            static_cast<size_t>(n), &out[s]);
       }
-      partials[pi] = std::move(shards);
+      // From the first raw row on: each row's shard (kNotRaw when it
+      // was pre-aggregated) and hash.
+      constexpr uint32_t kNotRaw = std::numeric_limits<uint32_t>::max();
+      int64_t first_raw = n;
+      std::unique_ptr<uint32_t[]> raw_shard;
+      std::unique_ptr<uint64_t[]> raw_hash;
+      std::vector<int64_t> key(num_keys);
+      for (int64_t r = 0; r < n; ++r) {
+        for (size_t k = 0; k < num_keys; ++k) key[k] = key_cols[k][r];
+        const uint64_t hash = GroupKeyHash(key.data(), num_keys);
+        const size_t s = hash % shards;
+        if (tables[s].full()) {
+          if (first_raw == n) {
+            first_raw = r;
+            raw_shard = std::make_unique_for_overwrite<uint32_t[]>(n - r);
+            raw_hash = std::make_unique_for_overwrite<uint64_t[]>(n - r);
+          }
+          raw_shard[r - first_raw] = static_cast<uint32_t>(s);
+          raw_hash[r - first_raw] = hash;
+          ++out[s].num_raw;
+          continue;
+        }
+        if (first_raw < n) raw_shard[r - first_raw] = kNotRaw;
+        uint64_t* rec = tables[s].FindOrAdd(key.data(), hash, layout);
+        ++rec[1 + num_keys];
+        read_values(r);
+        layout.Accumulate(rec + 2 + num_keys, values.data());
+      }
+      if (first_raw == n) return;
+
+      std::vector<uint64_t*> cursor(shards);
+      int64_t num_raw = 0;
+      for (size_t s = 0; s < shards; ++s) {
+        if (out[s].num_raw == 0) continue;
+        out[s].raw =
+            std::make_unique_for_overwrite<uint64_t[]>(out[s].num_raw *
+                                                       raw_stride);
+        cursor[s] = out[s].raw.get();
+        num_raw += static_cast<int64_t>(out[s].num_raw);
+      }
+      for (int64_t r = first_raw; r < n; ++r) {
+        const uint32_t s = raw_shard[r - first_raw];
+        if (s == kNotRaw) continue;
+        uint64_t* row = cursor[s];
+        cursor[s] += raw_stride;
+        row[0] = raw_hash[r - first_raw];
+        for (size_t k = 0; k < num_keys; ++k) {
+          row[1 + k] = static_cast<uint64_t>(key_cols[k][r]);
+        }
+        read_values(r);
+        std::copy(values.begin(), values.end(), row + 1 + num_keys);
+      }
+      GEO_OBS_COUNT("df.groupby.raw_rows", num_raw);
     });
   }
 
@@ -482,35 +726,61 @@ DataFrame DataFrame::GroupByAgg(const std::vector<std::string>& keys,
   }
   auto out_schema = std::make_shared<Schema>(std::move(fields));
 
-  // Phase 2: shard-parallel merge; one output partition per shard. Each
-  // shard folds the partitions' tables in index order, releasing each
-  // one as soon as it is folded.
+  // Phase 2, per shard, reading only phase 1's buffers: one table,
+  // sized once from the shard's rows, consumes the partitions in index
+  // order — each partition's partial groups, then its raw rows in row
+  // order — and frees each slice once consumed. One output partition
+  // per shard, rows in first-seen order.
   GEO_OBS_SPAN(merge_span, "df.groupby.merge");
   std::vector<std::shared_ptr<const Partition>> out_parts(num_shards);
   ThreadPool::Global().ParallelFor(num_shards, [&](int64_t shard) {
-    GroupTable merged = partials.empty()
-                            ? GroupTable(num_keys, num_aggs)
-                            : std::move(partials[0][shard]);
-    for (size_t pi = 1; pi < partials.size(); ++pi) {
-      const GroupTable part = std::move(partials[pi][shard]);
-      for (size_t g = 0; g < part.size(); ++g) {
-        const int64_t* key = part.key(g);
-        merged.Merge(merged.FindOrAdd(key, HashKey(key, num_keys)), part, g);
+    size_t max_groups = 0;
+    for (const auto& slice : slices) {
+      max_groups += slice[shard].num_partial + slice[shard].num_raw;
+    }
+    ShardTable table(num_keys, layout, max_groups);
+    for (size_t pi = 0; pi < slices.size(); ++pi) {
+      const ShardSlice slice = std::move(slices[pi][shard]);
+      const uint64_t* rec = slice.partial.data();
+      for (size_t i = 0; i < slice.num_partial; ++i, rec += partial_stride) {
+        uint64_t* group = table.FindOrAdd(rec + 1, rec[0]);
+        const uint64_t* state = rec + 2 + num_keys;
+        std::copy(state, state + state_words, table.Partial(group, pi));
+        table.partial_count(group) = rec[1 + num_keys];
+      }
+      const uint64_t* row = slice.raw.get();
+      for (size_t i = 0; i < slice.num_raw; ++i, row += raw_stride) {
+        uint64_t* group = table.FindOrAdd(row + 1, row[0]);
+        layout.Accumulate(table.Partial(group, pi), row + 1 + num_keys);
+        ++table.partial_count(group);
       }
     }
+    const size_t num_groups = table.size();
     std::vector<Column> cols;
     for (size_t k = 0; k < num_keys; ++k) {
-      cols.emplace_back(DataType::kInt64);
-      for (size_t g = 0; g < merged.size(); ++g) {
-        cols[k].mutable_int64s().push_back(merged.key(g)[k]);
-      }
+      cols.emplace_back(DataType::kInt64).mutable_int64s().reserve(num_groups);
     }
-    for (size_t a = 0; a < num_aggs; ++a) {
-      Column& col = cols.emplace_back(aggs[a].kind == AggKind::kCount
+    for (const auto& a : aggs) {
+      Column& col = cols.emplace_back(a.kind == AggKind::kCount
                                           ? DataType::kInt64
                                           : DataType::kDouble);
-      for (size_t g = 0; g < merged.size(); ++g) {
-        EmitAggValue(aggs[a], merged.count(g), merged.state(g) + 4 * a, col);
+      if (a.kind == AggKind::kCount) {
+        col.mutable_int64s().reserve(num_groups);
+      } else {
+        col.mutable_doubles().reserve(num_groups);
+      }
+    }
+    for (size_t g = 0; g < num_groups; ++g) {
+      uint64_t* group = table.record(g);
+      table.Flush(group);
+      for (size_t k = 0; k < num_keys; ++k) {
+        cols[k].mutable_int64s().push_back(static_cast<int64_t>(group[k]));
+      }
+      const auto count = static_cast<int64_t>(group[num_keys]);
+      const uint64_t* total = group + num_keys + 3;
+      for (size_t a = 0; a < aggs.size(); ++a) {
+        EmitAggValue(aggs[a], count, total + layout.agg_word(a),
+                     cols[num_keys + a]);
       }
     }
     out_parts[shard] = std::make_shared<Partition>(std::move(cols));

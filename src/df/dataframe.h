@@ -2,6 +2,8 @@
 #define GEOTORCH_DF_DATAFRAME_H_
 
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -167,12 +169,23 @@ struct AggSpec {
   std::string alias;
 };
 
+/// GroupByAgg's phase 1 pre-aggregates each (input partition, shard)'s
+/// rows into a table of at most this many distinct keys; once the table
+/// is full, every later row of that (partition, shard) goes to the
+/// merge raw. A fixed constant, not a knob: the output does not depend
+/// on it, only the work split does (DESIGN.md §12).
+inline constexpr size_t kGroupByPartialCap = 1024;
+
+/// Hash of one group key (`num_keys` int64s). GroupByAgg puts a group
+/// in output partition `GroupKeyHash(key, n) % num_shards`.
+uint64_t GroupKeyHash(const int64_t* key, size_t num_keys);
+
 /// An immutable, partitioned, columnar DataFrame executed on the
 /// process thread pool — the engine under the preprocessing module,
 /// standing in for Sedona/Spark (DESIGN.md §1). Transformations return
-/// new DataFrames; per-partition work runs in parallel; group-by uses
-/// local partial aggregation plus a hash shuffle, so no operation
-/// funnels all rows through a single "master" buffer.
+/// new DataFrames; per-partition work runs in parallel; group-by
+/// shuffles rows to hash shards once and folds the shards in parallel,
+/// so no operation funnels all rows through a single "master" buffer.
 class DataFrame {
  public:
   DataFrame() = default;
@@ -219,12 +232,15 @@ class DataFrame {
   DataFrame Drop(const std::string& name) const;
 
   /// Groups by int64 key columns (any number, any values) and computes
-  /// any number of aggregates. Two-phase: per-partition partial
-  /// aggregation, then a parallel hash-sharded merge (one output
-  /// partition per shard, rows in first-seen order within the shard).
-  /// Each key's rows fold in partition order and its per-partition
-  /// partials fold in partition index order, so every aggregate is
-  /// bitwise reproducible for a given partitioning.
+  /// any number of aggregates. Two-phase: each input partition scatters
+  /// its rows to hash shards once (pre-aggregating a shard's first
+  /// kGroupByPartialCap keys), then each shard folds its rows in
+  /// parallel (one output partition per shard, rows in first-seen
+  /// order within the shard, that order being partition-major row
+  /// order). Each key's rows fold in row order into one partial per
+  /// partition, and the partials fold in partition index order, the
+  /// first one copied, so every aggregate is bitwise reproducible for a
+  /// given partitioning.
   DataFrame GroupByAgg(const std::vector<std::string>& keys,
                        const std::vector<AggSpec>& aggs,
                        int num_shards = 0) const;

@@ -46,13 +46,35 @@ df::DataFrame STManager::AddSpatialPoints(
       });
 }
 
+namespace {
+
+// The grid cell of every point of `geometry_column` (-1 outside the
+// extent), one vector per partition, via the spatial engine's
+// uniform-grid fast path. The outer loop already fans partitions
+// across the pool, so each partition's assign runs inline on its
+// worker.
+std::vector<std::vector<int64_t>> CellIds(const df::DataFrame& frame,
+                                          const spatial::GridPartitioner& grid,
+                                          const std::string& geometry_column) {
+  GEO_OBS_SPAN(scatter_span, "prep.cell_scatter");
+  const int geom_col = frame.schema().FieldIndex(geometry_column);
+  GEO_CHECK(frame.schema().type(geom_col) == df::DataType::kGeometry);
+  std::vector<std::vector<int64_t>> cells(frame.num_partitions());
+  frame.ForEachPartition([&](const df::Partition& part, int pi) {
+    cells[pi] =
+        spatial::AssignPointsToCells(part.column(geom_col).points(), grid);
+  });
+  return cells;
+}
+
+}  // namespace
+
 df::DataFrame STManager::AssignCellColumn(const df::DataFrame& frame,
                                           const spatial::GridPartitioner& grid,
                                           const std::string& geometry_column,
                                           const std::string& alias) {
-  GEO_OBS_SPAN(scatter_span, "prep.cell_scatter");
-  const int geom_col = frame.schema().FieldIndex(geometry_column);
-  GEO_CHECK(frame.schema().type(geom_col) == df::DataType::kGeometry);
+  std::vector<std::vector<int64_t>> cells =
+      CellIds(frame, grid, geometry_column);
   auto fields = frame.schema().fields();
   fields.emplace_back(alias, df::DataType::kInt64);
   auto schema = std::make_shared<const df::Schema>(std::move(fields));
@@ -60,16 +82,13 @@ df::DataFrame STManager::AssignCellColumn(const df::DataFrame& frame,
   std::vector<std::shared_ptr<const df::Partition>> parts(
       frame.num_partitions());
   frame.ForEachPartition([&](const df::Partition& part, int pi) {
-    // The outer loop already fans partitions across the pool, so the
-    // per-partition assign runs inline on this worker.
-    std::vector<int64_t> cells =
-        spatial::AssignPointsToCells(part.column(geom_col).points(), grid);
     std::vector<df::SharedColumn> cols;
     cols.reserve(part.num_columns() + 1);
     for (int c = 0; c < part.num_columns(); ++c) {
       cols.push_back(part.column_ptr(c));
     }
-    cols.push_back(df::TrackColumn(df::Column::FromInt64s(std::move(cells))));
+    cols.push_back(
+        df::TrackColumn(df::Column::FromInt64s(std::move(cells[pi]))));
     parts[pi] = std::make_shared<df::Partition>(std::move(cols));
   });
   return df::DataFrame::FromPartitions(std::move(schema), std::move(parts));
@@ -80,6 +99,9 @@ StGridResult STManager::GetStGridDataFrame(const df::DataFrame& frame,
   GEO_OBS_SPAN(grid_span, "prep.st_grid");
   GEO_CHECK(spec.partitions_x >= 1 && spec.partitions_y >= 1);
   GEO_CHECK_GT(spec.step_duration_sec, 0);
+  const df::Schema& in_schema = frame.schema();
+  GEO_CHECK(!in_schema.HasField("cell_id") && !in_schema.HasField("time_id"))
+      << "GetStGridDataFrame computes cell_id and time_id itself";
 
   const spatial::Envelope extent =
       spec.extent.has_value()
@@ -88,38 +110,64 @@ StGridResult STManager::GetStGridDataFrame(const df::DataFrame& frame,
   const spatial::GridPartitioner grid =
       SpacePartition::BuildGrid(extent, spec.partitions_x, spec.partitions_y);
 
-  const int time_col = frame.schema().FieldIndex(spec.time_column);
-  GEO_CHECK(frame.schema().type(time_col) == df::DataType::kInt64)
+  const int time_col = in_schema.FieldIndex(spec.time_column);
+  GEO_CHECK(in_schema.type(time_col) == df::DataType::kInt64)
       << "time column must be int64 seconds";
 
-  // Spatial join via the grid fast path (bulk, partition-parallel) +
-  // temporal slicing as a computed column.
-  df::DataFrame with_cell =
-      AssignCellColumn(frame, grid, spec.geometry_column, "cell_id");
-  df::DataFrame with_time = with_cell.WithColumn(
-      "time_id", df::DataType::kInt64,
-      [time_col, &spec](const df::RowView& row) -> df::Value {
-        return row.GetInt64(time_col) / spec.step_duration_sec;
-      });
   std::vector<df::AggSpec> aggs = spec.aggs;
   if (aggs.empty()) {
     aggs.push_back({df::AggKind::kCount, "", "count"});
   }
-  // Project to the columns the aggregation needs before filtering, so
-  // the filter does not materialize the wide input again.
-  std::vector<std::string> needed = {"cell_id", "time_id"};
+  // The narrow frame the aggregation reads: cell_id, time_id, then each
+  // aggregated input column once, in aggregation order.
+  std::vector<std::pair<std::string, df::DataType>> fields = {
+      {"cell_id", df::DataType::kInt64}, {"time_id", df::DataType::kInt64}};
+  std::vector<int> value_cols;
   for (const auto& a : aggs) {
     if (a.kind == df::AggKind::kCount) continue;
-    if (std::find(needed.begin(), needed.end(), a.column) == needed.end()) {
-      needed.push_back(a.column);
+    if (std::none_of(fields.begin(), fields.end(),
+                     [&a](const auto& f) { return f.first == a.column; })) {
+      const int c = in_schema.FieldIndex(a.column);
+      fields.emplace_back(a.column, in_schema.type(c));
+      value_cols.push_back(c);
     }
   }
-  df::DataFrame narrow = with_time.Select(needed);
-  const int cell_idx = narrow.schema().FieldIndex("cell_id");
-  df::DataFrame inside = narrow.Filter(
-      [cell_idx](const df::RowView& row) {
-        return row.GetInt64(cell_idx) >= 0;
-      });
+  auto narrow_schema = std::make_shared<const df::Schema>(std::move(fields));
+
+  // Spatial join via the grid fast path (bulk, partition-parallel),
+  // then one pass per partition computes each row's time slot, drops
+  // the rows outside the extent and gathers the aggregated columns.
+  const std::vector<std::vector<int64_t>> cells =
+      CellIds(frame, grid, spec.geometry_column);
+  std::vector<std::shared_ptr<const df::Partition>> narrow_parts(
+      frame.num_partitions());
+  frame.ForEachPartition([&](const df::Partition& part, int pi) {
+    const std::vector<int64_t>& cell = cells[pi];
+    const auto times = part.column(time_col).int64s();
+    const int64_t kept = std::count_if(cell.begin(), cell.end(),
+                                       [](int64_t c) { return c >= 0; });
+    std::vector<int64_t> keep;
+    std::vector<int64_t> cell_ids;
+    std::vector<int64_t> time_ids;
+    keep.reserve(kept);
+    cell_ids.reserve(kept);
+    time_ids.reserve(kept);
+    for (int64_t r = 0; r < part.num_rows(); ++r) {
+      if (cell[r] < 0) continue;
+      keep.push_back(r);
+      cell_ids.push_back(cell[r]);
+      time_ids.push_back(times[r] / spec.step_duration_sec);
+    }
+    std::vector<df::Column> cols;
+    cols.reserve(2 + value_cols.size());
+    cols.push_back(df::Column::FromInt64s(std::move(cell_ids)));
+    cols.push_back(df::Column::FromInt64s(std::move(time_ids)));
+    for (int c : value_cols) cols.push_back(part.column(c).Gather(keep));
+    narrow_parts[pi] = std::make_shared<df::Partition>(std::move(cols));
+  });
+  const df::DataFrame inside = df::DataFrame::FromPartitions(
+      std::move(narrow_schema), std::move(narrow_parts));
+
   // Shard the aggregation at least as fine as the input partitioning:
   // with near-unique (cell, time) keys the output is data-sized, and a
   // single merge shard (the default on a small pool) would produce one

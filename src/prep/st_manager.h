@@ -69,7 +69,7 @@ class STManager {
   /// Bulk point-to-cell scatter: appends `alias` (int64 cell id, -1
   /// outside the extent) computed per partition with the spatial
   /// engine's uniform-grid fast path (spatial::AssignPointsToCells) —
-  /// the partition-parallel spatial join under GetStGridDataFrame,
+  /// the partition-parallel spatial join GetStGridDataFrame runs,
   /// bypassing the per-row closure of WithColumn.
   static df::DataFrame AssignCellColumn(const df::DataFrame& frame,
                                         const spatial::GridPartitioner& grid,
@@ -78,7 +78,12 @@ class STManager {
 
   /// Listing 8 line 6: assigns each row a grid cell (spatial join
   /// against the grid) and a time slot, drops rows outside the extent,
-  /// and aggregates features within each (cell, timestep) group.
+  /// and aggregates features within each (cell, timestep) group. The
+  /// result equals, bitwise and partition for partition, AssignCellColumn
+  /// ("cell_id") -> WithColumn("time_id") -> Select(cell_id, time_id,
+  /// aggregated columns) -> Filter(cell_id >= 0) -> GroupByAgg, but the
+  /// narrow frame is built in one pass. The input must not already
+  /// have a cell_id or time_id column.
   static StGridResult GetStGridDataFrame(const df::DataFrame& frame,
                                          const StGridSpec& spec);
 

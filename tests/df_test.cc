@@ -9,6 +9,7 @@
 
 #include "core/rng.h"
 #include "df/csv.h"
+#include "obs/obs.h"
 
 namespace geotorch::df {
 namespace {
@@ -318,6 +319,54 @@ TEST(DataFrameTest, GroupByOnEmptyFrame) {
   EXPECT_TRUE(agg.schema().HasField("n"));
   EXPECT_TRUE(agg.schema().HasField("sum_v"));
   EXPECT_TRUE(agg.CollectInt64("k").empty());
+}
+
+// Phase 1 of GroupByAgg pre-aggregates a (partition, shard)'s rows
+// until its table holds kGroupByPartialCap keys; every later row goes
+// raw, whether its key is in the table or not. The output cannot show
+// the split, so the df.groupby.raw_rows counter pins the boundary.
+TEST(DataFrameTest, GroupByRowsGoRawOnceCapKeysArePreAggregated) {
+  const auto cap = static_cast<int64_t>(kGroupByPartialCap);
+  const bool obs_was_on = obs::Enabled();
+  obs::SetEnabled(true);
+  obs::Counter* raw_rows = obs::GetCounter("df.groupby.raw_rows");
+  // Raw rows of a one-partition, one-shard group-by over `keys`, whose
+  // counts and sums must match the rows whatever the split.
+  const auto raw_for = [&](const std::vector<int64_t>& keys) {
+    std::vector<double> values(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) values[i] = 0.25 * i;
+    const DataFrame frame = DataFrame::FromColumns(
+        {{"k", Column::FromInt64s(keys)},
+         {"v", Column::FromDoubles(values)}});
+    const int64_t before = raw_rows->value();
+    const DataFrame agg = frame.GroupByAgg(
+        {"k"}, {{AggKind::kCount, "", "n"}, {AggKind::kSum, "v", "s"}}, 1);
+    std::map<int64_t, std::pair<int64_t, double>> want;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      ++want[keys[i]].first;
+      want[keys[i]].second += values[i];
+    }
+    const auto ks = agg.CollectInt64("k");
+    const auto ns = agg.CollectInt64("n");
+    const auto ss = agg.CollectDouble("s");
+    EXPECT_EQ(ks.size(), want.size());
+    for (size_t g = 0; g < ks.size(); ++g) {
+      EXPECT_EQ(ns[g], want[ks[g]].first) << ks[g];
+      EXPECT_EQ(ss[g], want[ks[g]].second) << ks[g];
+    }
+    return raw_rows->value() - before;
+  };
+  std::vector<int64_t> keys;
+  for (int64_t k = 0; k < cap - 1; ++k) keys.push_back(k);
+  keys.push_back(0);  // cap - 1 keys: the table is not full
+  EXPECT_EQ(raw_for(keys), 0);
+  keys.push_back(cap - 1);  // the cap-th key still goes to the table
+  EXPECT_EQ(raw_for(keys), 0);
+  keys.push_back(0);  // full: a key already in the table goes raw
+  EXPECT_EQ(raw_for(keys), 1);
+  keys.push_back(cap + 5);  // and so does a new one
+  EXPECT_EQ(raw_for(keys), 2);
+  obs::SetEnabled(obs_was_on);
 }
 
 TEST(DataFrameTest, JoinOnEmptySides) {

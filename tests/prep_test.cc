@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "baseline/geopandas_like.h"
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "prep/df_to_torch.h"
 #include "prep/raster_processing.h"
 #include "raster/ops.h"
@@ -155,6 +159,121 @@ TEST(STManagerTest, MultiChannelAggregation) {
   // pickups + dropoffs == total count.
   ts::Tensor both = ts::Add(ts::Slice(t, 1, 0, 1), ts::Slice(t, 1, 1, 2));
   EXPECT_EQ(static_cast<int64_t>(ts::SumAll(both)), frame.NumRows());
+}
+
+// GetStGridDataFrame builds its narrow frame in one pass; it must equal
+// the public-op chain it replaced, bitwise and partition for partition.
+df::DataFrame ComposedStGrid(const df::DataFrame& frame,
+                             const StGridSpec& spec,
+                             const spatial::Envelope& extent) {
+  const spatial::GridPartitioner grid =
+      SpacePartition::BuildGrid(extent, spec.partitions_x, spec.partitions_y);
+  const int time_col = frame.schema().FieldIndex(spec.time_column);
+  df::DataFrame with_time =
+      STManager::AssignCellColumn(frame, grid, spec.geometry_column,
+                                  "cell_id")
+          .WithColumn("time_id", df::DataType::kInt64,
+                      [time_col, &spec](const df::RowView& row) -> df::Value {
+                        return row.GetInt64(time_col) /
+                               spec.step_duration_sec;
+                      });
+  std::vector<df::AggSpec> aggs = spec.aggs;
+  if (aggs.empty()) aggs.push_back({df::AggKind::kCount, "", "count"});
+  std::vector<std::string> needed = {"cell_id", "time_id"};
+  for (const auto& a : aggs) {
+    if (a.kind != df::AggKind::kCount &&
+        std::find(needed.begin(), needed.end(), a.column) == needed.end()) {
+      needed.push_back(a.column);
+    }
+  }
+  df::DataFrame narrow = with_time.Select(needed);
+  const int cell_idx = narrow.schema().FieldIndex("cell_id");
+  df::DataFrame inside = narrow.Filter([cell_idx](const df::RowView& row) {
+    return row.GetInt64(cell_idx) >= 0;
+  });
+  const int shards = std::max(inside.num_partitions(),
+                              std::max(1, ThreadPool::Global().num_threads()));
+  return inside.GroupByAgg({"cell_id", "time_id"}, aggs, shards);
+}
+
+void ExpectFramesBitwiseEqual(const df::DataFrame& got,
+                              const df::DataFrame& want) {
+  ASSERT_EQ(got.schema().fields(), want.schema().fields());
+  ASSERT_EQ(got.num_partitions(), want.num_partitions());
+  for (int pi = 0; pi < got.num_partitions(); ++pi) {
+    const df::Partition& g = got.partition(pi);
+    const df::Partition& w = want.partition(pi);
+    df::Partition::Pin gpin(g);
+    df::Partition::Pin wpin(w);
+    ASSERT_EQ(g.num_rows(), w.num_rows()) << "partition " << pi;
+    for (int c = 0; c < g.num_columns(); ++c) {
+      if (g.column_type(c) == df::DataType::kInt64) {
+        const auto gv = g.column(c).int64s();
+        const auto wv = w.column(c).int64s();
+        EXPECT_TRUE(std::equal(gv.begin(), gv.end(), wv.begin()))
+            << "partition " << pi << " column " << c;
+      } else {
+        const auto gv = g.column(c).doubles();
+        const auto wv = w.column(c).doubles();
+        EXPECT_EQ(std::memcmp(gv.data(), wv.data(), gv.size_bytes()), 0)
+            << "partition " << pi << " column " << c;
+      }
+    }
+  }
+}
+
+TEST(STManagerTest, StGridFrameEqualsComposedOpChain) {
+  synth::TaxiTripConfig config;
+  config.num_records = 6000;
+  config.duration_sec = 3 * 86400;
+  config.seed = 33;
+  const auto trips = synth::GenerateTaxiTrips(config);
+  // An explicit extent covering the lower-left part of the data, so a
+  // share of the points falls outside and is dropped.
+  const spatial::Envelope inner(
+      config.extent.min_x(), config.extent.min_y(),
+      0.5 * (config.extent.min_x() + config.extent.max_x()),
+      0.6 * config.extent.min_y() + 0.4 * config.extent.max_y());
+  for (int partitions : {1, 3, 5}) {
+    df::DataFrame frame = STManager::AddSpatialPoints(
+        synth::TripsToDataFrame(trips, partitions), "lat", "lon", "point");
+    struct Case {
+      std::vector<df::AggSpec> aggs;
+      std::optional<spatial::Envelope> extent;
+    };
+    const std::vector<Case> cases = {
+        // Count only (the default), points outside an explicit extent.
+        {{}, inner},
+        {{{df::AggKind::kCount, "", "n"}, {df::AggKind::kCount, "", "m"}},
+         std::nullopt},
+        // Two aggregations over one column, one over time_id.
+        {{{df::AggKind::kSum, "lat", "lat_sum"},
+          {df::AggKind::kVariance, "lat", "lat_var"},
+          {df::AggKind::kMax, "time_id", "t_max"},
+          {df::AggKind::kMin, "time", "first_s"},
+          {df::AggKind::kMean, "is_pickup", "pu"}},
+         inner},
+        // An aggregation over cell_id, and time_id before any other.
+        {{{df::AggKind::kMin, "time_id", "t_min"},
+          {df::AggKind::kSum, "cell_id", "cells"},
+          {df::AggKind::kCount, "", "n"}},
+         std::nullopt},
+    };
+    for (size_t ci = 0; ci < cases.size(); ++ci) {
+      SCOPED_TRACE("partitions " + std::to_string(partitions) + " case " +
+                   std::to_string(ci));
+      StGridSpec spec;
+      spec.partitions_x = 7;
+      spec.partitions_y = 5;
+      spec.step_duration_sec = 5400;
+      spec.extent = cases[ci].extent;
+      spec.aggs = cases[ci].aggs;
+      const StGridResult result = STManager::GetStGridDataFrame(frame, spec);
+      ASSERT_GT(result.frame.NumRows(), 0);
+      ExpectFramesBitwiseEqual(
+          result.frame, ComposedStGrid(frame, spec, result.extent));
+    }
+  }
 }
 
 TEST(STManagerTest, CoarsenGridSumsBlocks) {

@@ -10,6 +10,9 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <set>
+#include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "core/thread_pool.h"
 #include "datasets/grid_dataset.h"
 #include "df/dataframe.h"
+#include "obs/obs.h"
 #include "spatial/join.h"
 #include "spatial/strtree.h"
 #include "tensor/conv.h"
@@ -648,6 +652,274 @@ INSTANTIATE_TEST_SUITE_P(
                       GroupByParams{2000, 2000, int64_t{1} << 40},
                       GroupByParams{2000, 1000, -500},
                       GroupByParams{500, 20, -(int64_t{1} << 40)}));
+
+// --- GroupBy across partitionings, shard counts and the partial cap ----
+//
+// Phase 1 pre-aggregates each (partition, shard)'s first
+// kGroupByPartialCap keys and sends every later row raw, so a key can
+// have pre-aggregated rows and raw rows in one partition. The output
+// must not show the split: each shard lists its groups in first-seen
+// (partition-major row) order, with values equal bitwise to a reference
+// that folds each key's rows in row order into one partial per
+// partition and folds the partials in partition order, copying the
+// first.
+
+enum class Cardinality { kBelowCap, kAboveCap, kMixed };
+using GroupByLayoutParams = std::tuple<int, int, Cardinality>;
+// (input partitions, shards, cardinality regime)
+
+class GroupByLayoutSweep
+    : public ::testing::TestWithParam<GroupByLayoutParams> {};
+
+struct LayoutKey {
+  int64_t a;
+  int64_t b;
+  auto operator<=>(const LayoutKey&) const = default;
+};
+
+uint64_t LayoutHash(const LayoutKey& key) {
+  const int64_t words[2] = {key.a, key.b};
+  return df::GroupKeyHash(words, 2);
+}
+
+// A frame of keys (a, b) and values v (double, -0.0 every 17th row) and
+// w (int64). Each partition p overflows the pre-aggregation table of
+// shard p % shards in the kAboveCap and kMixed regimes; background keys
+// spread over every shard stay far below the cap.
+df::DataFrame LayoutFrame(int partitions, int shards, Cardinality regime) {
+  const size_t cap = df::kGroupByPartialCap;
+  const size_t pool_size = cap + 8 * 211 + 400;
+  // Distinct keys per shard, found by hashing candidates; keys of every
+  // sign and magnitude.
+  std::vector<std::vector<LayoutKey>> pool(shards);
+  size_t filled = 0;
+  for (int64_t i = 0; filled < static_cast<size_t>(shards); ++i) {
+    const LayoutKey key{(i % 3 == 0 ? -1 : 1) * (i * 7919) % 100003,
+                        (i << 20) - 12345};
+    auto& keys = pool[LayoutHash(key) % shards];
+    if (keys.size() == pool_size) continue;
+    keys.push_back(key);
+    if (keys.size() == pool_size) ++filled;
+  }
+  std::vector<LayoutKey> background;
+  for (int64_t i = 0; i < 150; ++i) {
+    background.push_back({-(int64_t{1} << 40) - i, i % 5});
+  }
+
+  Rng rng(static_cast<uint64_t>(partitions * 100 + shards * 7 +
+                                static_cast<int>(regime)));
+  std::vector<std::shared_ptr<const df::Partition>> parts;
+  int64_t row_id = 0;
+  for (int p = 0; p < partitions; ++p) {
+    const std::vector<LayoutKey>& target = pool[p % shards];
+    std::vector<LayoutKey> rows;
+    const auto some_background = [&] {
+      return background[rng.UniformInt(0, background.size() - 1)];
+    };
+    switch (regime) {
+      case Cardinality::kBelowCap:
+        for (int i = 0; i < 600; ++i) rows.push_back(some_background());
+        break;
+      case Cardinality::kAboveCap:
+        // Near-unique keys, overlapping between partitions.
+        for (size_t i = 0; i < cap + 300; ++i) {
+          rows.push_back(target[p * 211 + i]);
+          if (i % 9 == 0) rows.push_back(some_background());
+        }
+        break;
+      case Cardinality::kMixed: {
+        // Early keys fill the table almost; fill keys cross the cap;
+        // late rows revisit both, so many keys get pre-aggregated rows
+        // first and raw rows after.
+        const size_t early = cap - 50;
+        for (size_t i = 0; i < early + 120; ++i) {
+          rows.push_back(target[p * 97 + i]);
+          if (i % 13 == 0) rows.push_back(some_background());
+        }
+        for (int i = 0; i < 900; ++i) {
+          const int pick = rng.UniformInt(0, 9);
+          if (pick < 6) {
+            rows.push_back(target[p * 97 + rng.UniformInt(0, early + 119)]);
+          } else if (pick < 8) {
+            rows.push_back(some_background());
+          } else {
+            rows.push_back(target[p * 97 + early + 120 + i]);
+          }
+        }
+        break;
+      }
+    }
+    std::vector<int64_t> as, bs, ws;
+    std::vector<double> vs;
+    for (const LayoutKey& key : rows) {
+      as.push_back(key.a);
+      bs.push_back(key.b);
+      vs.push_back(row_id % 17 == 0 ? -0.0 : rng.Uniform(-1, 1));
+      ws.push_back(rng.UniformInt(-1000, 1000));
+      ++row_id;
+    }
+    std::vector<df::Column> cols;
+    cols.push_back(df::Column::FromInt64s(std::move(as)));
+    cols.push_back(df::Column::FromInt64s(std::move(bs)));
+    cols.push_back(df::Column::FromDoubles(std::move(vs)));
+    cols.push_back(df::Column::FromInt64s(std::move(ws)));
+    parts.push_back(std::make_shared<df::Partition>(std::move(cols)));
+  }
+  auto schema = std::make_shared<df::Schema>(
+      std::vector<std::pair<std::string, df::DataType>>{
+          {"a", df::DataType::kInt64},
+          {"b", df::DataType::kInt64},
+          {"v", df::DataType::kDouble},
+          {"w", df::DataType::kInt64}});
+  return df::DataFrame::FromPartitions(schema, std::move(parts));
+}
+
+const std::vector<df::AggSpec>& LayoutAggs() {
+  static const std::vector<df::AggSpec> aggs = {
+      {df::AggKind::kCount, "", "n"},
+      {df::AggKind::kSum, "v", "s"},
+      {df::AggKind::kMin, "v", "lo"},
+      {df::AggKind::kMax, "v", "hi"},
+      {df::AggKind::kMean, "v", "mean"},
+      {df::AggKind::kVariance, "v", "var"},
+      {df::AggKind::kStdDev, "w", "w_sd"},
+      {df::AggKind::kMax, "w", "w_hi"},
+      {df::AggKind::kSum, "w", "w_sum"}};
+  return aggs;
+}
+
+struct LayoutGroup {
+  RefGroup v;
+  RefGroup w;
+};
+
+// Every key's groups in the documented accumulation order, and the keys
+// in first-seen (partition-major row) order.
+void ReferenceFold(const df::DataFrame& frame,
+                   std::map<LayoutKey, LayoutGroup>* groups,
+                   std::vector<LayoutKey>* first_seen) {
+  const auto add = [](RefGroup& g, double x) {
+    ++g.count;
+    g.sum += x;
+    g.sumsq += x * x;
+    g.min = std::min(g.min, x);
+    g.max = std::max(g.max, x);
+  };
+  const auto fold = [](RefGroup& total, const RefGroup& p) {
+    total.count += p.count;
+    total.sum += p.sum;
+    total.sumsq += p.sumsq;
+    total.min = std::min(total.min, p.min);
+    total.max = std::max(total.max, p.max);
+  };
+  std::set<LayoutKey> seen;
+  for (int pi = 0; pi < frame.num_partitions(); ++pi) {
+    const df::Partition& part = frame.partition(pi);
+    df::Partition::Pin pin(part);
+    std::map<LayoutKey, LayoutGroup> partial;
+    for (int64_t r = 0; r < part.num_rows(); ++r) {
+      const LayoutKey key{part.column(0).int64s()[r],
+                          part.column(1).int64s()[r]};
+      LayoutGroup& g = partial[key];
+      add(g.v, part.column(2).doubles()[r]);
+      add(g.w, static_cast<double>(part.column(3).int64s()[r]));
+      if (seen.insert(key).second) first_seen->push_back(key);
+    }
+    for (const auto& [key, p] : partial) {
+      auto [it, first] = groups->try_emplace(key, p);
+      if (first) continue;
+      fold(it->second.v, p.v);
+      fold(it->second.w, p.w);
+    }
+  }
+}
+
+TEST_P(GroupByLayoutSweep, MatchesReferenceFoldBitwise) {
+  const auto [partitions, shards, regime] = GetParam();
+  const df::DataFrame frame = LayoutFrame(partitions, shards, regime);
+  std::map<LayoutKey, LayoutGroup> ref;
+  std::vector<LayoutKey> first_seen;
+  ReferenceFold(frame, &ref, &first_seen);
+
+  // The regime does what it says: rows go raw exactly when some table
+  // overflows.
+  const bool obs_was_on = obs::Enabled();
+  obs::SetEnabled(true);
+  obs::Counter* raw_rows = obs::GetCounter("df.groupby.raw_rows");
+  const int64_t raw_before = raw_rows->value();
+  const df::DataFrame agg = frame.GroupByAgg({"a", "b"}, LayoutAggs(), shards);
+  const int64_t raw = raw_rows->value() - raw_before;
+  obs::SetEnabled(obs_was_on);
+  if (regime == Cardinality::kBelowCap) {
+    EXPECT_EQ(raw, 0);
+  } else {
+    EXPECT_GT(raw, 0);
+  }
+  ASSERT_EQ(agg.num_partitions(), shards);
+  ASSERT_EQ(agg.NumRows(), static_cast<int64_t>(ref.size()));
+  for (int pi = 0; pi < shards; ++pi) {
+    const df::Partition& part = agg.partition(pi);
+    df::Partition::Pin pin(part);
+    for (int64_t r = 0; r < part.num_rows(); ++r) {
+      const LayoutKey key{part.column(0).int64s()[r],
+                          part.column(1).int64s()[r]};
+      ASSERT_TRUE(ref.count(key)) << key.a << "," << key.b;
+      const RefGroup& v = ref[key].v;
+      const RefGroup& w = ref[key].w;
+      const double n = static_cast<double>(v.count);
+      const double mean = v.sum / n;
+      const double var = std::max(0.0, v.sumsq / n - mean * mean);
+      const double w_mean = w.sum / n;
+      const double w_sd =
+          std::sqrt(std::max(0.0, w.sumsq / n - w_mean * w_mean));
+      SCOPED_TRACE(::testing::Message() << "key " << key.a << "," << key.b);
+      EXPECT_EQ(part.column(2).int64s()[r], v.count);
+      EXPECT_EQ(Bits(part.column(3).doubles()[r]), Bits(v.sum));
+      EXPECT_EQ(Bits(part.column(4).doubles()[r]), Bits(v.min));
+      EXPECT_EQ(Bits(part.column(5).doubles()[r]), Bits(v.max));
+      EXPECT_EQ(Bits(part.column(6).doubles()[r]), Bits(mean));
+      EXPECT_EQ(Bits(part.column(7).doubles()[r]), Bits(var));
+      EXPECT_EQ(Bits(part.column(8).doubles()[r]), Bits(w_sd));
+      EXPECT_EQ(Bits(part.column(9).doubles()[r]), Bits(w.max));
+      EXPECT_EQ(Bits(part.column(10).doubles()[r]), Bits(w.sum));
+    }
+  }
+}
+
+TEST_P(GroupByLayoutSweep, ListsKeysInFirstSeenOrder) {
+  const auto [partitions, shards, regime] = GetParam();
+  const df::DataFrame frame = LayoutFrame(partitions, shards, regime);
+  std::map<LayoutKey, LayoutGroup> ref;
+  std::vector<LayoutKey> first_seen;
+  ReferenceFold(frame, &ref, &first_seen);
+  // Each shard's keys, in global first-seen order.
+  std::vector<std::vector<LayoutKey>> want(shards);
+  for (const LayoutKey& key : first_seen) {
+    want[LayoutHash(key) % shards].push_back(key);
+  }
+
+  const df::DataFrame agg =
+      frame.GroupByAgg({"a", "b"}, {{df::AggKind::kCount, "", "n"}}, shards);
+  ASSERT_EQ(agg.num_partitions(), shards);
+  for (int pi = 0; pi < shards; ++pi) {
+    const df::Partition& part = agg.partition(pi);
+    df::Partition::Pin pin(part);
+    std::vector<LayoutKey> got;
+    for (int64_t r = 0; r < part.num_rows(); ++r) {
+      got.push_back({part.column(0).int64s()[r], part.column(1).int64s()[r]});
+    }
+    EXPECT_TRUE(got == want[pi]) << "shard " << pi << ": " << got.size()
+                                 << " keys, want " << want[pi].size();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PartitionsShardsCardinality, GroupByLayoutSweep,
+    ::testing::Combine(::testing::Values(1, 3, 8),
+                       ::testing::Values(1, 3, 8, 64),
+                       ::testing::Values(Cardinality::kBelowCap,
+                                         Cardinality::kAboveCap,
+                                         Cardinality::kMixed)));
 
 // --- STR-tree across node capacities ---------------------------------------
 
