@@ -20,12 +20,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -192,20 +194,28 @@ struct Record {
 // and the running count of finished submits.
 using During = std::function<void(serve::Fleet&, const std::atomic<int64_t>&)>;
 
+// How long each client of a run keeps submitting: at least `requests`
+// samples, and until `seconds` of wall time have passed since the
+// start. A fixed wall time keeps fast rows long enough to rank: a
+// fixed request count ends a 16-client batch-1 row in a few ms.
+struct RunLength {
+  int requests = 0;
+  double seconds = 0.0;
+};
+
 // The client driver. One fleet serves every load's model; all loads'
-// clients run at once, each submitting `requests_per_client` samples
-// back to back. With `during` set, the driver waits for traffic to
-// flow, runs it, and the clients keep submitting until it returns.
-// Returns one record per load, its throughput timed from the common
-// start to that model's last response.
+// clients run at once, each submitting samples back to back for
+// `length`. With `during` set, the driver waits for traffic to flow,
+// runs it, and the clients keep submitting until it returns (and
+// `length` has passed). Returns one record per load, its throughput
+// timed from the common start to that model's last response.
 std::vector<Record> Drive(const std::vector<Load>& loads,
-                          const FleetShape& shape, int requests_per_client,
+                          const FleetShape& shape, const RunLength& length,
                           const During& during = nullptr) {
   serve::FleetOptions opts;
   opts.replicas = shape.replicas;
   opts.tenant_qps = 0;  // measure the router, not admission control
   opts.engine.max_batch = shape.max_batch;
-  opts.engine.max_delay_us = 200;
   opts.engine.max_queue = 1024;
   opts.engine.warmup_batches = 2;
   opts.engine.precision = shape.precision;
@@ -241,7 +251,7 @@ std::vector<Record> Drive(const std::vector<Load>& loads,
       clients.push_back({li, c, {}, 0, 0});
     }
   }
-  std::atomic<bool> busy{static_cast<bool>(during)};
+  std::atomic<bool> busy{during != nullptr || length.seconds > 0.0};
   std::atomic<int64_t> finished{0};
   const int64_t start_ns = obs::NowNs();
   std::vector<std::thread> threads;
@@ -250,12 +260,10 @@ std::vector<Record> Drive(const std::vector<Load>& loads,
     threads.emplace_back([&, ci] {
       Client& cl = clients[ci];
       const ServedModel& m = *loads[cl.load].model;
-      cl.latency_us.reserve(requests_per_client);
       for (int i = 0;
-           i < requests_per_client || busy.load(std::memory_order_relaxed);
+           i < length.requests || busy.load(std::memory_order_relaxed);
            ++i) {
-        const data::Sample& s =
-            m.samples[(cl.index * requests_per_client + i) % m.samples.size()];
+        const data::Sample& s = m.samples[(cl.index + i) % m.samples.size()];
         const int64_t t0 = obs::NowNs();
         if (fleet.Submit(m.name, "bench", s).ok()) {
           cl.latency_us.push_back((obs::NowNs() - t0) / 1000);
@@ -270,8 +278,14 @@ std::vector<Record> Drive(const std::vector<Load>& loads,
   if (during) {
     while (finished.load() < 16) std::this_thread::yield();
     during(fleet, finished);
-    busy.store(false);
   }
+  if (length.seconds > 0.0) {
+    const int64_t end_ns =
+        start_ns + static_cast<int64_t>(length.seconds * 1e9);
+    std::this_thread::sleep_for(
+        std::chrono::nanoseconds(end_ns - obs::NowNs()));
+  }
+  busy.store(false);
   for (auto& t : threads) t.join();
   fleet.Shutdown();
 
@@ -306,23 +320,30 @@ std::vector<Record> Drive(const std::vector<Load>& loads,
   return records;
 }
 
-// Hosts jitter by ~10% run to run, the order of the effects measured;
-// keep the run of `reps` with the highest total throughput.
-std::vector<Record> DriveBest(int reps, const std::vector<Load>& loads,
-                              const FleetShape& shape,
-                              int requests_per_client) {
-  std::vector<Record> best;
-  double best_rps = -1.0;
+// Hosts jitter by ~10% run to run, the order of the effects measured.
+// Runs the loads under each of `shapes` `reps` times, interleaving the
+// shapes so that a burst of load on the host hits them alike, and
+// returns per shape the run with the median total throughput.
+std::vector<std::vector<Record>> DriveMedian(
+    int reps, const std::vector<Load>& loads,
+    const std::vector<FleetShape>& shapes, const RunLength& length) {
+  using Run = std::pair<double, std::vector<Record>>;
+  std::vector<std::vector<Run>> runs(shapes.size());
   for (int r = 0; r < reps; ++r) {
-    std::vector<Record> run = Drive(loads, shape, requests_per_client);
-    double rps = 0.0;
-    for (const Record& rec : run) rps += rec.throughput_rps;
-    if (rps > best_rps) {
-      best_rps = rps;
-      best = std::move(run);
+    for (size_t si = 0; si < shapes.size(); ++si) {
+      std::vector<Record> run = Drive(loads, shapes[si], length);
+      double rps = 0.0;
+      for (const Record& rec : run) rps += rec.throughput_rps;
+      runs[si].emplace_back(rps, std::move(run));
     }
   }
-  return best;
+  std::vector<std::vector<Record>> medians;
+  for (std::vector<Run>& shape_runs : runs) {
+    std::sort(shape_runs.begin(), shape_runs.end(),
+              [](const Run& x, const Run& y) { return x.first < y.first; });
+    medians.push_back(std::move(shape_runs[shape_runs.size() / 2].second));
+  }
+  return medians;
 }
 
 void PrintRecord(const Record& r) {
@@ -404,7 +425,7 @@ int Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
   // report hardware_threads in the JSON for context.
   ts::DeviceGuard device(ts::Device::kParallel);
 
-  const int requests_per_client = smoke ? 24 : 160;
+  const RunLength length = smoke ? RunLength{24, 0.0} : RunLength{0, 0.25};
   const int reps = smoke ? 1 : 3;
 
   std::vector<ServedModel> grids;
@@ -443,8 +464,8 @@ int Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
   }
 
   std::printf("SERVE BENCH: closed-loop clients through serve::Fleet "
-              "(%d req/client)\n",
-              requests_per_client);
+              "(%d req/client min, %.2f s per run, median of %d runs)\n",
+              length.requests, length.seconds, reps);
   PrintRule(92);
   std::printf("%-10s %-20s %-5s %-5s %-6s %-8s %-10s %-8s %-8s %-6s\n",
               "family", "model", "prec", "repl", "batch", "clients", "rps",
@@ -471,42 +492,36 @@ int Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
   for (const ServedModel& m : grids) {
     for (int clients : smoke ? std::vector<int>{1, 4}
                              : std::vector<int>{1, 2, 4, 8, 16}) {
-      double batch1_rps = 0.0;
+      std::vector<FleetShape> shapes;
       for (int max_batch : smoke ? std::vector<int>{1, 8}
                                  : std::vector<int>{1, 8, 16}) {
-        const Record r =
-            add("batching", DriveBest(reps, {{&m, clients}},
-                                      {1, max_batch, kF32},
-                                      requests_per_client));
-        if (max_batch == 1) {
-          batch1_rps = r.throughput_rps;
-        } else if (clients >= 4) {
-          batching.Offer(r, batch1_rps);
-        }
+        shapes.push_back({1, max_batch, kF32});
+      }
+      // shapes[0] is the batch-1 row the others are compared against.
+      const std::vector<std::vector<Record>> runs =
+          DriveMedian(reps, {{&m, clients}}, shapes, length);
+      const double batch1_rps = add("batching", runs[0]).throughput_rps;
+      for (size_t si = 1; si < runs.size(); ++si) {
+        const Record r = add("batching", runs[si]);
+        if (clients >= 4) batching.Offer(r, batch1_rps);
       }
     }
   }
   // Grid models are conv-heavy, so int8 weights ride the GEMM's A side
   // and cannot be pre-packed: this row is int8's compute-only win.
-  add("batching", DriveBest(reps, {{&grids.front(), 4}}, {1, 8, kInt8},
-                            requests_per_client));
+  add("batching", DriveMedian(reps, {{&grids.front(), 4}}, {{1, 8, kInt8}},
+                              length)
+                      .front());
 
   // int8 headline: the classifier configuration whose int8 row gains
   // most over its f32 row.
   Headline int8;
   for (const ServedModel& m : classifiers) {
     for (int clients : smoke ? std::vector<int>{1} : std::vector<int>{1, 8}) {
-      double f32_rps = 0.0;
-      for (nn::Precision p : {kF32, kInt8}) {
-        const Record r = add("precision", DriveBest(reps, {{&m, clients}},
-                                                    {1, 16, p},
-                                                    requests_per_client));
-        if (p == kF32) {
-          f32_rps = r.throughput_rps;
-        } else {
-          int8.Offer(r, f32_rps);
-        }
-      }
+      const std::vector<std::vector<Record>> runs = DriveMedian(
+          reps, {{&m, clients}}, {{1, 16, kF32}, {1, 16, kInt8}}, length);
+      const double f32_rps = add("precision", runs[0]).throughput_rps;
+      int8.Offer(add("precision", runs[1]), f32_rps);
     }
   }
 
@@ -518,8 +533,9 @@ int Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
     for (int clients : smoke ? std::vector<int>{2}
                              : std::vector<int>{2, 4, 8}) {
       add("replicas",
-          DriveBest(reps, {{&grids[0], clients}, {&grids[1], clients}},
-                    {replicas, 8, kF32}, requests_per_client));
+          DriveMedian(reps, {{&grids[0], clients}, {&grids[1], clients}},
+                      {{replicas, 8, kF32}}, length)
+              .front());
     }
   }
   PrintRule(92);
@@ -542,8 +558,7 @@ int Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
     double reload_ms = 0.0;
     int64_t during = 0;
     std::vector<Record> run = Drive(
-        {{&reloaded, smoke ? 2 : 4}}, {replicas, 8, kF32},
-        requests_per_client,
+        {{&reloaded, smoke ? 2 : 4}}, {replicas, 8, kF32}, length,
         [&](serve::Fleet& fleet, const std::atomic<int64_t>& finished) {
           const int64_t before = finished.load();
           Stopwatch timer;

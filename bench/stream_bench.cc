@@ -115,7 +115,6 @@ Record RunLevel(const RateLevel& level) {
   fleet_opts.replicas = 1;  // bench host has one hardware thread
   fleet_opts.tenant_qps = 0;
   fleet_opts.engine.max_batch = 4;
-  fleet_opts.engine.max_delay_us = 200;
   fleet_opts.engine.max_queue = 64;
   fleet_opts.engine.warmup_batches = 1;
   serve::Fleet fleet(fleet_opts);

@@ -84,7 +84,6 @@ int main() {
   opts.replicas = 2;
   opts.tenant_qps = 100;
   opts.engine.max_batch = 8;
-  opts.engine.max_delay_us = 200;
   serve::Fleet fleet(opts);
 
   auto spec_of = [](const data::Sample& probe) {

@@ -81,9 +81,8 @@ int main() {
   //    NoGradGuard. Knobs also come from GEOTORCH_SERVE_* env vars via
   //    EngineOptions::FromEnv().
   serve::EngineOptions opts;
-  opts.max_batch = 8;       // coalesce up to 8 requests per forward
-  opts.max_delay_us = 200;  // wait at most 200us for a batch to fill
-  opts.max_queue = 64;      // then reject with OutOfRange (backpressure)
+  opts.max_batch = 8;   // coalesce up to 8 queued requests per forward
+  opts.max_queue = 64;  // past 64 waiting, reject with OutOfRange
   // GEOTORCH_SERVE_PRECISION=int8 serves the checkpointed model
   // through the int8 GEMM path (DESIGN.md §10); the adapter
   // quantizes and prepacks the weights once, here at wrap time.

@@ -2,13 +2,11 @@
 #define GEOTORCH_CORE_BOUNDED_QUEUE_H_
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <limits>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -34,7 +32,6 @@ namespace geotorch {
 template <typename T>
 class BoundedQueue {
  public:
-  using Clock = std::chrono::steady_clock;
   static constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();
 
   explicit BoundedQueue(size_t capacity = kUnbounded) : capacity_(capacity) {
@@ -84,19 +81,12 @@ class BoundedQueue {
 
   /// Blocks until at least one item is available, then appends up to
   /// `max` (>= 1) of them to `out` in FIFO order and returns how many.
-  /// Returns 0 only when the queue is closed and drained, or when
-  /// `deadline` passes with nothing queued. A closed queue never
-  /// blocks: it hands out what is buffered at once.
-  size_t PopBatch(size_t max, std::vector<T>* out,
-                  std::optional<Clock::time_point> deadline = std::nullopt) {
+  /// Returns 0 only when the queue is closed and drained. A closed
+  /// queue never blocks: it hands out what is buffered at once.
+  size_t PopBatch(size_t max, std::vector<T>* out) {
     GEO_CHECK_GE(max, 1u);
     std::unique_lock<std::mutex> lock(mu_);
-    const auto ready = [this] { return !items_.empty() || closed_; };
-    if (deadline) {
-      if (!not_empty_.wait_until(lock, *deadline, ready)) return 0;
-    } else {
-      not_empty_.wait(lock, ready);
-    }
+    not_empty_.wait(lock, [this] { return !items_.empty() || closed_; });
     const size_t n = std::min(max, items_.size());
     for (size_t i = 0; i < n; ++i) {
       out->push_back(std::move(items_.front()));

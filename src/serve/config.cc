@@ -10,8 +10,6 @@ namespace geotorch::serve {
 EngineOptions EngineOptions::FromEnv() {
   EngineOptions opts;
   opts.max_batch = EnvInt("GEOTORCH_SERVE_MAX_BATCH", opts.max_batch, 1);
-  opts.max_delay_us =
-      EnvInt("GEOTORCH_SERVE_MAX_DELAY_US", opts.max_delay_us, 0);
   opts.max_queue = EnvInt("GEOTORCH_SERVE_MAX_QUEUE", opts.max_queue, 1);
   opts.warmup_batches =
       EnvInt("GEOTORCH_SERVE_WARMUP", opts.warmup_batches, 0);

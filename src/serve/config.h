@@ -11,9 +11,6 @@ namespace geotorch::serve {
 ///
 ///   GEOTORCH_SERVE_MAX_BATCH     coalesce at most this many requests
 ///                                into one forward (default 16)
-///   GEOTORCH_SERVE_MAX_DELAY_US  how long the batcher waits for a
-///                                partial batch to fill before running
-///                                it anyway (default 200)
 ///   GEOTORCH_SERVE_MAX_QUEUE     bounded request-queue capacity;
 ///                                submits beyond it are rejected with a
 ///                                Status — backpressure, not unbounded
@@ -32,6 +29,8 @@ namespace geotorch::serve {
 ///                                ignored
 struct EngineOptions {
   int max_batch = 16;
+  /// Not read; removed once geobench stops assigning it. The batcher
+  /// never waits for a partial batch to fill (DESIGN.md §9).
   int max_delay_us = 200;
   int max_queue = 256;
   int warmup_batches = 2;
@@ -39,7 +38,7 @@ struct EngineOptions {
 
   /// Defaults overridden by any GEOTORCH_SERVE_* variables present.
   /// Values are clamped to sane minimums (max_batch/max_queue >= 1,
-  /// max_delay_us/warmup_batches >= 0); unparsable text is ignored.
+  /// warmup_batches >= 0); unparsable text is ignored.
   static EngineOptions FromEnv();
 };
 

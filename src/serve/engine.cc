@@ -1,6 +1,5 @@
 #include "serve/engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <utility>
@@ -31,14 +30,6 @@ ts::Tensor StackRows(int64_t b, const ts::Shape& sample_shape,
                 static_cast<size_t>(row) * sizeof(float));
   }
   return out;
-}
-
-// An obs::NowNs() timestamp as a point on the queue's clock (both are
-// steady_clock).
-std::chrono::steady_clock::time_point AtNs(int64_t ns) {
-  using Clock = std::chrono::steady_clock;
-  return Clock::time_point(std::chrono::duration_cast<Clock::duration>(
-      std::chrono::nanoseconds(ns)));
 }
 
 }  // namespace
@@ -101,7 +92,6 @@ Result<ts::Tensor> Engine::Submit(const data::Sample& sample,
   const int64_t t0 = obs::NowNs();
   Request req;
   req.sample = sample;
-  req.enqueue_ns = t0;
   std::future<ts::Tensor> fut = req.promise.get_future();
   bool admitted;
   {
@@ -148,37 +138,13 @@ Result<ts::Tensor> Engine::Submit(const data::Sample& sample,
 
 void Engine::BatcherLoop() {
   const size_t max_batch = static_cast<size_t>(options_.max_batch);
-  const int64_t delay_ns = static_cast<int64_t>(options_.max_delay_us) * 1000;
-  const int64_t quiet_ns = std::max<int64_t>(1000, delay_ns / 16);
   for (;;) {
+    // Take what is queued, up to max_batch, and run it at once: no
+    // fill-wait (DESIGN.md §9). Requests that arrive during a forward
+    // wait for it anyway, so they form the next batch; waiting for
+    // more after that only adds latency.
     std::vector<Request> taken;
     if (queue_.PopBatch(max_batch, &taken) == 0) return;  // closed, drained
-    // A request is waiting. Give the batch up to max_delay_us —
-    // counted from the oldest request's enqueue — to fill before
-    // running it partial. Concurrent clients arrive within
-    // microseconds of each other, so once a quiet window passes
-    // with no new arrival the queue has stopped growing and waiting
-    // longer only adds latency (with fewer clients than max_batch
-    // the batch would never fill and every cycle would burn the
-    // whole budget): run what we have. The window is 1/16 of the
-    // budget — wide enough to catch back-to-back submits, narrow
-    // enough that an unfillable batch costs little dead time.
-    // Shutdown skips the wait entirely (a closed queue never blocks),
-    // and so does a stream that just proved it cannot coalesce
-    // (skip_fill_wait_, set by RunBatch): a lone sequential client
-    // submits only after the previous reply, so even one quiet window
-    // per request is pure added latency — run immediately until
-    // batching pressure reappears.
-    const int64_t deadline_ns = taken.front().enqueue_ns + delay_ns;
-    while (!skip_fill_wait_ && taken.size() < max_batch) {
-      const int64_t now = obs::NowNs();
-      if (now >= deadline_ns) break;
-      const int64_t until = now + std::min(deadline_ns - now, quiet_ns);
-      if (queue_.PopBatch(max_batch - taken.size(), &taken, AtNs(until)) ==
-          0) {
-        break;  // no arrivals in the window: stop waiting
-      }
-    }
     if (GEO_OBS_ON()) {
       obs::SetGauge("serve.queue_depth", static_cast<int64_t>(queue_.size()));
     }
@@ -215,17 +181,6 @@ void Engine::RunBatch(std::vector<Request> requests) {
   batches_.fetch_add(1, std::memory_order_relaxed);
   GEO_OBS_COUNT("serve.batches", 1);
   GEO_OBS_HIST("serve.batch_size", b);
-
-  // Decide the next cycle's fill-wait BEFORE any promise is fulfilled:
-  // once a waiter wakes it may resubmit instantly, and that follow-up
-  // from a non-coalescing client must not be mistaken for batching
-  // pressure. A singleton batch that left the queue empty means the
-  // fill-wait gained nothing — skip it next cycle. Any coalescing at
-  // all (b > 1), or requests queued behind this forward, re-arms the
-  // wait; partial-but-plural batches (say 4 steady clients under
-  // max_batch 16) keep their quiet window, because for them it is
-  // what makes batching happen.
-  skip_fill_wait_ = b == 1 && queue_.size() == 0;
 
   ts::Shape row_shape(out.shape().begin() + 1, out.shape().end());
   if (row_shape.empty()) row_shape = {1};

@@ -37,11 +37,12 @@ struct EngineStats {
 };
 
 /// Dynamically-batched inference engine (DESIGN.md §9). Callers submit
-/// single samples and block on the result; a batcher thread coalesces
-/// up to `max_batch` queued requests (waiting at most `max_delay_us`
-/// for a partial batch to fill), runs ONE batched forward, and
-/// scatters the output rows back to the waiting callers. The bounded
-/// queue rejects submits once `max_queue` requests are waiting, giving
+/// single samples and block on the result; a batcher thread takes
+/// whatever is queued, up to `max_batch` requests, runs ONE batched
+/// forward, and scatters the output rows back to the waiting callers.
+/// It never waits for a partial batch to fill (`max_delay_us` is not
+/// read; removed once geobench stops assigning it). The bounded queue
+/// rejects submits once `max_queue` requests are waiting, giving
 /// overloaded deployments backpressure instead of unbounded memory.
 ///
 /// The engine is model-agnostic: it owns a BatchForward closure.
@@ -106,10 +107,9 @@ class Engine {
   void Drain();
 
   /// Requests currently waiting in the queue (excludes the batch the
-  /// batcher is filling or running right now). For tests and
-  /// monitoring: the fleet router does not read it, it routes on its
-  /// own per-replica count of outstanding (accepted, not yet answered)
-  /// requests.
+  /// batcher is running right now). For tests and monitoring: the
+  /// fleet router does not read it, it routes on its own per-replica
+  /// count of outstanding (accepted, not yet answered) requests.
   int queue_depth() const;
 
   EngineStats stats() const;
@@ -120,7 +120,6 @@ class Engine {
   struct Request {
     data::Sample sample;
     std::promise<tensor::Tensor> promise;
-    int64_t enqueue_ns = 0;
   };
 
   void BatcherLoop();
@@ -149,14 +148,6 @@ class Engine {
   /// (requests_) it defines Drain's completion predicate
   /// answered_ >= target.
   int64_t answered_ = 0;
-  /// Batcher thread only. Set by RunBatch when the batch it just ran
-  /// was a singleton AND the queue was empty at completion: the request
-  /// stream demonstrably does not coalesce (a lone sequential client
-  /// only submits after the previous reply), so the next cycle skips
-  /// the fill-wait and runs immediately instead of burning a quiet
-  /// window per request. Cleared as soon as any coalescing happens or
-  /// requests queue up behind a running forward.
-  bool skip_fill_wait_ = false;
 
   std::atomic<int64_t> requests_{0};
   std::atomic<int64_t> rejected_{0};

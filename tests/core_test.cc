@@ -269,20 +269,6 @@ TEST(BoundedQueueTest, PopBatchCapsAtMaxAndAppendsInOrder) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(BoundedQueueTest, PopBatchDeadlineWithNothingQueuedReturnsZero) {
-  using Clock = BoundedQueue<int>::Clock;
-  BoundedQueue<int> q(4);
-  std::vector<int> out;
-  const Clock::time_point start = Clock::now();
-  EXPECT_EQ(q.PopBatch(4, &out, start + std::chrono::milliseconds(20)), 0u);
-  EXPECT_GE(Clock::now() - start, std::chrono::milliseconds(20));
-  EXPECT_TRUE(out.empty());
-  // A deadline already in the past still hands out what is queued.
-  ASSERT_TRUE(q.Push(7));
-  EXPECT_EQ(q.PopBatch(4, &out, start), 1u);
-  EXPECT_EQ(out, (std::vector<int>{7}));
-}
-
 TEST(BoundedQueueTest, PopBatchWakesOnPush) {
   BoundedQueue<int> q(4);
   std::vector<int> out;

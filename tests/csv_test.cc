@@ -19,13 +19,10 @@
 #include "core/thread_pool.h"
 #include "df/partition_store.h"
 #include "synth/taxi.h"
+#include "tests/temp_path.h"
 
 namespace geotorch::df {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/csv_test_" + name;
-}
 
 void WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -158,7 +155,7 @@ TEST(CsvReadTest, MalformedCellsFailWithLineNumber) {
       {"error after good and empty lines", "1,1.5,x,1;2\n\n3,oops,y,3;4\n", 4},
       {"error on unterminated last line", "1,1.5,x,1;2\n2,2.5,y,bad", 3},
   };
-  const std::string path = TempPath("malformed.csv");
+  const ScopedTempPath path("csv_test_malformed.csv");
   for (const BadCase& bc : cases) {
     WriteFile(path, kHeader + bc.body);
     Result<DataFrame> r = ReadBothWays(path, bc.label);
@@ -171,7 +168,7 @@ TEST(CsvReadTest, MalformedCellsFailWithLineNumber) {
 }
 
 TEST(CsvReadTest, EmptyFileFails) {
-  const std::string path = TempPath("empty.csv");
+  const ScopedTempPath path("csv_test_empty.csv");
   WriteFile(path, "");
   Result<DataFrame> r = ReadCsv(path, MixedSchema());
   ASSERT_FALSE(r.ok());
@@ -179,13 +176,14 @@ TEST(CsvReadTest, EmptyFileFails) {
 }
 
 TEST(CsvReadTest, MissingFileFails) {
-  Result<DataFrame> r = ReadCsv(TempPath("no_such_file.csv"), MixedSchema());
+  Result<DataFrame> r =
+      ReadCsv(testing::TempDir() + "/csv_test_no_such_file.csv", MixedSchema());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
 }
 
 TEST(CsvReadTest, HeaderOnlyGivesEmptyFrame) {
-  const std::string path = TempPath("header_only.csv");
+  const ScopedTempPath path("csv_test_header_only.csv");
   for (const std::string bytes : {"id,v,name,pt\n", "id,v,name,pt"}) {
     WriteFile(path, bytes);
     Result<DataFrame> r = ReadCsv(path, MixedSchema());
@@ -209,7 +207,7 @@ void ExpectTwoRows(const DataFrame& frame) {
 }
 
 TEST(CsvReadTest, CrlfLineEndings) {
-  const std::string path = TempPath("crlf.csv");
+  const ScopedTempPath path("csv_test_crlf.csv");
   WriteFile(path,
             "id,v,name,pt\r\n1,1.5,a,1;2\r\n\r\n-2,-2.25,b,-73.5;40.75\r\n");
   Result<DataFrame> r = ReadCsv(path, MixedSchema());
@@ -218,7 +216,7 @@ TEST(CsvReadTest, CrlfLineEndings) {
 }
 
 TEST(CsvReadTest, MissingFinalNewline) {
-  const std::string path = TempPath("no_final_newline.csv");
+  const ScopedTempPath path("csv_test_no_final_newline.csv");
   WriteFile(path, "id,v,name,pt\n1,1.5,a,1;2\n-2,-2.25,b,-73.5;40.75");
   Result<DataFrame> r = ReadCsv(path, MixedSchema());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -226,7 +224,7 @@ TEST(CsvReadTest, MissingFinalNewline) {
 }
 
 TEST(CsvReadTest, ExtraTrailingFieldsIgnored) {
-  const std::string path = TempPath("extra_fields.csv");
+  const ScopedTempPath path("csv_test_extra_fields.csv");
   WriteFile(path,
             "id,v,name,pt,extra\n1,1.5,a,1;2,zzz\n-2,-2.25,b,-73.5;40.75,,\n");
   Result<DataFrame> r = ReadCsv(path, MixedSchema());
@@ -235,7 +233,7 @@ TEST(CsvReadTest, ExtraTrailingFieldsIgnored) {
 }
 
 TEST(CsvReadTest, SpecialDoubles) {
-  const std::string path = TempPath("special.csv");
+  const ScopedTempPath path("csv_test_special.csv");
   WriteFile(path, "v\ninf\n-inf\nnan\n-0\n4.94066e-324\n1e-07\n");
   Result<DataFrame> r = ReadCsv(path, Schema({{"v", DataType::kDouble}}));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -250,7 +248,7 @@ TEST(CsvReadTest, SpecialDoubles) {
 }
 
 TEST(CsvReadTest, LineLongerThanReadBuffer) {
-  const std::string path = TempPath("long_line.csv");
+  const ScopedTempPath path("csv_test_long_line.csv");
   const std::string big((1 << 20) + 12345, 'q');
   WriteFile(path, std::string(kHeader) + "1,1.5,a,1;2\n-2,-2.25," + big +
                       ",-73.5;40.75\n3,3.5,c,5;6\n");
@@ -293,7 +291,7 @@ void ExpectFrameOrStatus(const std::string& path, const std::string& label) {
 
 TEST(CsvReadTest, EveryPrefixTruncation) {
   const std::string csv = SmallMixedCsv();
-  const std::string path = TempPath("prefix.csv");
+  const ScopedTempPath path("csv_test_prefix.csv");
   for (size_t n = 0; n <= csv.size(); ++n) {
     WriteFile(path, csv.substr(0, n));
     ExpectFrameOrStatus(path, "prefix " + std::to_string(n));
@@ -306,7 +304,7 @@ TEST(CsvReadTest, EveryPrefixTruncation) {
 
 TEST(CsvReadTest, EverySingleByteSubstitution) {
   const std::string csv = SmallMixedCsv();
-  const std::string path = TempPath("substitution.csv");
+  const ScopedTempPath path("csv_test_substitution.csv");
   for (size_t i = 0; i < csv.size(); ++i) {
     for (int b = 0; b < 256; ++b) {
       if (static_cast<unsigned char>(csv[i]) == b) continue;
@@ -340,7 +338,7 @@ std::string RaggedCsv(size_t pad, const std::string& tail) {
 }
 
 TEST(CsvPartitionedReadTest, PartitionsHoldTheSerialRowsInOrder) {
-  const std::string path = TempPath("ragged.csv");
+  const ScopedTempPath path("csv_test_ragged.csv");
   const int width = ThreadPool::Global().num_threads();
   int crlf_splits = 0;
   for (const std::string tail : {"", "\r", "\r\n", "12,12.5,t,12;-12",
@@ -394,7 +392,7 @@ TEST(CsvPartitionedReadTest, ErrorNamesTheLowestFailingLine) {
   for (int i = 0; i < 40; ++i) {
     body += i == 17 || i == 31 ? "1,bad,x,1;2\n" : "1,1.5,x,1;2\r\n\n";
   }
-  const std::string path = TempPath("two_errors.csv");
+  const ScopedTempPath path("csv_test_two_errors.csv");
   WriteFile(path, kHeader + body);
   for (const bool budgeted : {false, true}) {
     std::optional<ScopedFiniteBudget> budget;
@@ -407,14 +405,15 @@ TEST(CsvPartitionedReadTest, ErrorNamesTheLowestFailingLine) {
       Result<DataFrame> got = ReadCsv(path, MixedSchema(), opts);
       ASSERT_FALSE(got.ok()) << r;
       EXPECT_EQ(got.status().message(),
-                "bad double cell 'bad' in column 'v' at line 36 of " + path)
+                "bad double cell 'bad' in column 'v' at line 36 of " +
+                    path.str())
           << r << (budgeted ? " budgeted" : "");
     }
   }
 }
 
 TEST(CsvPartitionedReadTest, HeaderOnlyGivesOneEmptyPartition) {
-  const std::string path = TempPath("header_only_partitioned.csv");
+  const ScopedTempPath path("csv_test_header_only_partitioned.csv");
   for (const std::string bytes : {"id,v,name,pt\n", "id,v,name,pt",
                                   "id,v,name,pt\n\r\n\n\r"}) {
     WriteFile(path, bytes);
@@ -430,7 +429,7 @@ TEST(CsvPartitionedReadTest, HeaderOnlyGivesOneEmptyPartition) {
 
 // From inside a pool task the read runs inline, with the same result.
 TEST(CsvPartitionedReadTest, ReadFromPoolTaskMatches) {
-  const std::string path = TempPath("from_pool.csv");
+  const ScopedTempPath path("csv_test_from_pool.csv");
   WriteFile(path, RaggedCsv(5, "12,12.5,t,12;-12"));
   CsvReadOptions opts;
   opts.rows_per_partition = 4;
@@ -460,7 +459,8 @@ TEST(CsvWriteTest, DevFullReportsIoError) {
 
 TEST(CsvWriteTest, UnwritablePathReportsIoError) {
   DataFrame frame = DataFrame::FromColumns({{"id", Column::FromInt64s({1})}});
-  const Status st = WriteCsv(frame, TempPath("no_such_dir/out.csv"));
+  const Status st = WriteCsv(
+      frame, testing::TempDir() + "/csv_test_no_such_dir/out.csv");
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kIoError);
 }
@@ -498,7 +498,7 @@ TEST(CsvWriteTest, BytesMatchOstream) {
     want << doubles[i] << ',' << ints[i] << ',' << strings[i] << ','
          << points[i].x << ';' << points[i].y << '\n';
   }
-  const std::string path = TempPath("golden.csv");
+  const ScopedTempPath path("csv_test_golden.csv");
   ASSERT_TRUE(WriteCsv(frame, path).ok());
   EXPECT_EQ(ReadFile(path), want.str());
 }
@@ -526,7 +526,7 @@ TEST(CsvRoundTripTest, TaxiColumnsMatchStrtod) {
   config.seed = 11;
   const DataFrame frame =
       synth::TripsToDataFrame(synth::GenerateTaxiTrips(config), 4);
-  const std::string path = TempPath("taxi.csv");
+  const ScopedTempPath path("csv_test_taxi.csv");
   ASSERT_TRUE(WriteCsv(frame, path).ok());
   CsvReadOptions opts;
   opts.rows_per_partition = 30000;

@@ -25,17 +25,12 @@
 #include "df/partition_store.h"
 #include "prep/df_to_torch.h"
 #include "tensor/tensor.h"
+#include "tests/temp_path.h"
 
 namespace geotorch::df {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Scratch files and spill directories live under the test temp dir,
-// never in the shared working directory.
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/df_spill_test_" + name;
-}
 
 // Scopes a PartitionStore configuration: tiny budget + private spill
 // directory on construction, previous options + directory cleanup on
@@ -43,7 +38,8 @@ std::string TempPath(const std::string& name) {
 class ScopedSpillConfig {
  public:
   explicit ScopedSpillConfig(int64_t budget_bytes,
-                             const std::string& dir = TempPath("spill"))
+                             const std::string& dir = testing::TempDir() +
+                                                        "/df_spill_test_spill")
       : saved_(PartitionStore::Global().options()), dir_(dir) {
     PartitionStore::Options opts;
     opts.resident_budget_bytes = budget_bytes;
@@ -131,7 +127,7 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 // ------------------------------------------------------------- format
 
 TEST(GtdfTest, RoundTripAllColumnTypesBitwise) {
-  const std::string path = TempPath("roundtrip.gtdf");
+  const ScopedTempPath path("df_spill_test_roundtrip.gtdf");
   auto cols = SampleColumns();
   ASSERT_TRUE(WriteGtdf(path, cols, 6).ok());
 
@@ -148,11 +144,10 @@ TEST(GtdfTest, RoundTripAllColumnTypesBitwise) {
   EXPECT_TRUE(loaded->columns[1].is_view());
   EXPECT_FALSE(loaded->columns[2].is_view());
   EXPECT_TRUE(loaded->columns[3].is_view());
-  std::remove(path.c_str());
 }
 
 TEST(GtdfTest, EmptyPartitionRoundTrips) {
-  const std::string path = TempPath("empty.gtdf");
+  const ScopedTempPath path("df_spill_test_empty.gtdf");
   std::vector<std::shared_ptr<const Column>> cols;
   cols.push_back(TrackColumn(Column(DataType::kDouble)));
   cols.push_back(TrackColumn(Column(DataType::kString)));
@@ -162,12 +157,11 @@ TEST(GtdfTest, EmptyPartitionRoundTrips) {
   EXPECT_EQ(loaded->num_rows, 0);
   ASSERT_EQ(loaded->columns.size(), 2u);
   EXPECT_EQ(loaded->columns[0].size(), 0);
-  std::remove(path.c_str());
 }
 
 TEST(GtdfTest, EveryPrefixTruncationFailsViaStatus) {
-  const std::string path = TempPath("trunc_src.gtdf");
-  const std::string victim = TempPath("trunc.gtdf");
+  const ScopedTempPath path("df_spill_test_trunc_src.gtdf");
+  const ScopedTempPath victim("df_spill_test_trunc.gtdf");
   ASSERT_TRUE(WriteGtdf(path, SampleColumns(), 6).ok());
   const std::string bytes = ReadFileBytes(path);
   ASSERT_GT(bytes.size(), 0u);
@@ -179,13 +173,11 @@ TEST(GtdfTest, EveryPrefixTruncationFailsViaStatus) {
   // Sanity: the untruncated file still reads.
   WriteFileBytes(victim, bytes);
   EXPECT_TRUE(ReadGtdf(victim).ok());
-  std::remove(path.c_str());
-  std::remove(victim.c_str());
 }
 
 TEST(GtdfTest, EveryByteBitFlipFailsViaStatus) {
-  const std::string path = TempPath("flip_src.gtdf");
-  const std::string victim = TempPath("flip.gtdf");
+  const ScopedTempPath path("df_spill_test_flip_src.gtdf");
+  const ScopedTempPath victim("df_spill_test_flip.gtdf");
   ASSERT_TRUE(WriteGtdf(path, SampleColumns(), 6).ok());
   const std::string bytes = ReadFileBytes(path);
   for (size_t pos = 0; pos < bytes.size(); ++pos) {
@@ -195,12 +187,10 @@ TEST(GtdfTest, EveryByteBitFlipFailsViaStatus) {
     auto r = ReadGtdf(victim);
     EXPECT_FALSE(r.ok()) << "bit flip at byte " << pos << " parsed";
   }
-  std::remove(path.c_str());
-  std::remove(victim.c_str());
 }
 
 TEST(GtdfTest, NewerVersionRejected) {
-  const std::string path = TempPath("version.gtdf");
+  const ScopedTempPath path("df_spill_test_version.gtdf");
   ASSERT_TRUE(WriteGtdf(path, SampleColumns(), 6).ok());
   std::string bytes = ReadFileBytes(path);
   // Bump the version field (offset 4) — the CRC no longer matches, but
@@ -210,7 +200,6 @@ TEST(GtdfTest, NewerVersionRejected) {
   bytes[4] = static_cast<char>(kGtdfVersion + 1);
   WriteFileBytes(path, bytes);
   EXPECT_FALSE(ReadGtdf(path).ok());
-  std::remove(path.c_str());
 }
 
 TEST(GtdfTest, MissingFileFailsViaStatus) {
@@ -432,7 +421,7 @@ TEST(PartitionStoreTest, FromEnvParsesKnobs) {
 // ------------------------------------------------------- chunked CSV
 
 TEST(CsvChunkedTest, ChunkedReadMatchesSinglePartition) {
-  const std::string path = TempPath("chunked.csv");
+  const ScopedTempPath path("df_spill_test_chunked.csv");
   DataFrame frame = BuildWideFrame(53, 1);
   ASSERT_TRUE(WriteCsv(frame, path).ok());
   const Schema& schema = frame.schema();
@@ -447,11 +436,10 @@ TEST(CsvChunkedTest, ChunkedReadMatchesSinglePartition) {
   EXPECT_EQ(chunked->NumRows(), 53);
   EXPECT_EQ(chunked->CollectInt64("id"), whole->CollectInt64("id"));
   EXPECT_EQ(chunked->CollectDouble("value"), whole->CollectDouble("value"));
-  std::remove(path.c_str());
 }
 
 TEST(CsvChunkedTest, ChunkedIngestSpillsUnderBudget) {
-  const std::string path = TempPath("chunked_spill.csv");
+  const ScopedTempPath path("df_spill_test_chunked_spill.csv");
   {
     DataFrame frame = BuildWideFrame(500, 1);
     ASSERT_TRUE(WriteCsv(frame, path).ok());
@@ -476,7 +464,6 @@ TEST(CsvChunkedTest, ChunkedIngestSpillsUnderBudget) {
   std::vector<int64_t> ids = frame->CollectInt64("id");
   std::sort(ids.begin(), ids.end());
   for (int64_t i = 0; i < 500; ++i) EXPECT_EQ(ids[i], i);
-  std::remove(path.c_str());
 }
 
 }  // namespace

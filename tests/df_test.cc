@@ -10,6 +10,7 @@
 #include "core/rng.h"
 #include "df/csv.h"
 #include "obs/obs.h"
+#include "tests/temp_path.h"
 
 namespace geotorch::df {
 namespace {
@@ -454,7 +455,7 @@ TEST(CsvTest, RoundTrip) {
        {"v", Column::FromDoubles({1.5, -2.25})},
        {"name", Column::FromStrings({"a", "b"})},
        {"pt", Column::FromPoints({{-74.0, 40.7}, {-73.9, 40.8}})}});
-  const std::string path = testing::TempDir() + "/frame.csv";
+  const ScopedTempPath path("frame.csv");
   ASSERT_TRUE(WriteCsv(frame, path).ok());
   auto loaded = ReadCsv(path, frame.schema());
   ASSERT_TRUE(loaded.ok());

@@ -36,6 +36,7 @@
 #include "serve/fleet.h"
 #include "tensor/shape.h"
 #include "tensor/tensor.h"
+#include "tests/temp_path.h"
 
 namespace {
 
@@ -46,6 +47,7 @@ namespace models = ::geotorch::models;
 namespace nn = ::geotorch::nn;
 namespace serve = ::geotorch::serve;
 namespace ts = ::geotorch::tensor;
+using ::geotorch::ScopedTempPath;
 
 std::vector<uint32_t> Bits(const ts::Tensor& t) {
   std::vector<uint32_t> bits(t.numel());
@@ -466,12 +468,10 @@ serve::SnapshotFactory LinearFactory(const std::string& initial_ckpt) {
   };
 }
 
-std::string WriteLinearCheckpoint(uint64_t seed, const std::string& name) {
+void WriteLinearCheckpoint(uint64_t seed, const std::string& path) {
   geotorch::Rng rng(seed);
   nn::Linear model(8, 8, rng);
-  const std::string path = testing::TempDir() + "/" + name;
   GEO_CHECK(io::SaveStateDict(model, path).ok());
-  return path;
 }
 
 // Ground truth: the bitwise output of a direct eval forward of the
@@ -495,8 +495,10 @@ TEST(FleetTest, HotReloadUnderLoadServesExactlyOneVersionPerResponse) {
   // every response is bitwise equal to version 1's output or version
   // 2's output, and every response issued after Reload() returned is
   // version 2's.
-  const std::string ckpt_v1 = WriteLinearCheckpoint(1, "fleet_v1.ckpt");
-  const std::string ckpt_v2 = WriteLinearCheckpoint(2, "fleet_v2.ckpt");
+  const ScopedTempPath ckpt_v1("fleet_v1.ckpt");
+  WriteLinearCheckpoint(1, ckpt_v1);
+  const ScopedTempPath ckpt_v2("fleet_v2.ckpt");
+  WriteLinearCheckpoint(2, ckpt_v2);
 
   data::Sample sample = MakeSample(8, 0.0f);
   for (int64_t i = 0; i < 8; ++i) {
@@ -578,8 +580,10 @@ TEST(FleetTest, CorruptCheckpointReloadFailsCleanlyUnderLoad) {
   // file, and a missing file must all fail via Status, leave the
   // version untouched, and keep every concurrent response on the old
   // weights; a subsequent good reload still works.
-  const std::string ckpt_v1 = WriteLinearCheckpoint(3, "fleet_f1.ckpt");
-  const std::string ckpt_v2 = WriteLinearCheckpoint(4, "fleet_f2.ckpt");
+  const ScopedTempPath ckpt_v1("fleet_f1.ckpt");
+  WriteLinearCheckpoint(3, ckpt_v1);
+  const ScopedTempPath ckpt_v2("fleet_f2.ckpt");
+  WriteLinearCheckpoint(4, ckpt_v2);
 
   data::Sample sample = MakeSample(8, 0.5f);
   const std::vector<uint32_t> want_v1 = DirectLinearRow(ckpt_v1, sample);
@@ -593,8 +597,7 @@ TEST(FleetTest, CorruptCheckpointReloadFailsCleanlyUnderLoad) {
                 std::istreambuf_iterator<char>());
   }
   ASSERT_GT(blob.size(), 16u);
-  const std::string truncated_path =
-      testing::TempDir() + "/fleet_truncated.ckpt";
+  const ScopedTempPath truncated_path("fleet_truncated.ckpt");
   {
     std::ofstream out(truncated_path, std::ios::binary);
     out.write(blob.data(), static_cast<std::streamsize>(blob.size() / 2));
@@ -603,8 +606,7 @@ TEST(FleetTest, CorruptCheckpointReloadFailsCleanlyUnderLoad) {
   std::string flipped = blob;
   flipped[flipped.size() / 2] =
       static_cast<char>(flipped[flipped.size() / 2] ^ 0x40);
-  const std::string flipped_path =
-      testing::TempDir() + "/fleet_flipped.ckpt";
+  const ScopedTempPath flipped_path("fleet_flipped.ckpt");
   {
     std::ofstream out(flipped_path, std::ios::binary);
     out.write(flipped.data(), static_cast<std::streamsize>(flipped.size()));

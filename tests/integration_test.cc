@@ -14,6 +14,7 @@
 #include "synth/weather.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
+#include "tests/temp_path.h"
 #include "transforms/transforms.h"
 
 namespace geotorch {
@@ -45,7 +46,7 @@ TEST(EndToEndTest, TripsToTrainedModel) {
   ASSERT_EQ(static_cast<int64_t>(ts::SumAll(st)), 20000);
 
   // 3. Persist and reload.
-  const std::string path = testing::TempDir() + "/e2e.gten";
+  const ScopedTempPath path("e2e.gten");
   ASSERT_TRUE(ts::SaveTensor(path, st).ok());
   auto loaded = ts::LoadTensor(path);
   ASSERT_TRUE(loaded.ok());

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -25,6 +24,7 @@
 #include "models/segmentation_models.h"
 #include "nn/layers.h"
 #include "tensor/tensor.h"
+#include "tests/temp_path.h"
 
 namespace {
 
@@ -35,11 +35,8 @@ namespace datasets = ::geotorch::datasets;
 namespace io = ::geotorch::io;
 namespace models = ::geotorch::models;
 namespace nn = ::geotorch::nn;
+using ::geotorch::ScopedTempPath;
 using ::geotorch::Status;
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
 
 std::vector<uint32_t> Bits(const ts::Tensor& t) {
   std::vector<uint32_t> bits(t.numel());
@@ -92,7 +89,7 @@ TEST(CheckpointTest, RoundTripsTensorsAndScalars) {
   ckpt.ints.emplace_back("step", -3);
   ckpt.floats.emplace_back("lr", 1e-3);
 
-  const std::string path = TempPath("roundtrip.ckpt");
+  const ScopedTempPath path("roundtrip.ckpt");
   ASSERT_TRUE(io::WriteCheckpoint(path, ckpt).ok());
   auto loaded = io::ReadCheckpoint(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -119,7 +116,7 @@ TEST(CheckpointTest, RoundTripsTensorsAndScalars) {
 }
 
 TEST(CheckpointTest, EmptyCheckpointRoundTrips) {
-  const std::string path = TempPath("empty.ckpt");
+  const ScopedTempPath path("empty.ckpt");
   ASSERT_TRUE(io::WriteCheckpoint(path, io::Checkpoint{}).ok());
   auto loaded = io::ReadCheckpoint(path);
   ASSERT_TRUE(loaded.ok());
@@ -139,17 +136,17 @@ io::Checkpoint SmallCheckpoint() {
 }
 
 TEST(CheckpointTest, MissingFileIsAnError) {
-  auto r = io::ReadCheckpoint(TempPath("does_not_exist.ckpt"));
+  auto r = io::ReadCheckpoint(testing::TempDir() + "/does_not_exist.ckpt");
   EXPECT_FALSE(r.ok());
 }
 
 TEST(CheckpointTest, TruncationAtEveryPrefixIsAnErrorNotACrash) {
-  const std::string path = TempPath("trunc_src.ckpt");
+  const ScopedTempPath path("trunc_src.ckpt");
   ASSERT_TRUE(io::WriteCheckpoint(path, SmallCheckpoint()).ok());
   const std::vector<unsigned char> bytes = ReadFileBytes(path);
   ASSERT_GT(bytes.size(), 16u);
 
-  const std::string trunc = TempPath("trunc.ckpt");
+  const ScopedTempPath trunc("trunc.ckpt");
   // Every proper prefix must be rejected (CRC or bounds), including the
   // empty file and a cut mid-header.
   for (size_t keep = 0; keep < bytes.size(); keep += 7) {
@@ -161,7 +158,7 @@ TEST(CheckpointTest, TruncationAtEveryPrefixIsAnErrorNotACrash) {
 }
 
 TEST(CheckpointTest, BadMagicIsAnError) {
-  const std::string path = TempPath("bad_magic.ckpt");
+  const ScopedTempPath path("bad_magic.ckpt");
   ASSERT_TRUE(io::WriteCheckpoint(path, SmallCheckpoint()).ok());
   std::vector<unsigned char> bytes = ReadFileBytes(path);
   bytes[0] = 'X';
@@ -172,7 +169,7 @@ TEST(CheckpointTest, BadMagicIsAnError) {
 }
 
 TEST(CheckpointTest, BitFlipFailsTheCrc) {
-  const std::string path = TempPath("bitflip.ckpt");
+  const ScopedTempPath path("bitflip.ckpt");
   ASSERT_TRUE(io::WriteCheckpoint(path, SmallCheckpoint()).ok());
   std::vector<unsigned char> bytes = ReadFileBytes(path);
   // Flip one bit in the middle of the tensor payload.
@@ -185,7 +182,7 @@ TEST(CheckpointTest, BitFlipFailsTheCrc) {
 }
 
 TEST(CheckpointTest, TrailingGarbageIsAnError) {
-  const std::string path = TempPath("trailing.ckpt");
+  const ScopedTempPath path("trailing.ckpt");
   ASSERT_TRUE(io::WriteCheckpoint(path, SmallCheckpoint()).ok());
   std::vector<unsigned char> bytes = ReadFileBytes(path);
   bytes.push_back(0xAB);
@@ -259,7 +256,7 @@ TEST(StateDictTest, LoadFromDifferentArchitectureFailsCleanly) {
   geotorch::Rng rng2(2);
   nn::Linear small(3, 2, rng1);
   nn::Linear big(8, 4, rng2);
-  const std::string path = TempPath("arch_mismatch.ckpt");
+  const ScopedTempPath path("arch_mismatch.ckpt");
   ASSERT_TRUE(io::SaveStateDict(small, path).ok());
   EXPECT_FALSE(io::LoadStateDict(big, path).ok());
 }
@@ -270,7 +267,7 @@ TEST(StateDictTest, LoadFromDifferentArchitectureFailsCleanly) {
 // architecture), and requires every named parameter to match bitwise.
 void ExpectStateDictRoundTrip(const std::string& label, nn::Module& src,
                               nn::Module& dst) {
-  const std::string path = TempPath(label + ".ckpt");
+  const ScopedTempPath path(label + ".ckpt");
   ASSERT_TRUE(io::SaveStateDict(src, path).ok()) << label;
   ASSERT_TRUE(io::LoadStateDict(dst, path).ok()) << label;
 
@@ -282,7 +279,6 @@ void ExpectStateDictRoundTrip(const std::string& label, nn::Module& src,
     EXPECT_EQ(Bits(a[i].second.value()), Bits(b[i].second.value()))
         << label << ": parameter " << a[i].first << " differs after load";
   }
-  std::remove(path.c_str());
 }
 
 data::Batch FirstBatch(const data::Dataset& ds, int64_t batch_size) {
@@ -483,7 +479,7 @@ TEST(GtcpVersionTest, F32OnlyFilesStayVersion1) {
   // Files without quantized records must keep the pre-quantization
   // byte layout (version 1) so checkpoints written before this build —
   // and readers built before it — keep working.
-  const std::string path = TempPath("v1_f32_only.ckpt");
+  const ScopedTempPath path("v1_f32_only.ckpt");
   ASSERT_TRUE(io::WriteCheckpoint(path, SmallCheckpoint()).ok());
   EXPECT_EQ(VersionField(ReadFileBytes(path)), 1u);
 }
@@ -491,17 +487,17 @@ TEST(GtcpVersionTest, F32OnlyFilesStayVersion1) {
 TEST(GtcpVersionTest, QuantizedFilesAreVersion2) {
   io::Checkpoint ckpt = SmallCheckpoint();
   ckpt.qtensors.push_back(SmallQuantTensor());
-  const std::string path = TempPath("v2_quant.ckpt");
+  const ScopedTempPath path("v2_quant.ckpt");
   ASSERT_TRUE(io::WriteCheckpoint(path, ckpt).ok());
   EXPECT_EQ(VersionField(ReadFileBytes(path)), 2u);
 }
 
 TEST(GtcpVersionTest, NewerVersionIsRejectedWithStatusNotParsed) {
-  const std::string path = TempPath("v3_future.ckpt");
+  const ScopedTempPath path("v3_future.ckpt");
   ASSERT_TRUE(io::WriteCheckpoint(path, SmallCheckpoint()).ok());
   const std::vector<unsigned char> original = ReadFileBytes(path);
   for (uint32_t future : {3u, 7u, 0xFFFFFFFFu}) {
-    const std::string patched = TempPath("v3_future_patched.ckpt");
+    const ScopedTempPath patched("v3_future_patched.ckpt");
     WriteFileBytes(patched, WithVersion(original, future));
     auto r = io::ReadCheckpoint(patched);
     ASSERT_FALSE(r.ok()) << "version " << future << " must be rejected";
@@ -511,9 +507,9 @@ TEST(GtcpVersionTest, NewerVersionIsRejectedWithStatusNotParsed) {
 }
 
 TEST(GtcpVersionTest, VersionZeroIsRejected) {
-  const std::string path = TempPath("v0.ckpt");
+  const ScopedTempPath path("v0.ckpt");
   ASSERT_TRUE(io::WriteCheckpoint(path, SmallCheckpoint()).ok());
-  const std::string patched = TempPath("v0_patched.ckpt");
+  const ScopedTempPath patched("v0_patched.ckpt");
   WriteFileBytes(patched, WithVersion(ReadFileBytes(path), 0));
   EXPECT_FALSE(io::ReadCheckpoint(patched).ok());
 }
@@ -538,7 +534,7 @@ TEST(GtcpVersionTest, HandBuiltV1BlobStillParses) {
   Append(bytes, 0.5);
   Append(bytes, geotorch::io::Crc32(bytes.data(), bytes.size()));
 
-  const std::string path = TempPath("golden_v1.ckpt");
+  const ScopedTempPath path("golden_v1.ckpt");
   WriteFileBytes(path, bytes);
   auto r = io::ReadCheckpoint(path);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -559,7 +555,7 @@ TEST(GtcpVersionTest, HandBuiltV1BlobStillParses) {
 TEST(QuantizedCheckpointTest, QuantTensorRecordRoundTrips) {
   io::Checkpoint ckpt;
   ckpt.qtensors.push_back(SmallQuantTensor());
-  const std::string path = TempPath("qtensor_roundtrip.ckpt");
+  const ScopedTempPath path("qtensor_roundtrip.ckpt");
   ASSERT_TRUE(io::WriteCheckpoint(path, ckpt).ok());
   auto r = io::ReadCheckpoint(path);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -587,8 +583,8 @@ TEST(QuantizedCheckpointTest, SaveLoadSaveIsBitwiseIdentical) {
       io::QuantizeTensor("conv.weight.q", ts::Tensor::Randn({2, 3, 3, 3}, rng)));
   ckpt.floats.emplace_back("val_loss", 0.125);
 
-  const std::string first = TempPath("bitwise_first.ckpt");
-  const std::string second = TempPath("bitwise_second.ckpt");
+  const ScopedTempPath first("bitwise_first.ckpt");
+  const ScopedTempPath second("bitwise_second.ckpt");
   ASSERT_TRUE(io::WriteCheckpoint(first, ckpt).ok());
   auto loaded = io::ReadCheckpoint(first);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -630,7 +626,7 @@ TEST(QuantizedCheckpointTest, QuantizedStateDictLoadsIntoFreshModule) {
   geotorch::Rng rng2(31);
   nn::Linear dst(10, 6, rng2);
 
-  const std::string path = TempPath("quant_state_dict.ckpt");
+  const ScopedTempPath path("quant_state_dict.ckpt");
   ASSERT_TRUE(io::SaveQuantizedStateDict(src, path).ok());
   EXPECT_EQ(VersionField(ReadFileBytes(path)), 2u);
   ASSERT_TRUE(io::LoadStateDict(dst, path).ok());

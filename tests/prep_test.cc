@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <string>
@@ -20,6 +21,7 @@
 #include "stream/event.h"
 #include "synth/taxi.h"
 #include "tensor/ops.h"
+#include "tests/temp_path.h"
 
 namespace geotorch::prep {
 namespace {
@@ -371,8 +373,9 @@ TEST(RasterProcessingTest, WriteLoadRoundTrip) {
     img.at(0, 0, 0) = static_cast<float>(i);
     images.push_back(std::move(img));
   }
-  auto paths = RasterProcessing::WriteGeotiffImages(
-      images, testing::TempDir(), "prep_test_");
+  const ScopedTempPath dir("prep_test_images");
+  std::filesystem::create_directories(dir.str());
+  auto paths = RasterProcessing::WriteGeotiffImages(images, dir, "img_");
   ASSERT_TRUE(paths.ok());
   auto loaded = RasterProcessing::LoadGeotiffImages(*paths);
   ASSERT_TRUE(loaded.ok());

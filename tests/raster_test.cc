@@ -7,6 +7,7 @@
 #include "raster/io.h"
 #include "raster/ops.h"
 #include "tensor/ops.h"
+#include "tests/temp_path.h"
 
 namespace geotorch::raster {
 namespace {
@@ -44,7 +45,7 @@ TEST(RasterIoTest, GtifRoundTripPreservesMetadata) {
   RasterImage img = SampleImage();
   img.set_crs_epsg(3857);
   img.set_geotransform({-74.05, 0.025, 0.0, 40.9, 0.0, -0.019});
-  const std::string path = testing::TempDir() + "/img.gtif";
+  const ScopedTempPath path("img.gtif");
   ASSERT_TRUE(WriteGeotiffImage(img, path).ok());
   auto loaded = LoadGeotiffImage(path);
   ASSERT_TRUE(loaded.ok());
@@ -54,8 +55,8 @@ TEST(RasterIoTest, GtifRoundTripPreservesMetadata) {
 }
 
 TEST(RasterIoTest, RejectsGarbage) {
-  const std::string path = testing::TempDir() + "/garbage.gtif";
-  FILE* f = fopen(path.c_str(), "wb");
+  const ScopedTempPath path("garbage.gtif");
+  FILE* f = fopen(path.str().c_str(), "wb");
   fputs("not a raster", f);
   fclose(f);
   EXPECT_FALSE(LoadGeotiffImage(path).ok());
@@ -83,15 +84,15 @@ void WriteRawGtif(const std::string& path, const char* magic, int64_t h,
 }
 
 TEST(RasterIoTest, RejectsBadMagic) {
-  const std::string path = testing::TempDir() + "/bad_magic.gtif";
+  const ScopedTempPath path("bad_magic.gtif");
   WriteRawGtif(path, "GTIF9", 2, 2, 1, 4);
   auto loaded = LoadGeotiffImage(path);
   EXPECT_FALSE(loaded.ok());
 }
 
 TEST(RasterIoTest, RejectsTruncatedHeader) {
-  const std::string path = testing::TempDir() + "/short_header.gtif";
-  FILE* f = fopen(path.c_str(), "wb");
+  const ScopedTempPath path("short_header.gtif");
+  FILE* f = fopen(path.str().c_str(), "wb");
   ASSERT_NE(f, nullptr);
   fwrite("GTIF1", 1, 5, f);
   const int64_t h = 4;
@@ -103,14 +104,14 @@ TEST(RasterIoTest, RejectsTruncatedHeader) {
 TEST(RasterIoTest, RejectsTruncatedPayload) {
   // Header promises 4x4x2 = 32 floats; the file carries only 5. The
   // loader must notice before reading, not return a half-filled image.
-  const std::string path = testing::TempDir() + "/short_payload.gtif";
+  const ScopedTempPath path("short_payload.gtif");
   WriteRawGtif(path, "GTIF1", 4, 4, 2, 5);
   auto loaded = LoadGeotiffImage(path);
   EXPECT_FALSE(loaded.ok());
 }
 
 TEST(RasterIoTest, RejectsAbsurdDims) {
-  const std::string path = testing::TempDir() + "/absurd.gtif";
+  const ScopedTempPath path("absurd.gtif");
   // Non-positive dims.
   WriteRawGtif(path, "GTIF1", 0, 4, 1, 0);
   EXPECT_FALSE(LoadGeotiffImage(path).ok());
@@ -134,7 +135,7 @@ TEST(RasterIoTest, RejectsAbsurdDims) {
 
 TEST(RasterIoTest, TrailingBytesAreTolerated) {
   // A payload longer than promised is not an error — only shorter is.
-  const std::string path = testing::TempDir() + "/padded.gtif";
+  const ScopedTempPath path("padded.gtif");
   WriteRawGtif(path, "GTIF1", 2, 2, 1, 4 + 3);
   auto loaded = LoadGeotiffImage(path);
   ASSERT_TRUE(loaded.ok());

@@ -1,7 +1,9 @@
 // The dynamically-batched serving engine: concurrent submits must come
 // back with exactly their own output row (bitwise equal to a direct
-// single-sample forward), the bounded queue must reject — not block —
-// when full, and shutdown must drain everything already accepted.
+// single-sample forward), each batch is whatever was queued (capped at
+// max_batch, never waiting for more), the bounded queue must reject —
+// not block — when full, and shutdown must drain everything already
+// accepted.
 
 #include <gtest/gtest.h>
 
@@ -67,26 +69,23 @@ struct EnvVarGuard {
 };
 
 TEST(EngineOptionsTest, FromEnvDefaultsWhenUnset) {
-  EnvVarGuard guard({"GEOTORCH_SERVE_MAX_BATCH", "GEOTORCH_SERVE_MAX_DELAY_US",
-                     "GEOTORCH_SERVE_MAX_QUEUE", "GEOTORCH_SERVE_WARMUP"});
+  EnvVarGuard guard({"GEOTORCH_SERVE_MAX_BATCH", "GEOTORCH_SERVE_MAX_QUEUE",
+                     "GEOTORCH_SERVE_WARMUP"});
   const serve::EngineOptions opts = serve::EngineOptions::FromEnv();
   const serve::EngineOptions defaults;
   EXPECT_EQ(opts.max_batch, defaults.max_batch);
-  EXPECT_EQ(opts.max_delay_us, defaults.max_delay_us);
   EXPECT_EQ(opts.max_queue, defaults.max_queue);
   EXPECT_EQ(opts.warmup_batches, defaults.warmup_batches);
 }
 
 TEST(EngineOptionsTest, FromEnvParsesAndClamps) {
-  EnvVarGuard guard({"GEOTORCH_SERVE_MAX_BATCH", "GEOTORCH_SERVE_MAX_DELAY_US",
-                     "GEOTORCH_SERVE_MAX_QUEUE", "GEOTORCH_SERVE_WARMUP"});
+  EnvVarGuard guard({"GEOTORCH_SERVE_MAX_BATCH", "GEOTORCH_SERVE_MAX_QUEUE",
+                     "GEOTORCH_SERVE_WARMUP"});
   setenv("GEOTORCH_SERVE_MAX_BATCH", "32", 1);
-  setenv("GEOTORCH_SERVE_MAX_DELAY_US", "1500", 1);
   setenv("GEOTORCH_SERVE_MAX_QUEUE", "0", 1);     // clamped to 1
   setenv("GEOTORCH_SERVE_WARMUP", "bogus", 1);    // unparsable -> default
   const serve::EngineOptions opts = serve::EngineOptions::FromEnv();
   EXPECT_EQ(opts.max_batch, 32);
-  EXPECT_EQ(opts.max_delay_us, 1500);
   EXPECT_EQ(opts.max_queue, 1);
   EXPECT_EQ(opts.warmup_batches, serve::EngineOptions{}.warmup_batches);
 }
@@ -142,18 +141,18 @@ TEST(EngineTest, ConcurrentSubmitsGetTheirOwnRows) {
 }
 
 TEST(EngineTest, SingleClientBatchedKeepsBatchOneThroughput) {
-  // Regression test for the batcher's singleton skip: a lone
-  // sequential client submits only after the previous reply, so it
-  // never coalesces, and a batched engine must not charge it the
-  // fill-wait quiet window on every request. Compare wall time against
-  // an identical engine at max_batch = 1 (which never waits). Without
-  // the skip, the batched run pays ~kRequests quiet windows (1.25 ms
-  // each here, ~50 ms total) — an order of magnitude past the bound.
+  // A lone sequential client submits only after the previous reply,
+  // so it never coalesces, and a batched engine must not charge it any
+  // wait for a batch to fill: the batcher runs whatever is queued at
+  // once (DESIGN.md §9). Compare wall time against an identical engine
+  // at max_batch = 1. A batcher that waited even 1.25 ms per request
+  // for company would pay ~50 ms here, an order of magnitude past the
+  // bound.
   constexpr int kRequests = 40;
   auto run_us = [](int max_batch) {
     serve::EngineOptions opts;
     opts.max_batch = max_batch;
-    opts.max_delay_us = 20000;  // quiet window = 1.25 ms
+    opts.max_delay_us = 20000;  // not read by the engine
     opts.max_queue = 64;
     opts.warmup_batches = 1;
     serve::Engine engine([](const data::Batch& batch) { return batch.x; },
@@ -233,15 +232,22 @@ TEST(EngineTest, SubmitAfterShutdownFails) {
   EXPECT_EQ(r.status().code(), geotorch::StatusCode::kInvalidArgument);
 }
 
-// --- Backpressure and drain -------------------------------------------------
+// --- Batching policy --------------------------------------------------------
 
-// A forward that blocks until the test opens a gate, so the queue can
-// be filled deterministically while the batcher is stuck mid-batch.
+// A forward that records each batch it runs (the first value of every
+// row) and then blocks until the test opens a gate, so the queue can be
+// filled deterministically while the batcher is stuck mid-batch.
 class GatedForward {
  public:
   ts::Tensor operator()(const data::Batch& batch) {
-    in_forward_.fetch_add(1);
     std::unique_lock<std::mutex> lock(mu_);
+    const int64_t row = batch.x.numel() / batch.size;
+    std::vector<float> firsts;
+    for (int64_t i = 0; i < batch.size; ++i) {
+      firsts.push_back(batch.x.data()[i * row]);
+    }
+    batches_.push_back(std::move(firsts));
+    in_forward_.fetch_add(1);
     cv_.wait(lock, [this] { return open_; });
     return batch.x;
   }
@@ -255,13 +261,86 @@ class GatedForward {
     }
     cv_.notify_all();
   }
+  std::vector<std::vector<float>> Batches() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return batches_;
+  }
 
  private:
   std::mutex mu_;
   std::condition_variable cv_;
   bool open_ = false;
+  std::vector<std::vector<float>> batches_;
   std::atomic<int> in_forward_{0};
 };
+
+serve::EngineOptions PolicyOptions() {
+  serve::EngineOptions opts;
+  opts.max_batch = 16;
+  opts.max_queue = 64;
+  opts.warmup_batches = 0;  // warmup would block on the latch
+  return opts;
+}
+
+data::Sample IdSample(int id) {
+  data::Sample s;
+  s.x = ts::Tensor::Full({1}, static_cast<float>(id));
+  return s;
+}
+
+TEST(BatchPolicyTest, LoneRequestRunsAtOnceWithoutASecondSubmit) {
+  auto gate = std::make_shared<GatedForward>();
+  serve::Engine engine([gate](const data::Batch& b) { return (*gate)(b); },
+                       serve::SampleSpec{{1}, {}}, PolicyOptions());
+  std::thread client([&engine] {
+    auto r = engine.Submit(IdSample(7));
+    EXPECT_TRUE(r.ok() && r->data()[0] == 7.0f);
+  });
+  // The one request reaches the forward alone: the batcher does not
+  // wait for company to fill its 16 slots.
+  gate->WaitUntilInForward(1);
+  EXPECT_EQ(gate->Batches(), (std::vector<std::vector<float>>{{7.0f}}));
+  gate->Open();
+  client.join();
+  EXPECT_EQ(engine.stats().batches, 1);
+}
+
+TEST(BatchPolicyTest, RequestsQueuedDuringAForwardFormTheNextBatch) {
+  for (int k : {1, 3, 16, 21}) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    auto gate = std::make_shared<GatedForward>();
+    serve::Engine engine([gate](const data::Batch& b) { return (*gate)(b); },
+                         serve::SampleSpec{{1}, {}}, PolicyOptions());
+    std::vector<std::thread> clients;
+    auto submit = [&engine, &clients](int id) {
+      clients.emplace_back([&engine, id] {
+        auto r = engine.Submit(IdSample(id));
+        EXPECT_TRUE(r.ok() && r->data()[0] == static_cast<float>(id));
+      });
+    };
+    // Request 0 holds the batcher in its forward; requests 1..k queue
+    // behind it, one at a time so the queue order is their id order.
+    submit(0);
+    gate->WaitUntilInForward(1);
+    for (int id = 1; id <= k; ++id) {
+      submit(id);
+      while (engine.queue_depth() < id) std::this_thread::yield();
+    }
+    gate->Open();
+    for (auto& c : clients) c.join();
+
+    // Everything queued when the forward finished, capped at
+    // max_batch, is the next batch, in FIFO order; the rest follows.
+    std::vector<std::vector<float>> want = {{0.0f}, {}};
+    for (int id = 1; id <= k; ++id) {
+      if (want.back().size() == 16) want.emplace_back();
+      want.back().push_back(static_cast<float>(id));
+    }
+    EXPECT_EQ(gate->Batches(), want);
+  }
+}
+
+// --- Backpressure and drain -------------------------------------------------
 
 TEST(EngineTest, FullQueueRejectsWithBackpressure) {
   auto gate = std::make_shared<GatedForward>();

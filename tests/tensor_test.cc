@@ -14,6 +14,7 @@
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 #include "tensor/shape.h"
+#include "tests/temp_path.h"
 
 namespace geotorch::tensor {
 namespace {
@@ -546,7 +547,7 @@ TEST(TensorTest, UninitializedHasShapeAndWritableStorage) {
 TEST(SerializeTest, RoundTrip) {
   Rng rng(11);
   Tensor a = Tensor::Randn({3, 4, 5}, rng);
-  const std::string path = testing::TempDir() + "/t.gten";
+  const ScopedTempPath path("t.gten");
   ASSERT_TRUE(SaveTensor(path, a).ok());
   auto loaded = LoadTensor(path);
   ASSERT_TRUE(loaded.ok());
