@@ -44,6 +44,23 @@ void PublishWeightQuantError(const float* w, const int8_t* q,
   }
 }
 
+// Quantizes (F, C, KH, KW) weights `pw` (shaped like `w`) per output
+// channel and packs them for the int8 conv kernel. Returns an empty
+// cache, which keeps the layer in f32, when C·KH·KW taps would overflow
+// the kernel's i32 sums.
+ts::Int8ConvWeights QuantizeConvWeights(const ts::Tensor& w, const float* pw) {
+  const int64_t f = w.size(0);
+  const int64_t ck = w.numel() / f;
+  if (ck > ts::gemm_internal::kConvInt8MaxK) return {};
+  std::vector<int8_t> w_q(w.numel());
+  std::vector<float> w_scales(f);
+  ts::QuantizeRowsInt8(pw, f, ck, w_q.data(), w_scales.data());
+  PublishWeightQuantError(pw, w_q.data(), w_scales.data(), f, ck,
+                          /*per_row=*/true);
+  return ts::PackInt8ConvWeights(w_q.data(), w_scales.data(), f, w.size(1),
+                                 w.size(2), w.size(3));
+}
+
 // True when the eval forward should take a low-precision kernel: never
 // in training or calibration, and never when a gradient graph is being
 // recorded (low-precision paths have no backward).
@@ -169,17 +186,9 @@ ag::Variable Conv2d::Forward(const ag::Variable& x) {
 }
 
 void Conv2d::OnPrecisionChanged() {
-  w_q_.clear();
-  w_scales_.clear();
+  w_int8_ = {};
   if (precision() != Precision::kInt8) return;
-  const ts::Tensor& w = weight_.value();
-  const int64_t f = w.size(0);
-  const int64_t ck = w.numel() / f;
-  w_q_.resize(w.numel());
-  w_scales_.resize(f);
-  ts::QuantizeRowsInt8(w.data(), f, ck, w_q_.data(), w_scales_.data());
-  PublishWeightQuantError(w.data(), w_q_.data(), w_scales_.data(), f, ck,
-                          /*per_row=*/true);
+  w_int8_ = QuantizeConvWeights(weight_.value(), weight_.value().data());
 }
 
 ag::Variable Conv2d::ForwardFusedEval(const ag::Variable& x,
@@ -192,23 +201,20 @@ ag::Variable Conv2d::ForwardFusedEval(const ag::Variable& x,
   const ts::Tensor empty;
   const ts::Tensor* w = &weight_.value();
   const ts::Tensor* b = has_bias_ ? &bias_.value() : &empty;
-  const std::vector<int8_t>* w_q = &w_q_;
-  const std::vector<float>* w_scales = &w_scales_;
-  const int64_t f = w->size(0);
+  const ts::Int8ConvWeights* w_int8 = &w_int8_;
   if (bn != nullptr) {
-    GEO_CHECK_EQ(bn->channels(), f) << "conv+BN fusion channel mismatch";
+    GEO_CHECK_EQ(bn->channels(), w->size(0))
+        << "conv+BN fusion channel mismatch";
     RefreshFoldedCache(*bn, int8 ? precision() : Precision::kF32);
     w = &fold_.w;
     b = &fold_.b;
-    w_q = &fold_.w_q;
-    w_scales = &fold_.w_scales;
+    w_int8 = &fold_.w_int8;
   }
-  if (int8 && !w_q->empty()) {
+  if (int8 && !w_int8->packed.empty()) {
     const float act_scale =
         act_absmax_ > 0.0f ? ts::SymmetricScale(act_absmax_) : 0.0f;
-    return ag::Variable(ts::Conv2dForwardInt8(
-        x.value(), w_q->data(), w_scales->data(), f, w->size(1), w->size(2),
-        w->size(3), act_scale, *b, spec_, act, leaky_slope));
+    return ag::Variable(ts::Conv2dForwardInt8(x.value(), *w_int8, act_scale,
+                                              *b, spec_, act, leaky_slope));
   }
   return ag::Variable(
       ts::Conv2dForward(x.value(), *w, *b, spec_, act, leaky_slope));
@@ -241,15 +247,8 @@ void Conv2d::RefreshFoldedCache(const BatchNorm2d& bn, Precision prec) {
     for (int64_t j = 0; j < ck; ++j) pfw[fi * ck + j] = pw[fi * ck + j] * s;
     pfb[fi] = (pb != nullptr ? pb[fi] * s : 0.0f) + shift[fi];
   }
-  fold_.w_q.clear();
-  fold_.w_scales.clear();
-  if (prec == Precision::kInt8) {
-    fold_.w_q.resize(w.numel());
-    fold_.w_scales.resize(f);
-    ts::QuantizeRowsInt8(pfw, f, ck, fold_.w_q.data(), fold_.w_scales.data());
-    PublishWeightQuantError(pfw, fold_.w_q.data(), fold_.w_scales.data(), f,
-                            ck, /*per_row=*/true);
-  }
+  fold_.w_int8 = prec == Precision::kInt8 ? QuantizeConvWeights(w, pfw)
+                                          : ts::Int8ConvWeights{};
   fold_.bn = &bn;
   fold_.conv_version = state_version();
   fold_.bn_version = bn.state_version();

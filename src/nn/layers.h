@@ -63,7 +63,9 @@ class Linear : public UnaryModule {
 /// 2-D convolution over NCHW input. Supports the same eval-time int8
 /// mode as Linear (per-output-channel int8 weight scales, i.e. per row
 /// of the flattened (F, C*KH*KW) weight matrix), again through
-/// ForwardFusedEval with no activation.
+/// ForwardFusedEval with no activation. The quantized weights are packed
+/// for ConvDirectInt8 at SetPrecision (and at each conv+BN fold), never
+/// per call. A layer with C*KH*KW > kConvInt8MaxK stays in f32.
 class Conv2d : public UnaryModule {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
@@ -104,8 +106,7 @@ class Conv2d : public UnaryModule {
     bool valid = false;
     tensor::Tensor w;  // folded f32 weight, same shape as weight_
     tensor::Tensor b;  // folded f32 bias (F)
-    std::vector<int8_t> w_q;
-    std::vector<float> w_scales;
+    tensor::Int8ConvWeights w_int8;
   };
   void RefreshFoldedCache(const BatchNorm2d& bn, Precision prec);
 
@@ -113,8 +114,8 @@ class Conv2d : public UnaryModule {
   autograd::Variable bias_;
   tensor::ConvSpec spec_;
   bool has_bias_;
-  std::vector<int8_t> w_q_;
-  std::vector<float> w_scales_;
+  // int8 weight cache, packed by SetPrecision (empty in f32 mode).
+  tensor::Int8ConvWeights w_int8_;
   float act_absmax_ = 0.0f;
   std::mutex fold_mu_;
   FoldedCache fold_;

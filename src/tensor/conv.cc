@@ -200,9 +200,8 @@ bool Is1x1Direct(int64_t kh, int64_t kw, const ConvSpec& spec) {
 // shapes the implicit gather only beats materialize+pack when the
 // patch matrix is shallow (few rows re-reading the same input plane);
 // for deep patch matrices the branchy row gather loses to the
-// memcpy-based Im2ColInto followed by a contiguous pack. int8 is
-// exempt: its win comes from quantizing the input once instead of once
-// per kernel-tap replica, which dominates at every depth.
+// memcpy-based Im2ColInto followed by a contiguous pack. int8 convs
+// take the direct kernel (ConvDirectInt8) at every stride.
 constexpr int64_t kImplicitGatherMaxK = 64;
 
 template <typename T>
@@ -273,15 +272,14 @@ Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& bias,
   return out;
 }
 
-Tensor Conv2dForwardInt8(const Tensor& x, const int8_t* w_q,
-                         const float* w_scales, int64_t f, int64_t c,
-                         int64_t kh, int64_t kw, float act_scale,
-                         const Tensor& bias, const ConvSpec& spec,
-                         EpilogueAct act, float leaky_slope) {
-  const ConvDims d = ConvCheck(x, f, c, kh, kw, bias, spec);
+Tensor Conv2dForwardInt8(const Tensor& x, const Int8ConvWeights& w,
+                         float act_scale, const Tensor& bias,
+                         const ConvSpec& spec, EpilogueAct act,
+                         float leaky_slope) {
+  const ConvDims d = ConvCheck(x, w.f, w.c, w.kh, w.kw, bias, spec);
   const int64_t h = x.size(2);
   const int64_t wd = x.size(3);
-  const int64_t plane_size = c * h * wd;
+  const int64_t plane_size = w.c * h * wd;
   GEO_OBS_COUNT("fusion.conv_calls", 1);
   // Per-tensor activation scale: static (calibrated) when provided,
   // otherwise derived from the whole batch up front — never per sample,
@@ -293,40 +291,34 @@ Tensor Conv2dForwardInt8(const Tensor& x, const int8_t* w_q,
   // caller's buffer, inside the sample loop: elementwise quantization
   // commutes with the im2col gather (and the zero padding quantizes to
   // 0), so this matches quantizing the patch matrix bitwise while
-  // touching each input element once instead of once per kernel-tap
-  // replica. Workers write disjoint slices through the captured
-  // pointer; their own workspace slots are untouched.
+  // touching each input element once. Workers write disjoint slices
+  // through the captured pointer.
   int8_t* xq = reinterpret_cast<int8_t*>(
       ThreadLocalWorkspace(kWorkspaceQuant, (x.numel() + 3) / 4));
-  Tensor out = Tensor::Uninitialized({d.n, f, d.oh, d.ow});
+  Tensor out = Tensor::Uninitialized({d.n, w.f, d.oh, d.ow});
   GemmEpilogue ep;
   ep.row_bias = bias.numel() > 0 ? bias.data() : nullptr;
   ep.act = act;
   ep.leaky_slope = leaky_slope;
   const float* px = x.data();
   float* po = out.data();
-  const float act_scale_val = act_scale;
-  const bool direct = Is1x1Direct(kh, kw, spec);
-  if (direct) GEO_OBS_COUNT("fusion.conv_1x1", d.n);
   ForEachSample(d.n, [&](int64_t i) {
-    float* out_i = po + i * f * d.l;
     int8_t* plane = xq + i * plane_size;
-    QuantizeInt8(px + i * plane_size, plane_size, act_scale_val, plane);
-    Int8GemmOptions opts;
-    opts.a_scales = w_scales;
-    opts.a_scales_len = f;
-    opts.b_scales = &act_scale_val;
-    opts.b_scales_len = 1;
-    opts.epilogue = &ep;
-    if (direct) {
-      GemmInt8(w_q, plane, out_i, f, c, d.l, opts);
-    } else {
-      const ConvImageView<int8_t> view =
-          MakeConvView(plane, c, h, wd, kh, kw, spec, d.oh, d.ow);
-      GemmConvInt8(w_q, view, out_i, f, opts);
-    }
+    QuantizeInt8(px + i * plane_size, plane_size, act_scale, plane);
+    const ConvImageView<int8_t> view =
+        MakeConvView(plane, w.c, h, wd, w.kh, w.kw, spec, d.oh, d.ow);
+    ConvDirectInt8(view, w, act_scale, po + i * w.f * d.l, &ep);
   });
   return out;
+}
+
+Tensor Conv2dForwardInt8(const Tensor& x, const int8_t* w_q,
+                         const float* w_scales, int64_t f, int64_t c,
+                         int64_t kh, int64_t kw, float act_scale,
+                         const Tensor& bias, const ConvSpec& spec,
+                         EpilogueAct act, float leaky_slope) {
+  return Conv2dForwardInt8(x, PackInt8ConvWeights(w_q, w_scales, f, c, kh, kw),
+                           act_scale, bias, spec, act, leaky_slope);
 }
 
 Conv2dGrads Conv2dBackward(const Tensor& grad_out, const Tensor& x,

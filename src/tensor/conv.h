@@ -45,19 +45,28 @@ Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& bias,
                      EpilogueAct act = EpilogueAct::kNone,
                      float leaky_slope = 0.01f);
 
-/// The int8 eval-path convolution (DESIGN.md §10, §13). Weights are
-/// flattened row-major to (F, C*KH*KW) — the natural flat view of a
-/// (F, C, KH, KW) tensor — and quantized per output channel (w_q with
-/// w_scales[F]). `act_scale` is the per-tensor activation scale; pass 0
-/// to derive it from this batch's absmax, computed once over the whole
-/// batch so serial and parallel runs quantize identically. Each sample
-/// quantizes its own input plane (elementwise quantization commutes
-/// with the im2col gather, and zero padding quantizes to 0), panels are
-/// gathered straight from the quantized image (implicit im2col), and
-/// accumulation is i32. Bias and `act` run as a GEMM epilogue after
-/// dequantization; EpilogueAct::kNone gives a plain conv. The output is
-/// bitwise identical to Im2Col + QuantizeInt8 + GemmInt8 followed by
-/// separate bias and activation passes. Eval-only: no backward exists.
+/// The int8 eval-path convolution (DESIGN.md §10, §13). `w` holds the
+/// (F, C, KH, KW) weights quantized per output channel and packed by
+/// PackInt8ConvWeights. `act_scale` is the per-tensor activation scale;
+/// pass 0 to derive it from this batch's absmax, computed once over the
+/// whole batch so serial and parallel runs quantize identically. Each
+/// sample quantizes its own input plane (elementwise quantization
+/// commutes with the im2col gather, and zero padding quantizes to 0)
+/// and runs ConvDirectInt8 on it: exact i32 sums of u8 (q + 128)
+/// activations times int8 weights, less 128·Σw per filter. Bias and
+/// `act` run as an epilogue after dequantization; EpilogueAct::kNone
+/// gives a plain conv. The output is bitwise identical to Im2Col +
+/// QuantizeInt8 + GemmInt8 followed by separate bias and activation
+/// passes whenever C·KH·KW <= kKCInt8. Eval-only: no backward exists.
+Tensor Conv2dForwardInt8(const Tensor& x, const Int8ConvWeights& w,
+                         float act_scale, const Tensor& bias,
+                         const ConvSpec& spec,
+                         EpilogueAct act = EpilogueAct::kNone,
+                         float leaky_slope = 0.01f);
+
+/// The same from row-major (F, C·KH·KW) int8 weights and their
+/// per-filter scales, packed on every call (tests and one-off callers;
+/// Conv2d packs once at SetPrecision).
 Tensor Conv2dForwardInt8(const Tensor& x, const int8_t* w_q,
                          const float* w_scales, int64_t f, int64_t c,
                          int64_t kh, int64_t kw, float act_scale,

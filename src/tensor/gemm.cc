@@ -483,9 +483,10 @@ void GemmConv(const float* a, const ConvImageView<float>& b, float* c,
   const int64_t work = m * n * k;
   GEO_OBS_COUNT("gemm.flops", 2 * work);
   if (work < kBlockedMinWork) {
-    // Mirror the unfused small-problem path bitwise: materialize the
-    // patch matrix and run the reference loop (which applies the
-    // epilogue as separate post-passes, like the unfused layer code).
+    // Match Gemm below kBlockedMinWork bitwise: materialize the patch
+    // matrix and run the same reference loop (which applies the
+    // epilogue as separate post-passes), so GemmConv equals im2col +
+    // Gemm at every size.
     GEO_OBS_COUNT("gemm.path.ref", 1);
     float* cols = ThreadLocalWorkspace(kWorkspaceIm2Col, k * n);
     for (int64_t p = 0; p < k; ++p) b.GatherRow(p, 0, n, cols + p * n);

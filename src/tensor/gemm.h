@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 namespace geotorch::tensor {
 
@@ -191,17 +192,45 @@ struct ConvImageView {
   }
 };
 
-/// Convolution GEMMs over an implicit im2col B operand: C (m × b.N()) =
+/// Convolution GEMM over an implicit im2col B operand: C (m × b.N()) =
 /// A (m × b.K()) · im2col(b), same blocking, determinism, and epilogue
 /// semantics as the dense overloads (the small-problem reference
 /// fallback materializes the patch matrix into the im2col workspace, so
 /// outputs are bitwise identical to the explicit-im2col path at every
-/// size). A is the weight matrix: f32 row-major or row-quantized int8
-/// respectively.
+/// size). A is the f32 row-major weight matrix.
 void GemmConv(const float* a, const ConvImageView<float>& b, float* c,
               int64_t m, const GemmOptions& opts = {});
-void GemmConvInt8(const int8_t* a, const ConvImageView<int8_t>& b, float* c,
-                  int64_t m, const Int8GemmOptions& opts);
+
+/// Conv weights in the layout of ConvDirectInt8 (DESIGN.md §10), built
+/// once per weight version (Conv2d packs them at SetPrecision) from the
+/// row-quantized (f, c·kh·kw) int8 matrix and its per-filter scales.
+/// Derived state: kernel-version-specific, never persisted.
+struct Int8ConvWeights {
+  int64_t f = 0, c = 0, kh = 0, kw = 0;
+  /// Per filter tile of 8 and tap group (4 channels at one (ki, kj)),
+  /// one 4-byte dword of int8 weights per filter; pad channels and
+  /// filters hold 0.
+  std::vector<int32_t> packed;
+  /// 128·Σw per filter: the activations enter the kernel as q + 128.
+  std::vector<int32_t> offset;
+  std::vector<float> scales;
+};
+
+/// Packs w_q (f, c·kh·kw) row-major, filter f scaled by w_scales[f].
+/// Requires c·kh·kw <= gemm_internal::kConvInt8MaxK.
+Int8ConvWeights PackInt8ConvWeights(const int8_t* w_q, const float* w_scales,
+                                    int64_t f, int64_t c, int64_t kh,
+                                    int64_t kw);
+
+/// Direct int8 convolution of one quantized sample `b` (q in [-127,
+/// 127], any stride and padding): c (w.f, b.N()) = (w.scales[r] ·
+/// act_scale) · Σ w_q·q, then `ep` on each written row. The i32 sums
+/// are exact, so the output is bitwise that of im2col + GemmInt8 with
+/// the same epilogue whenever c·kh·kw <= kKCInt8 (one GemmInt8 K
+/// block). Runs on the calling thread, like the f32 direct forward:
+/// Conv2dForwardInt8 spreads samples over the pool.
+void ConvDirectInt8(const ConvImageView<int8_t>& b, const Int8ConvWeights& w,
+                    float act_scale, float* c, const GemmEpilogue* ep);
 
 /// Direct stride-1 convolution backward kernels (DESIGN.md §13): the
 /// two per-sample GEMMs of a conv backward, computed without the patch
@@ -256,6 +285,12 @@ inline constexpr int64_t kParallelMinWork = int64_t{1} << 18;
 // 127 * 127 * kKCInt8 = 1.3e8 < 2^31.
 inline constexpr int64_t kNRLp = 32;
 inline constexpr int64_t kKCInt8 = 8192;
+
+// ConvDirectInt8 keeps one i32 sum per output over all K taps of u8
+// activations (q + 128 <= 255) times int8 weights: K·255·127 < 2^31.
+// Conv2d keeps a deeper layer in f32.
+inline constexpr int64_t kConvInt8MaxK =
+    ((int64_t{1} << 31) - 1) / (255 * 127);
 
 // Geometry of the pre-packed int8 B blob: panel blocks are
 // laid out jc-major (kNC column blocks), then pc (kc_block K blocks),

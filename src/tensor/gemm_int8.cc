@@ -1,4 +1,5 @@
-// int8 symmetric-quantized GEMM with i32 accumulation. Layouts:
+// int8 symmetric-quantized GEMM with i32 accumulation, and the direct
+// int8 convolution (ConvDirectInt8, below). GEMM layouts:
 //
 //   A_q: (m, k) row-major int8, per-row (or per-tensor) scales
 //   B_q: (k, n) row-major int8, per-column (or per-tensor) scales
@@ -25,7 +26,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
+#include "core/check.h"
 #include "core/memory.h"
 #include "core/thread_pool.h"
 #include "obs/obs.h"
@@ -89,37 +92,6 @@ void PackBInt8(const int8_t* b, int64_t ldb, int64_t pc, int64_t kc,
           for (int64_t c = 0; c < kNRLp; ++c) dst[c * 2 + t] = 0;
         }
       }
-    }
-  }
-}
-
-// Packs an implicit-im2col B block (already-quantized input image) into
-// the same interleaved-pair panel layout as PackBInt8.
-void PackBInt8Conv(const ConvImageView<int8_t>& view, int64_t pc, int64_t kc,
-                   int64_t jc, int64_t nc, int8_t* __restrict bp) {
-  const int64_t kc2 = CeilDiv(kc, 2);
-  // Gather each virtual row once at full block width into an L1 stage,
-  // then deal it into the pair-interleaved panels.
-  alignas(64) int8_t stage[kNC];
-  for (int64_t p = 0; p < kc; ++p) {
-    view.GatherRow(pc + p, jc, nc, stage);
-    const int64_t p2 = p / 2;
-    const int64_t t = p % 2;
-    for (int64_t pj = 0; pj * kNRLp < nc; ++pj) {
-      const int64_t cols = std::min(kNRLp, nc - pj * kNRLp);
-      int8_t* __restrict dst = bp + (pj * kc2 + p2) * kNRLp * 2;
-      const int8_t* __restrict src = stage + pj * kNRLp;
-      int64_t c = 0;
-      for (; c < cols; ++c) dst[c * 2 + t] = src[c];
-      for (; c < kNRLp; ++c) dst[c * 2 + t] = 0;
-    }
-  }
-  if (kc % 2 == 1) {
-    // Odd K tail: zero the second slot of the last pair.
-    const int64_t p2 = kc / 2;
-    for (int64_t pj = 0; pj * kNRLp < nc; ++pj) {
-      int8_t* __restrict dst = bp + (pj * kc2 + p2) * kNRLp * 2;
-      for (int64_t c = 0; c < kNRLp; ++c) dst[c * 2 + 1] = 0;
     }
   }
 }
@@ -207,8 +179,6 @@ struct Int8View {
   const int8_t* packed_b;  // pre-packed panels (PackInt8B layout)
   int64_t m, k, n;
   const Int8GemmOptions* opts;
-  // Implicit im2col B over a quantized input image.
-  const ConvImageView<int8_t>* conv_b = nullptr;
   float ARowScale(int64_t i) const {
     return opts->a_scales[opts->a_scales_len == 1 ? 0 : i];
   }
@@ -232,11 +202,7 @@ void GemmRegionInt8(const Int8View& v, float* c, float beta, int64_t mb,
         const int64_t b_bytes = CeilDiv(nc, kNRLp) * kNRLp * kc2 * 2;
         int8_t* wp = reinterpret_cast<int8_t*>(
             ThreadLocalWorkspace(kWorkspaceGemmLpB, CeilDiv(b_bytes, 4)));
-        if (v.conv_b != nullptr) {
-          PackBInt8Conv(*v.conv_b, pc, kc, jc, nc, wp);
-        } else {
-          PackBInt8(v.b, v.n, pc, kc, jc, nc, wp);
-        }
+        PackBInt8(v.b, v.n, pc, kc, jc, nc, wp);
         bp = wp;
       }
       const float beta_eff = (pc == 0) ? beta : 1.0f;
@@ -311,6 +277,137 @@ void GemmInt8Impl(const Int8View& v, float* c, const Int8GemmOptions& opts) {
   });
 }
 
+// --- Direct int8 convolution ----------------------------------------------
+//
+// ConvDirectInt8 never builds a patch matrix. The sample is staged once
+// as u8 activations q + 128, four channels per dword, and the register
+// tile walks that image: for kConvMR filters and 16·NW output columns of
+// one output row, each tap group (4 channels at one (ki, kj)) is NW
+// 64-byte loads plus one _mm512_dpbusd_epi32 per (filter, load), which
+// adds 4 u8·s8 products to each i32 lane. Integer sums are exact in any
+// order, so regrouping the taps by 4 channels changes no sum, and
+// subtracting 128·Σw per filter recovers Σ q·w exactly.
+
+constexpr int64_t kConvMR = 8;   // filters per register tile
+constexpr int64_t kLanes = 16;   // output columns per zmm of i32 sums
+
+// The staged sample (StageInt8Image): dword (channel group cg, padded
+// row ii) starts at data + (cg·ph + ii)·row; each row holds `stride`
+// column phases of wsp dwords.
+struct StagedInt8Image {
+  const uint32_t* data;
+  int64_t ph, wsp, row;
+};
+
+// Stages one quantized sample: the dword at (group cg, padded row ii,
+// padded column jj) holds channels 4cg..4cg+3 as q + 128 bytes, channel
+// 4cg in the low byte. Padding and channels past c hold 128 (q = 0). At
+// stride s, column jj goes to phase jj % s, index jj / s, so the taps
+// of consecutive output columns are consecutive dwords at every stride.
+// Rows carry slack so that a tile of tile_cols columns reads in bounds.
+StagedInt8Image StageInt8Image(const ConvImageView<int8_t>& b,
+                               int64_t tile_cols) {
+  const int64_t s = b.stride;
+  const int64_t groups = CeilDiv(b.c, 4);
+  const int64_t ph = b.h + 2 * b.pad;
+  const int64_t wsp = std::max(CeilDiv(b.w + 2 * b.pad, s),
+                               CeilDiv(b.ow, tile_cols) * tile_cols +
+                                   (b.kw - 1) / s);
+  const int64_t row = s * wsp;
+  const int64_t total = groups * ph * row;
+  // A per-thread buffer of its own type, not a float workspace slot, so
+  // the dwords are only ever accessed as uint32_t.
+  thread_local std::vector<uint32_t> buffer;
+  if (static_cast<int64_t>(buffer.size()) < total) buffer.resize(total);
+  uint32_t* st = buffer.data();
+  std::fill(st, st + total, 0x80808080u);
+  for (int64_t ci = 0; ci < b.c; ++ci) {
+    const int shift = 8 * static_cast<int>(ci % 4);
+    for (int64_t i = 0; i < b.h; ++i) {
+      const uint8_t* __restrict src =
+          reinterpret_cast<const uint8_t*>(b.x + (ci * b.h + i) * b.w);
+      uint32_t* __restrict dst = st + ((ci / 4) * ph + i + b.pad) * row;
+      if (s == 1) {  // the general formula, without the divisions
+        for (int64_t j = 0; j < b.w; ++j)
+          dst[b.pad + j] ^= uint32_t{src[j]} << shift;
+      } else {
+        for (int64_t j = 0; j < b.w; ++j) {
+          const int64_t jj = j + b.pad;
+          dst[(jj % s) * wsp + jj / s] ^= uint32_t{src[j]} << shift;
+        }
+      }
+    }
+  }
+  return {st, ph, wsp, row};
+}
+
+// One tile of ConvDirectInt8: exact i32 sums for kConvMR filters and
+// 16·NW output columns over `groups` tap groups, dequantized as GemmInt8
+// writes back, c = (sa · sb) · float(sum - offset), into the `rows` x
+// `cols` corner of c (row stride ldc). `in` is the staged image at the
+// tile's output origin, off[g] the offset of tap group g from it, `wp`
+// the filter tile's packed weights; scale[r] = w.scales · act_scale.
+template <int NW>
+void ConvInt8Tile(const uint32_t* in, const int32_t* off, int64_t groups,
+                  const int32_t* wp, const float* scale, const int32_t* offset,
+                  int64_t rows, int64_t cols, float* c, int64_t ldc) {
+#if defined(GEO_GEMM_INT8_VNNI)
+  // The pragmas unroll early enough for the accumulators to stay in
+  // registers.
+  __m512i acc[kConvMR][NW];
+#pragma GCC unroll 8
+  for (int r = 0; r < kConvMR; ++r)
+#pragma GCC unroll 2
+    for (int t = 0; t < NW; ++t) acc[r][t] = _mm512_setzero_si512();
+  for (int64_t g = 0; g < groups; ++g, wp += kConvMR) {
+    const uint32_t* src = in + off[g];
+    __m512i a[NW];
+#pragma GCC unroll 2
+    for (int t = 0; t < NW; ++t) a[t] = _mm512_loadu_si512(src + t * kLanes);
+#pragma GCC unroll 8
+    for (int r = 0; r < kConvMR; ++r) {
+      const __m512i wv = _mm512_set1_epi32(wp[r]);
+#pragma GCC unroll 2
+      for (int t = 0; t < NW; ++t)
+        acc[r][t] = _mm512_dpbusd_epi32(acc[r][t], a[t], wv);
+    }
+  }
+  __mmask16 mask[NW];
+  for (int t = 0; t < NW; ++t) {
+    const int64_t left = std::clamp<int64_t>(cols - t * kLanes, 0, kLanes);
+    mask[t] = static_cast<__mmask16>((uint32_t{1} << left) - 1);
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < kConvMR; ++r) {
+    if (r >= rows) break;
+    const __m512 sv = _mm512_set1_ps(scale[r]);
+    const __m512i ov = _mm512_set1_epi32(offset[r]);
+#pragma GCC unroll 2
+    for (int t = 0; t < NW; ++t) {
+      const __m512 sum = _mm512_maskz_cvtepi32_ps(
+          0xFFFF, _mm512_sub_epi32(acc[r][t], ov));
+      _mm512_mask_storeu_ps(c + r * ldc + t * kLanes, mask[t],
+                            _mm512_mul_ps(sv, sum));
+    }
+  }
+#else
+  constexpr int64_t kCols = NW * kLanes;
+  int32_t acc[kConvMR][kCols] = {};
+  for (int64_t g = 0; g < groups; ++g, wp += kConvMR) {
+    const uint8_t* a = reinterpret_cast<const uint8_t*>(in + off[g]);
+    const uint8_t* w = reinterpret_cast<const uint8_t*>(wp);
+    for (int64_t r = 0; r < kConvMR; ++r)
+      for (int64_t j = 0; j < kCols; ++j)
+        for (int64_t t = 0; t < 4; ++t)
+          acc[r][j] += int32_t{a[j * 4 + t]} *
+                       int32_t{static_cast<int8_t>(w[r * 4 + t])};
+  }
+  for (int64_t r = 0; r < rows; ++r)
+    for (int64_t j = 0; j < cols; ++j)
+      c[r * ldc + j] = scale[r] * static_cast<float>(acc[r][j] - offset[r]);
+#endif
+}
+
 }  // namespace
 
 void GemmInt8(const int8_t* a, const int8_t* b, float* c, int64_t m, int64_t k,
@@ -340,11 +437,84 @@ void GemmInt8(const int8_t* a, Int8PackedB b, float* c, int64_t m, int64_t k,
   GemmInt8Impl(v, c, opts);
 }
 
-void GemmConvInt8(const int8_t* a, const ConvImageView<int8_t>& b, float* c,
-                  int64_t m, const Int8GemmOptions& opts) {
-  GEO_OBS_COUNT("fusion.conv_implicit", 1);
-  const Int8View v{a, nullptr, nullptr, m, b.K(), b.N(), &opts, &b};
-  GemmInt8Impl(v, c, opts);
+Int8ConvWeights PackInt8ConvWeights(const int8_t* w_q, const float* w_scales,
+                                    int64_t f, int64_t c, int64_t kh,
+                                    int64_t kw) {
+  const int64_t k = c * kh * kw;
+  GEO_CHECK_LE(k, kConvInt8MaxK) << "int8 conv taps overflow the i32 sum";
+  Int8ConvWeights w;
+  w.f = f;
+  w.c = c;
+  w.kh = kh;
+  w.kw = kw;
+  const int64_t groups = CeilDiv(c, 4) * kh * kw;
+  w.packed.assign(CeilDiv(f, kConvMR) * groups * kConvMR, 0);
+  w.offset.assign(f, 0);
+  w.scales.assign(w_scales, w_scales + f);
+  for (int64_t fi = 0; fi < f; ++fi) {
+    int32_t sum = 0;
+    for (int64_t ci = 0; ci < c; ++ci) {
+      for (int64_t tap = 0; tap < kh * kw; ++tap) {
+        const int8_t v = w_q[fi * k + ci * kh * kw + tap];
+        const int64_t g = (ci / 4) * kh * kw + tap;
+        uint8_t* dword = reinterpret_cast<uint8_t*>(
+            &w.packed[((fi / kConvMR) * groups + g) * kConvMR + fi % kConvMR]);
+        dword[ci % 4] = static_cast<uint8_t>(v);
+        sum += v;
+      }
+    }
+    w.offset[fi] = 128 * sum;
+  }
+  return w;
+}
+
+void ConvDirectInt8(const ConvImageView<int8_t>& b, const Int8ConvWeights& w,
+                    float act_scale, float* c, const GemmEpilogue* ep) {
+  GEO_CHECK(b.c == w.c && b.kh == w.kh && b.kw == w.kw)
+      << "int8 conv weights do not match the input";
+  GEO_OBS_COUNT("gemm.path.conv_direct_int8", 1);
+  const int64_t n = b.N();
+  const int nw = b.ow > kLanes ? 2 : 1;
+  const int64_t tile_cols = nw * kLanes;
+  const StagedInt8Image img = StageInt8Image(b, tile_cols);
+  // Offset of tap group (cg, ki, kj) from an output origin: padded row
+  // oi·s + ki, phase kj % s, index oj + kj / s.
+  const int64_t groups = CeilDiv(b.c, 4) * b.kh * b.kw;
+  std::vector<int32_t> off(groups);
+  for (int64_t g = 0; g < groups; ++g) {
+    const int64_t kj = g % b.kw;
+    const int64_t cg_ki = g / b.kw;  // cg·kh + ki
+    const int64_t ki = cg_ki % b.kh;
+    off[g] = static_cast<int32_t>((cg_ki / b.kh * img.ph + ki) * img.row +
+                                  (kj % b.stride) * img.wsp + kj / b.stride);
+  }
+  const int64_t row_step = b.stride * img.row;
+  for (int64_t f0 = 0; f0 < w.f; f0 += kConvMR) {
+    const int64_t rows = std::min(kConvMR, w.f - f0);
+    const int32_t* wp = w.packed.data() + f0 * groups;
+    float scale[kConvMR];
+    for (int64_t r = 0; r < rows; ++r) scale[r] = w.scales[f0 + r] * act_scale;
+    for (int64_t oi = 0; oi < b.oh; ++oi) {
+      float* c_tile = c + f0 * n + oi * b.ow;
+      for (int64_t j0 = 0; j0 < b.ow; j0 += tile_cols) {
+        const uint32_t* in = img.data + oi * row_step + j0;
+        const int64_t cols = std::min(tile_cols, b.ow - j0);
+        if (nw == 2) {
+          ConvInt8Tile<2>(in, off.data(), groups, wp, scale, &w.offset[f0],
+                          rows, cols, c_tile + j0, n);
+        } else {
+          ConvInt8Tile<1>(in, off.data(), groups, wp, scale, &w.offset[f0],
+                          rows, cols, c_tile + j0, n);
+        }
+      }
+    }
+  }
+  // The epilogue passes run over each finished filter plane, after the
+  // dequantization: the op order of GemmInt8's write-back.
+  if (ep != nullptr) {
+    for (int64_t r = 0; r < w.f; ++r)
+      ApplyEpilogueRow(c + r * n, n, ep->row_bias, r, ep->col_bias, *ep);
+  }
 }
 
 }  // namespace geotorch::tensor

@@ -1,10 +1,12 @@
-// Thread-safety harness for the int8 GEMM kernel; the `tsan` preset
-// runs it under ThreadSanitizer, and with the portable (non-native)
-// micro-kernels. Not a gtest: it drives the int8 path through the same
-// 2-D tile dispatch as the f32 kernel — concurrent int8 panel packing
-// into per-thread workspaces, disjoint C-tile stores, and the
-// prepacked-B read-only sharing that serving relies on. Exact i32 accumulation promises serial == parallel
-// bitwise, so every check here is a memcmp, not a tolerance.
+// Thread-safety harness for the int8 GEMM and direct conv kernels; the
+// `tsan` preset runs it under ThreadSanitizer, and with the portable
+// (non-native) micro-kernels. Not a gtest: it drives the int8 GEMM
+// through the same 2-D tile dispatch as the f32 kernel — concurrent
+// int8 panel packing into per-thread workspaces, disjoint C-tile
+// stores, and the prepacked-B read-only sharing that serving relies on
+// — and the direct int8 conv through its per-sample pool dispatch and
+// shared packed weights. Exact i32 accumulation promises serial ==
+// parallel bitwise, so every check here is a memcmp, not a tolerance.
 
 #include <cmath>
 #include <cstdint>
@@ -14,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "tensor/conv.h"
 #include "tensor/device.h"
 #include "tensor/gemm.h"
 #include "tensor/quant.h"
@@ -76,6 +79,68 @@ void CheckInt8Once(int64_t m, int64_t k, int64_t n, uint64_t seed) {
   ts::GemmInt8(a_q.data(), ts::Int8PackedB{packed.data()}, c_packed.data(), m,
                k, n, opts);
   BitwiseEqual(c_serial, c_packed, "int8 prepacked", m, k, n);
+}
+
+// The direct int8 conv on one batch: the serial device (one thread
+// stages and walks every sample) against the parallel device (samples
+// on pool workers, each staging into its own workspace), both against a
+// scalar int32 reference with the kernel's dequantization,
+// (w_scale · act_scale) · float(Σ w·q). Odd widths leave partial column
+// tiles, padding puts 128-offset taps on the edges, and stride 2 uses
+// the phase-split staging.
+void CheckConvInt8Once(int64_t n, int64_t c, int64_t f, int64_t h, int64_t w,
+                       int64_t k, int64_t stride, int64_t pad, uint64_t seed) {
+  std::vector<float> x(n * c * h * w), wf(f * c * k * k);
+  FillUniform(x, seed);
+  FillUniform(wf, seed + 1);
+  const int64_t ck = c * k * k;
+  std::vector<int8_t> w_q(f * ck);
+  std::vector<float> w_scales(f);
+  ts::QuantizeRowsInt8(wf.data(), f, ck, w_q.data(), w_scales.data());
+  const ts::Int8ConvWeights packed =
+      ts::PackInt8ConvWeights(w_q.data(), w_scales.data(), f, c, k, k);
+  const float act_scale = ts::SymmetricScale(ts::AbsMax(x.data(), x.size()));
+  const int64_t oh = ts::ConvOutSize(h, k, stride, pad);
+  const int64_t ow = ts::ConvOutSize(w, k, stride, pad);
+
+  std::vector<int8_t> xq(x.size());
+  ts::QuantizeInt8(x.data(), x.size(), act_scale, xq.data());
+  std::vector<float> ref(n * f * oh * ow);
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t fi = 0; fi < f; ++fi) {
+      for (int64_t oi = 0; oi < oh; ++oi) {
+        for (int64_t oj = 0; oj < ow; ++oj) {
+          int32_t acc = 0;
+          for (int64_t ci = 0; ci < c; ++ci) {
+            for (int64_t ki = 0; ki < k; ++ki) {
+              for (int64_t kj = 0; kj < k; ++kj) {
+                const int64_t ii = oi * stride + ki - pad;
+                const int64_t jj = oj * stride + kj - pad;
+                if (ii < 0 || ii >= h || jj < 0 || jj >= w) continue;
+                acc += int32_t{w_q[fi * ck + (ci * k + ki) * k + kj]} *
+                       int32_t{xq[((i * c + ci) * h + ii) * w + jj]};
+              }
+            }
+          }
+          ref[((i * f + fi) * oh + oi) * ow + oj] =
+              w_scales[fi] * act_scale * static_cast<float>(acc);
+        }
+      }
+    }
+  }
+
+  const ts::Tensor xt = ts::Tensor::FromVector({n, c, h, w}, x);
+  const ts::Tensor no_bias;
+  for (const ts::Device dev : {ts::Device::kSerial, ts::Device::kParallel}) {
+    ts::DeviceGuard guard(dev);
+    const ts::Tensor got = ts::Conv2dForwardInt8(
+        xt, packed, act_scale, no_bias, ts::ConvSpec{stride, pad});
+    const std::vector<float> out(got.data(), got.data() + got.numel());
+    BitwiseEqual(ref, out,
+                 dev == ts::Device::kSerial ? "conv int8 serial"
+                                            : "conv int8 parallel",
+                 n * f, ck, oh * ow);
+  }
 }
 
 }  // namespace
@@ -141,6 +206,64 @@ int main() {
       CheckInt8Once(192, 512, 512, seed++);
     }
     for (auto& c : clients) c.join();
+  }
+
+  // Direct int8 conv: ragged widths (partial 16- and 32-column tiles),
+  // padded edges, a channel count off the 4-channel groups, a filter
+  // count off the 8-filter tiles, stride 2 and a 1x1 conv.
+  struct ConvShape {
+    int64_t n, c, f, h, w, k, stride, pad;
+  };
+  const ConvShape conv_shapes[] = {
+      {3, 13, 8, 17, 37, 3, 1, 1},
+      {4, 5, 11, 9, 15, 3, 1, 1},
+      {2, 8, 16, 12, 33, 3, 1, 0},
+      {3, 6, 10, 11, 13, 3, 2, 1},
+      {2, 7, 9, 10, 19, 1, 1, 0},
+  };
+  for (int iter = 0; iter < 2; ++iter) {
+    for (const ConvShape& s : conv_shapes) {
+      CheckConvInt8Once(s.n, s.c, s.f, s.h, s.w, s.k, s.stride, s.pad,
+                        seed++);
+    }
+  }
+
+  // Serving replicas share one packed conv weight set read-only: client
+  // threads run batch-1 convs on it while pool-parallel batches run on
+  // the main thread.
+  {
+    const int64_t c = 13, f = 8, hw = 20;
+    std::vector<float> wf(f * c * 9);
+    FillUniform(wf, 91);
+    std::vector<int8_t> w_q(wf.size());
+    std::vector<float> w_scales(f);
+    ts::QuantizeRowsInt8(wf.data(), f, c * 9, w_q.data(), w_scales.data());
+    const ts::Int8ConvWeights packed =
+        ts::PackInt8ConvWeights(w_q.data(), w_scales.data(), f, c, 3, 3);
+    std::vector<std::thread> clients;
+    for (int t = 0; t < 3; ++t) {
+      clients.emplace_back([&, t] {
+        std::vector<float> x(c * hw * hw);
+        FillUniform(x, 2000 + t);
+        const ts::Tensor xt = ts::Tensor::FromVector({1, c, hw, hw}, x);
+        const ts::Tensor no_bias;
+        const ts::Tensor first =
+            ts::Conv2dForwardInt8(xt, packed, 0.0f, no_bias, {1, 1});
+        for (int i = 0; i < 6; ++i) {
+          const ts::Tensor again =
+              ts::Conv2dForwardInt8(xt, packed, 0.0f, no_bias, {1, 1});
+          if (std::memcmp(first.data(), again.data(),
+                          sizeof(float) * first.numel()) != 0) {
+            std::fprintf(stderr, "FAIL shared conv weights: rerun differs\n");
+            ++failures;
+          }
+        }
+      });
+    }
+    for (int i = 0; i < 4; ++i) {
+      CheckConvInt8Once(3, 13, 8, 20, 20, 3, 1, 1, seed++);
+    }
+    for (auto& cl : clients) cl.join();
   }
 
   if (failures == 0) {

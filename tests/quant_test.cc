@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "autograd/variable.h"
@@ -78,6 +79,93 @@ TEST(QuantTest, PerChannelScalesBoundEveryChannel) {
   ts::QuantizeRowsInt8(zeros.data(), 1, 8, qz.data(), &s);
   EXPECT_EQ(s, 1.0f);
   for (int8_t v : qz) EXPECT_EQ(v, 0);
+}
+
+// --- vector quantizers against the scalar formula --------------------------
+
+// The formulas of quant.h in scalar form. AbsMax and QuantizeInt8 run
+// 16-lane bodies on AVX-512 hosts and must match these bitwise on every
+// input, including the ones lrintf maps to LONG_MIN on x86-64 (NaN,
+// ±inf, |v| >= 2^63), which the clamp turns into -127.
+float ScalarAbsMax(const float* x, int64_t n) {
+  float m = 0.0f;
+  for (int64_t i = 0; i < n; ++i) m = std::max(m, std::fabs(x[i]));
+  return m;
+}
+
+int8_t ScalarQuantize(float x, float scale) {
+  const long q = std::lrintf(x * (1.0f / scale));
+  return static_cast<int8_t>(std::clamp<long>(q, -127, 127));
+}
+
+uint32_t BitsOfFloat(float v) {
+  uint32_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+const float kSpecials[] = {0.0f,     -0.0f,   INFINITY, -INFINITY,
+                           NAN,      -NAN,    1e30f,    -1e30f,
+                           3e18f,    -3e18f,  0.5f,     -0.5f,
+                           1.5f,     2.5f,    -2.5f,    126.5f,
+                           127.5f,   -127.5f, 128.0f,   -128.0f,
+                           2.25f,    -0.25f};
+
+// Every special value at every position of every length 0..67 (the
+// 16-lane body, its 2x unroll and the scalar tail), at scales 1 and 0.5
+// where .5 and .25 are exact ties, and at a data-derived scale.
+TEST(QuantTest, VectorQuantizersMatchScalarFormula) {
+  for (int64_t len = 0; len <= 67; ++len) {
+    const std::vector<float> base = RandomVec(len, 100 + len, -200.0f, 200.0f);
+    const float data_scale =
+        ts::SymmetricScale(ScalarAbsMax(base.data(), len));
+    std::vector<int8_t> q(len);
+    for (const float special : kSpecials) {
+      for (int64_t pos = 0; pos < std::max<int64_t>(len, 1); ++pos) {
+        std::vector<float> x = base;
+        if (len > 0) x[pos] = special;
+        SCOPED_TRACE("len=" + std::to_string(len) + " pos=" +
+                     std::to_string(pos) + " special=" +
+                     std::to_string(special));
+        const float absmax = ts::AbsMax(x.data(), len);
+        ASSERT_EQ(BitsOfFloat(ScalarAbsMax(x.data(), len)),
+                  BitsOfFloat(absmax));
+        for (const float scale : {1.0f, 0.5f, data_scale}) {
+          ts::QuantizeInt8(x.data(), len, scale, q.data());
+          for (int64_t i = 0; i < len; ++i) {
+            ASSERT_EQ(int(ScalarQuantize(x[i], scale)), int(q[i]))
+                << "i=" << i << " x=" << x[i] << " scale=" << scale;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Per-row scales and values of QuantizeRowsInt8 on rows whose length is
+// not a multiple of 16, with special values in some rows.
+TEST(QuantTest, QuantizeRowsInt8MatchesPerRowFormula) {
+  const int64_t rows = 6;
+  for (const int64_t cols : {1, 7, 15, 17, 31, 33, 50, 67}) {
+    std::vector<float> w = RandomVec(rows * cols, 7 * cols, -3.0f, 3.0f);
+    w[1 * cols + cols / 2] = NAN;
+    w[2 * cols] = -INFINITY;
+    w[3 * cols + cols - 1] = 2.5f;
+    std::fill(w.begin() + 4 * cols, w.begin() + 5 * cols, 0.0f);
+    std::vector<int8_t> q(rows * cols);
+    std::vector<float> scales(rows);
+    ts::QuantizeRowsInt8(w.data(), rows, cols, q.data(), scales.data());
+    for (int64_t r = 0; r < rows; ++r) {
+      const float* row = w.data() + r * cols;
+      const float want = ts::SymmetricScale(ScalarAbsMax(row, cols));
+      ASSERT_EQ(BitsOfFloat(want), BitsOfFloat(scales[r]))
+          << "cols=" << cols << " row=" << r;
+      for (int64_t c = 0; c < cols; ++c) {
+        ASSERT_EQ(int(ScalarQuantize(row[c], want)), int(q[r * cols + c]))
+            << "cols=" << cols << " row=" << r << " col=" << c;
+      }
+    }
+  }
 }
 
 // --- GEMM kernels against references ---------------------------------------

@@ -29,6 +29,7 @@
 #include "tensor/device.h"
 #include "tensor/shape.h"
 #include "tensor/tensor.h"
+#include "tests/temp_path.h"
 
 namespace {
 
@@ -664,7 +665,7 @@ TEST(EngineTest, ServesFromALoadedCheckpoint) {
                                  mc.len_trend);
 
   models::PeriodicalCnn trained(mc);
-  const std::string path = testing::TempDir() + "/served_model.ckpt";
+  const geotorch::ScopedTempPath path("served_model.ckpt");
   ASSERT_TRUE(geotorch::io::SaveStateDict(trained, path).ok());
 
   models::GridModelConfig mc2 = mc;
@@ -697,7 +698,6 @@ TEST(EngineTest, ServesFromALoadedCheckpoint) {
   ts::Tensor direct = trained.Forward(one).value();
   ts::Shape row(direct.shape().begin() + 1, direct.shape().end());
   EXPECT_EQ(Bits(*served), Bits(direct.Reshape(row)));
-  std::remove(path.c_str());
 }
 
 }  // namespace
