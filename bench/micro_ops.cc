@@ -312,6 +312,35 @@ BENCHMARK(BM_EvalForward)
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
+// SatCNN's three max pools at geobench `serve`'s shape (base_filters 8
+// on 13x64x64: 8x64x64, 16x32x32 and 16x16x16 planes, kernel 2), on the
+// serial device the serve batcher runs. eval:1 is the argmax-free eval
+// kernel autograd::MaxPool2d runs without grad, eval:0 the grad path's
+// argmax forward.
+void BM_MaxPool2d(benchmark::State& state) {
+  static constexpr int64_t kPools[3][3] = {{8, 64, 64}, {16, 32, 32},
+                                           {16, 16, 16}};
+  const int64_t* p = kPools[state.range(0)];
+  const int64_t b = state.range(1);
+  const bool eval = state.range(2) == 1;
+  ts::DeviceGuard guard(ts::Device::kSerial);
+  Rng rng(18);
+  const ts::Tensor x = ts::Tensor::Rand({b, p[0], p[1], p[2]}, rng);
+  for (auto _ : state) {
+    if (eval) {
+      benchmark::DoNotOptimize(ts::MaxPool2dEval(x, 2));
+    } else {
+      benchmark::DoNotOptimize(ts::MaxPool2dForward(x, 2));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_MaxPool2d)
+    ->ArgNames({"pool", "b", "eval"})
+    ->ArgsProduct({{0, 1, 2}, {1, 8}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+
 void BM_GlcmFeatures(benchmark::State& state) {
   Rng rng(6);
   const int64_t size = state.range(0);

@@ -42,7 +42,6 @@
 #include "obs/obs.h"
 #include "serve/adapters.h"
 #include "serve/fleet.h"
-#include "tensor/device.h"
 
 namespace geotorch::bench {
 namespace {
@@ -53,7 +52,6 @@ namespace io = ::geotorch::io;
 namespace models = ::geotorch::models;
 namespace nn = ::geotorch::nn;
 namespace serve = ::geotorch::serve;
-namespace ts = ::geotorch::tensor;
 
 // Failed submits, AddModel and Reload calls of the whole run; main
 // exits 1 when it is non-zero.
@@ -420,11 +418,6 @@ void WriteJson(const std::string& path, const std::vector<Record>& records,
 }
 
 int Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
-  // Batching wins must come from the engine, not from thread-level
-  // parallelism inside one forward, so pin the parallel backend and
-  // report hardware_threads in the JSON for context.
-  ts::DeviceGuard device(ts::Device::kParallel);
-
   const RunLength length = smoke ? RunLength{24, 0.0} : RunLength{0, 0.25};
   const int reps = smoke ? 1 : 3;
 

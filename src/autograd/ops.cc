@@ -326,6 +326,10 @@ Variable ConvTranspose2d(const Variable& x, const Variable& w,
 }
 
 Variable MaxPool2d(const Variable& x, int64_t kernel) {
+  if (!GradEnabled() || !x.requires_grad()) {
+    // No tape edge will be recorded, so nothing reads the argmax.
+    return Variable(ts::MaxPool2dEval(x.value(), kernel));
+  }
   auto [out, argmax] = ts::MaxPool2dForward(x.value(), kernel);
   ts::Shape in_shape = x.shape();
   return Variable::FromOp(

@@ -2,10 +2,12 @@
 
 #include <chrono>
 #include <cstring>
+#include <exception>
 #include <utility>
 
 #include "core/check.h"
 #include "obs/obs.h"
+#include "tensor/device.h"
 #include "tensor/shape.h"
 
 namespace geotorch::serve {
@@ -42,8 +44,20 @@ Engine::Engine(BatchForward forward, SampleSpec spec, EngineOptions options)
   GEO_CHECK(forward_ != nullptr);
   GEO_CHECK_GE(options_.max_batch, 1);
   GEO_CHECK_GE(options_.max_queue, 1);
-  Warmup();
-  batcher_ = std::thread([this] { BatcherLoop(); });
+  // The batcher warms up before it serves; return once it has, so the
+  // first Submit never pays for a cold thread-local workspace. Yield
+  // instead of sleeping on a future: waking a sleeping constructor
+  // costs about 15 us on a shared VM, a tenth of a small model's
+  // set-up (EXPERIMENTS.md, *Serial batchers and the eval max pool*).
+  std::atomic<bool> warmed{false};
+  std::exception_ptr warmup_error;
+  batcher_ = std::thread(
+      [this, &warmed, &warmup_error] { BatcherLoop(&warmed, &warmup_error); });
+  while (!warmed.load(std::memory_order_acquire)) std::this_thread::yield();
+  if (warmup_error) {
+    batcher_.join();
+    std::rethrow_exception(warmup_error);
+  }
 }
 
 Engine::~Engine() { Shutdown(); }
@@ -136,7 +150,24 @@ Result<ts::Tensor> Engine::Submit(const data::Sample& sample,
   return out;
 }
 
-void Engine::BatcherLoop() {
+void Engine::BatcherLoop(std::atomic<bool>* warmed,
+                         std::exception_ptr* warmup_error) {
+  // Forwards run serially on this thread, whatever the process device:
+  // a serving batch is too small to pay for pool dispatches, and the
+  // replicas and models of a fleet are the parallelism (DESIGN.md §9).
+  ts::DeviceGuard serial(ts::Device::kSerial);
+  // Warm up here, not on the constructing thread: the workspace arena
+  // is thread-local, so only this thread's forwards can warm it.
+  try {
+    Warmup();
+  } catch (...) {
+    *warmup_error = std::current_exception();
+  }
+  // Both pointees live in the constructor's frame: touch neither after
+  // this store.
+  const bool failed = *warmup_error != nullptr;
+  warmed->store(true, std::memory_order_release);
+  if (failed) return;
   const size_t max_batch = static_cast<size_t>(options_.max_batch);
   for (;;) {
     // Take what is queued, up to max_batch, and run it at once: no

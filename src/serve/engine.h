@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -53,11 +54,13 @@ class Engine {
  public:
   /// Batched inference function: a stacked (B, ...) batch in, stacked
   /// (B, ...) outputs out (row i belongs to request i). Called only
-  /// from the batcher thread, never concurrently with itself.
+  /// from the batcher thread, never concurrently with itself, and on
+  /// the serial device (tensor/device.h) whatever the process default.
   using BatchForward = std::function<tensor::Tensor(const data::Batch&)>;
 
-  /// Starts the batcher thread after running `warmup_batches` full-size
-  /// zero-batch forwards.
+  /// Starts the batcher thread and returns once it has run
+  /// `warmup_batches` full-size zero-batch forwards (an exception from
+  /// a warmup forward is rethrown here).
   Engine(BatchForward forward, SampleSpec spec,
          EngineOptions options = EngineOptions::FromEnv());
   /// Drains and joins (graceful shutdown).
@@ -122,7 +125,12 @@ class Engine {
     std::promise<tensor::Tensor> promise;
   };
 
-  void BatcherLoop();
+  /// The batcher thread: runs Warmup, stores an exception from it in
+  /// `*warmup_error`, sets `*warmed`, then serves until the queue is
+  /// closed and drained, all on the serial device. Returns at once if
+  /// warmup threw.
+  void BatcherLoop(std::atomic<bool>* warmed,
+                   std::exception_ptr* warmup_error);
   /// Stacks `requests` into one Batch, runs the forward, scatters the
   /// output rows into the request promises.
   void RunBatch(std::vector<Request> requests);

@@ -525,20 +525,32 @@ ConvTranspose2dGrads ConvTranspose2dBackward(const Tensor& grad_out,
   return grads;
 }
 
-std::pair<Tensor, std::vector<int64_t>> MaxPool2dForward(const Tensor& x,
-                                                         int64_t kernel) {
+namespace {
+
+// Checks a max-pool input and returns its (N, C, H/kernel, W/kernel)
+// output, uninitialized.
+Tensor MaxPoolOutput(const Tensor& x, int64_t kernel) {
   GEO_CHECK_EQ(x.ndim(), 4);
   GEO_CHECK_GE(kernel, 1);
-  const int64_t n = x.size(0);
-  const int64_t c = x.size(1);
   const int64_t h = x.size(2);
   const int64_t w = x.size(3);
   GEO_CHECK(h % kernel == 0 && w % kernel == 0)
       << "MaxPool2d expects dims divisible by kernel; got " << h << "x" << w
       << " kernel " << kernel;
-  const int64_t oh = h / kernel;
-  const int64_t ow = w / kernel;
-  Tensor out = Tensor::Uninitialized({n, c, oh, ow});
+  return Tensor::Uninitialized({x.size(0), x.size(1), h / kernel, w / kernel});
+}
+
+}  // namespace
+
+std::pair<Tensor, std::vector<int64_t>> MaxPool2dForward(const Tensor& x,
+                                                         int64_t kernel) {
+  Tensor out = MaxPoolOutput(x, kernel);
+  const int64_t n = x.size(0);
+  const int64_t c = x.size(1);
+  const int64_t h = x.size(2);
+  const int64_t w = x.size(3);
+  const int64_t oh = out.size(2);
+  const int64_t ow = out.size(3);
   std::vector<int64_t> argmax(out.numel());
   const float* px = x.data();
   float* po = out.data();
@@ -569,6 +581,53 @@ std::pair<Tensor, std::vector<int64_t>> MaxPool2dForward(const Tensor& x,
     }
   });
   return {out, std::move(argmax)};
+}
+
+Tensor MaxPool2dEval(const Tensor& x, int64_t kernel) {
+  Tensor out = MaxPoolOutput(x, kernel);
+  const int64_t w = x.size(3);
+  const int64_t oh = out.size(2);
+  const int64_t ow = out.size(3);
+  const float* px = x.data();
+  float* po = out.data();
+  // MaxPool2dForward's winner without its index: the same taps in the
+  // same order, each kept by `v > best ? v : best` exactly where the
+  // argmax loop's `if (v > best)` keeps it, so NaN and -0/+0 resolve
+  // the same and the output is bitwise equal.
+  ForEachSample(x.size(0) * x.size(1), [&](int64_t nc) {
+    const float* plane = px + nc * oh * kernel * w;
+    float* out_plane = po + nc * oh * ow;
+    for (int64_t oi = 0; oi < oh; ++oi) {
+      const float* r0 = plane + oi * kernel * w;
+      float* orow = out_plane + oi * ow;
+      if (kernel == 2) {
+        // One row pair per output row, branch-free so it vectorizes.
+        const float* r1 = r0 + w;
+        for (int64_t oj = 0; oj < ow; ++oj) {
+          float best = r0[2 * oj];
+          const float b = r0[2 * oj + 1];
+          best = b > best ? b : best;
+          const float c = r1[2 * oj];
+          best = c > best ? c : best;
+          const float d = r1[2 * oj + 1];
+          best = d > best ? d : best;
+          orow[oj] = best;
+        }
+        continue;
+      }
+      for (int64_t oj = 0; oj < ow; ++oj) {
+        float best = r0[oj * kernel];
+        for (int64_t ki = 0; ki < kernel; ++ki) {
+          for (int64_t kj = 0; kj < kernel; ++kj) {
+            const float v = r0[ki * w + oj * kernel + kj];
+            best = v > best ? v : best;
+          }
+        }
+        orow[oj] = best;
+      }
+    }
+  });
+  return out;
 }
 
 Tensor MaxPool2dBackward(const Tensor& grad_out, const Shape& input_shape,

@@ -113,6 +113,11 @@ ConvTranspose2dGrads ConvTranspose2dBackward(const Tensor& grad_out,
 std::pair<Tensor, std::vector<int64_t>> MaxPool2dForward(const Tensor& x,
                                                          int64_t kernel);
 
+/// Eval max pooling: MaxPool2dForward's output, bitwise (NaN and -0/+0
+/// included), without building the argmax vector. autograd::MaxPool2d
+/// runs it when no gradient can flow to the input.
+Tensor MaxPool2dEval(const Tensor& x, int64_t kernel);
+
 /// Scatter of grad_out back through the argmax indices.
 Tensor MaxPool2dBackward(const Tensor& grad_out, const Shape& input_shape,
                          const std::vector<int64_t>& argmax);

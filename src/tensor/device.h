@@ -1,6 +1,8 @@
 #ifndef GEOTORCH_TENSOR_DEVICE_H_
 #define GEOTORCH_TENSOR_DEVICE_H_
 
+#include <optional>
+
 namespace geotorch::tensor {
 
 /// Execution backend for heavy kernels (matmul, im2col convolution,
@@ -15,24 +17,28 @@ enum class Device {
   kParallel,  ///< thread-pool execution ("GPU" stand-in)
 };
 
-/// Returns the backend heavy kernels currently dispatch to.
+/// Returns the backend heavy kernels dispatch to on the calling thread:
+/// its DeviceGuard override if one is active, else the process default.
 Device GetDefaultDevice();
 
-/// Sets the process-wide default backend.
+/// Sets the process-wide default backend, which every thread without
+/// an override reads (pool workers included).
 void SetDefaultDevice(Device device);
 
-/// RAII device override, used by benchmarks to time both backends.
+/// RAII per-thread device override (DESIGN.md §5). Sets the calling
+/// thread's override and restores the thread's previous one (or none)
+/// on destruction; other threads and the process default are
+/// untouched. The serve batcher pins its thread to kSerial with one;
+/// benchmarks use it to time both backends.
 class DeviceGuard {
  public:
-  explicit DeviceGuard(Device device) : saved_(GetDefaultDevice()) {
-    SetDefaultDevice(device);
-  }
-  ~DeviceGuard() { SetDefaultDevice(saved_); }
+  explicit DeviceGuard(Device device);
+  ~DeviceGuard();
   DeviceGuard(const DeviceGuard&) = delete;
   DeviceGuard& operator=(const DeviceGuard&) = delete;
 
  private:
-  Device saved_;
+  std::optional<Device> saved_;
 };
 
 /// Human-readable backend name ("serial-cpu" / "parallel-accel").

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
+
+#include "tensor/conv.h"
 #include "tensor/device.h"
 #include "tensor/ops.h"
 #include "tests/gradcheck.h"
@@ -264,6 +270,50 @@ TEST(GradCheckTest, MaxPoolAndUpsample) {
                 },
                 {x}),
             kTol);
+}
+
+std::vector<uint32_t> Bits(const ts::Tensor& t) {
+  std::vector<uint32_t> bits(t.numel());
+  std::memcpy(bits.data(), t.data(), bits.size() * sizeof(uint32_t));
+  return bits;
+}
+
+TEST(MaxPoolEvalTest, EqualsGradPathBitwise) {
+  // SatCNN's three pools (base_filters 8 on 13x64x64 input), then
+  // kernel 3 for the generic loop. Drawing every element from a small
+  // set makes ties, -0/+0 pairs and NaNs land at every tap position;
+  // every other plane draws no positive value, so its windows' winners
+  // are mostly a zero of either sign.
+  struct Case {
+    int64_t n, c, h, w, k;
+  };
+  const Case cases[] = {{2, 8, 64, 64, 2},
+                        {2, 16, 32, 32, 2},
+                        {2, 16, 16, 16, 2},
+                        {2, 3, 9, 12, 3}};
+  const float values[] = {-1.0f, -0.0f, 0.0f,
+                          std::numeric_limits<float>::quiet_NaN(), 0.5f, 2.0f};
+  Rng rng(31);
+  for (const Case& cs : cases) {
+    ts::Tensor x = ts::Tensor::Uninitialized({cs.n, cs.c, cs.h, cs.w});
+    const int64_t plane = cs.h * cs.w;
+    for (int64_t i = 0; i < x.numel(); ++i) {
+      x.flat(i) = values[rng.UniformInt(0, (i / plane) % 2 == 0 ? 5 : 3)];
+    }
+    for (const ts::Device dev : {ts::Device::kSerial, ts::Device::kParallel}) {
+      ts::DeviceGuard guard(dev);
+      const Variable grad_path = MaxPool2d(Variable(x, true), cs.k);
+      ASSERT_TRUE(grad_path.requires_grad());
+      const std::vector<uint32_t> want = Bits(grad_path.value());
+      EXPECT_EQ(want, Bits(ts::MaxPool2dEval(x, cs.k)))
+          << "kernel " << cs.k << " h " << cs.h;
+      EXPECT_EQ(want, Bits(MaxPool2d(Variable(x), cs.k).value()));
+      NoGradGuard no_grad;
+      const Variable eval = MaxPool2d(Variable(x, true), cs.k);
+      EXPECT_FALSE(eval.requires_grad());
+      EXPECT_EQ(want, Bits(eval.value()));
+    }
+  }
 }
 
 TEST(GradCheckTest, Losses) {

@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -147,9 +149,11 @@ TEST(EngineTest, SingleClientBatchedKeepsBatchOneThroughput) {
   // wait for a batch to fill: the batcher runs whatever is queued at
   // once (DESIGN.md §9). Compare wall time against an identical engine
   // at max_batch = 1. A batcher that waited even 1.25 ms per request
-  // for company would pay ~50 ms here, an order of magnitude past the
-  // bound.
+  // for company would pay ~50 ms in every round, an order of magnitude
+  // past the bound. Each engine keeps its fastest of three alternating
+  // rounds, so one round descheduled on a loaded host cannot fail it.
   constexpr int kRequests = 40;
+  constexpr int kRounds = 3;
   auto run_us = [](int max_batch) {
     serve::EngineOptions opts;
     opts.max_batch = max_batch;
@@ -169,11 +173,50 @@ TEST(EngineTest, SingleClientBatchedKeepsBatchOneThroughput) {
                std::chrono::steady_clock::now() - t0)
         .count();
   };
-  const int64_t batched_us = run_us(/*max_batch=*/16);
-  const int64_t unbatched_us = run_us(/*max_batch=*/1);
+  int64_t batched_us = std::numeric_limits<int64_t>::max();
+  int64_t unbatched_us = std::numeric_limits<int64_t>::max();
+  for (int round = 0; round < kRounds; ++round) {
+    batched_us = std::min(batched_us, run_us(/*max_batch=*/16));
+    unbatched_us = std::min(unbatched_us, run_us(/*max_batch=*/1));
+  }
   EXPECT_LE(batched_us, 3 * unbatched_us + 5000)
       << "batched " << batched_us << " us vs batch-1 " << unbatched_us
-      << " us";
+      << " us (fastest of " << kRounds << " rounds each)";
+}
+
+TEST(EngineTest, ForwardsRunSeriallyOnTheBatcherThread) {
+  // The batcher pins its own thread to the serial device, whatever the
+  // constructing thread's override, and runs the warmup forwards there
+  // too, before the constructor returns.
+  ts::DeviceGuard device(ts::Device::kParallel);
+  std::mutex mu;
+  std::vector<ts::Device> devices;
+  std::vector<std::thread::id> threads;
+  serve::EngineOptions opts = FastOptions();
+  opts.warmup_batches = 2;
+  serve::Engine engine(
+      [&](const data::Batch& batch) {
+        std::lock_guard<std::mutex> lock(mu);
+        devices.push_back(ts::GetDefaultDevice());
+        threads.push_back(std::this_thread::get_id());
+        return batch.x;
+      },
+      serve::SampleSpec{{4}, {}}, opts);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(devices.size(), 2u);  // warmup done before construction ends
+  }
+  data::Sample s;
+  s.x = ts::Tensor::Full({4}, 2.0f);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(engine.Submit(s).ok());
+  EXPECT_EQ(ts::GetDefaultDevice(), ts::Device::kParallel);
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(devices.size(), 5u);
+  for (size_t i = 0; i < devices.size(); ++i) {
+    EXPECT_EQ(devices[i], ts::Device::kSerial) << "forward " << i;
+    EXPECT_EQ(threads[i], threads[0]) << "forward " << i;
+    EXPECT_NE(threads[i], std::this_thread::get_id()) << "forward " << i;
+  }
 }
 
 TEST(EngineTest, ScalarOutputRowsComeBackAsSingletons) {
