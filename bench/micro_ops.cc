@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -19,6 +20,7 @@
 #include "tensor/quant.h"
 
 #include "bench/bench_util.h"
+#include "core/bounded_queue.h"
 #include "core/memory.h"
 #include "core/rng.h"
 #include "core/storage_pool.h"
@@ -33,6 +35,9 @@
 #include "optim/optimizer.h"
 #include "raster/glcm.h"
 #include "spatial/strtree.h"
+#include "stream/event.h"
+#include "stream/taxi_source.h"
+#include "synth/taxi.h"
 #include "tensor/conv.h"
 #include "tensor/device.h"
 #include "tensor/gemm.h"
@@ -414,6 +419,73 @@ BENCHMARK(BM_DataFrameGroupByNearUnique)
     ->Arg(100000)
     ->Arg(1000000)
     ->UseRealTime();
+
+// The stream pipeline's event ring (DESIGN.md §14) at geobench stream's
+// capacity: the benchmark thread produces ticks of kHandoffTick events,
+// one consumer thread drains them. per_event is the old handoff, a Push
+// and a Pop per event; per_tick is the pipeline's, one PushAll per tick
+// and PopBatch(256) on the consumer. Reported as ns per event moved.
+constexpr size_t kHandoffTick = 256;  // about one geobench stream tick
+
+void BM_StreamHandoff(benchmark::State& state, bool per_tick) {
+  BoundedQueue<stream::Event> ring(8192);
+  std::thread consumer([&ring, per_tick] {
+    if (per_tick) {
+      std::vector<stream::Event> batch;
+      while (ring.PopBatch(256, &batch) > 0) batch.clear();
+    } else {
+      stream::Event e;
+      while (ring.Pop(&e)) {
+      }
+    }
+  });
+  std::vector<stream::Event> tick(kHandoffTick);
+  for (size_t i = 0; i < tick.size(); ++i) {
+    tick[i].time_sec = static_cast<int64_t>(i);
+  }
+  for (auto _ : state) {
+    if (per_tick) {
+      ring.PushAll(tick.data(), tick.size());
+    } else {
+      for (stream::Event& e : tick) ring.Push(e);
+    }
+  }
+  ring.Close();
+  consumer.join();
+  const int64_t events =
+      state.iterations() * static_cast<int64_t>(kHandoffTick);
+  state.SetItemsProcessed(events);
+  state.counters["per_event"] = benchmark::Counter(
+      static_cast<double>(events),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_StreamHandoff, per_event, false)->UseRealTime();
+BENCHMARK_CAPTURE(BM_StreamHandoff, per_tick, true)->UseRealTime();
+
+// The taxi event source at geobench stream's density (60 s ticks of
+// about 260 events): Poisson count, uniform time, hot-spot location
+// mixture and the Event conversion, in ns per event.
+void BM_TaxiEventSource(benchmark::State& state) {
+  synth::TaxiStreamConfig config;
+  config.events_per_sec = 6.8;
+  config.duration_sec = int64_t{1} << 40;
+  config.tick_sec = 60;
+  config.seed = 1;
+  stream::TaxiEventSource source(config);
+  std::vector<stream::Event> tick;
+  int64_t events = 0;
+  for (auto _ : state) {
+    tick.clear();
+    source.NextTick(&tick);
+    events += static_cast<int64_t>(tick.size());
+    benchmark::DoNotOptimize(tick.data());
+  }
+  state.SetItemsProcessed(events);
+  state.counters["per_event"] = benchmark::Counter(
+      static_cast<double>(events),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TaxiEventSource);
 
 // ---------------------------------------------------------------------------
 // GEMM sweep: naive baseline vs blocked kernel (serial and parallel),

@@ -26,9 +26,14 @@ namespace geotorch {
 /// drain lossless — each item admitted before Close is consumed.
 ///
 /// A mutex + two condvars rather than a lock-free ring on purpose: the
-/// consumers do tensor-sized work per item, so the handoff is never the
-/// bottleneck, and the blocking semantics (backpressure, drain) are the
-/// actual product here.
+/// blocking semantics (backpressure, drain) are the actual product
+/// here. The lock round trip costs a few hundred ns per call, which is
+/// noise next to the tensor-sized work of the pool's and the engine's
+/// consumers. It is not noise next to the stream's event ring, whose
+/// items are 40-byte events: one Push/Pop pair per event made the ring
+/// the pipeline's bottleneck (DESIGN.md §14). Small-item callers
+/// therefore move items in bulk, PushAll on the producer side and
+/// PopBatch on the consumer side, so the lock is paid per chunk.
 template <typename T>
 class BoundedQueue {
  public:
@@ -51,6 +56,30 @@ class BoundedQueue {
     lock.unlock();
     not_empty_.notify_one();
     return true;
+  }
+
+  /// Pushes items[0, n) in order, moving each, under one lock per chunk
+  /// that fits: it blocks for room as Push does, then admits as many
+  /// items as the free space allows before waking the consumers (all of
+  /// them: a chunk can feed more than one). Returns how many items were
+  /// admitted, which is fewer than n only when the queue was closed
+  /// mid-call; items past that count are untouched.
+  size_t PushAll(T* items, size_t n) {
+    size_t admitted = 0;
+    while (admitted < n) {
+      std::unique_lock<std::mutex> lock(mu_);
+      not_full_.wait(lock,
+                     [this] { return items_.size() < capacity_ || closed_; });
+      if (closed_) break;
+      const size_t chunk = std::min(n - admitted, capacity_ - items_.size());
+      for (size_t i = 0; i < chunk; ++i) {
+        items_.push_back(std::move(items[admitted + i]));
+      }
+      admitted += chunk;
+      lock.unlock();
+      not_empty_.notify_all();
+    }
+    return admitted;
   }
 
   /// Non-blocking push; false when full or closed (closed() tells the

@@ -38,13 +38,6 @@ class Rng {
     return std::poisson_distribution<int64_t>(mean)(engine_);
   }
 
-  /// Index in [0, weights.size()) drawn proportionally to weights.
-  template <typename Container>
-  int64_t Categorical(const Container& weights) {
-    std::discrete_distribution<int64_t> d(weights.begin(), weights.end());
-    return d(engine_);
-  }
-
   std::mt19937_64& engine() { return engine_; }
 
  private:

@@ -42,6 +42,9 @@ struct PipelineStats {
 /// blocks the upstream stage, so a slow predictor throttles the
 /// aggregator and a slow aggregator throttles ingest — memory stays
 /// bounded at queue + window_queue items no matter the event rate.
+/// The event ring moves events in bulk: the producer hands it a whole
+/// tick in one PushAll, the aggregator takes up to a batch per PopBatch,
+/// so its lock is paid per chunk rather than per event.
 ///
 /// Shutdown/drain ordering (what makes the drain lossless): Stop —
 /// or source exhaustion — stops the producer, which closes the event

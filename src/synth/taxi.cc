@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
 
 #include "core/check.h"
 
@@ -42,13 +43,25 @@ std::vector<HotSpot> SampleHotSpots(Rng& rng, const spatial::Envelope& extent,
   return spots;
 }
 
+// The weighted spot choice of the mixture. Built once per generator:
+// the distribution keeps no state between draws, so one instance draws
+// exactly what a fresh one per draw would, without a heap allocation
+// and a normalize per event.
+std::discrete_distribution<int64_t> SpotDistribution(
+    const std::vector<HotSpot>& spots) {
+  std::vector<double> weights;
+  weights.reserve(spots.size());
+  for (const HotSpot& h : spots) weights.push_back(h.weight);
+  return std::discrete_distribution<int64_t>(weights.begin(), weights.end());
+}
+
 // Hot-spot mixture draw: 85% from a weighted spot (clamped into the
 // extent), 15% uniform background traffic.
 void DrawLocation(Rng& rng, const std::vector<HotSpot>& spots,
-                  const std::vector<double>& weights,
+                  std::discrete_distribution<int64_t>& spot_dist,
                   const spatial::Envelope& extent, TripRecord* rec) {
   if (rng.Bernoulli(0.85)) {
-    const HotSpot& h = spots[rng.Categorical(weights)];
+    const HotSpot& h = spots[spot_dist(rng.engine())];
     rec->lon = rng.Normal(h.lon, h.sigma);
     rec->lat = rng.Normal(h.lat, h.sigma);
     rec->lon = std::clamp(rec->lon, extent.min_x(), extent.max_x());
@@ -76,9 +89,7 @@ std::vector<TripRecord> GenerateTaxiTrips(const TaxiTripConfig& config) {
   // per-spot spread and weight.
   std::vector<HotSpot> spots =
       SampleHotSpots(rng, config.extent, config.num_hotspots);
-  std::vector<double> weights;
-  weights.reserve(spots.size());
-  for (const HotSpot& h : spots) weights.push_back(h.weight);
+  std::discrete_distribution<int64_t> spot_dist = SpotDistribution(spots);
 
   // Rejection-free time sampling: draw a uniform time, accept with
   // probability proportional to intensity (thinning); loop until
@@ -93,7 +104,7 @@ std::vector<TripRecord> GenerateTaxiTrips(const TaxiTripConfig& config) {
     TripRecord rec;
     rec.time_sec = t;
     rec.is_pickup = rng.Bernoulli(0.5) ? 1 : 0;
-    DrawLocation(rng, spots, weights, config.extent, &rec);
+    DrawLocation(rng, spots, spot_dist, config.extent, &rec);
     records.push_back(rec);
   }
   return records;
@@ -105,8 +116,7 @@ TaxiEventStream::TaxiEventStream(const TaxiStreamConfig& config)
   GEO_CHECK_GT(config_.duration_sec, 0);
   GEO_CHECK_GT(config_.tick_sec, 0);
   spots_ = SampleHotSpots(rng_, config_.extent, config_.num_hotspots);
-  weights_.reserve(spots_.size());
-  for (const HotSpot& h : spots_) weights_.push_back(h.weight);
+  spot_dist_ = SpotDistribution(spots_);
 }
 
 bool TaxiEventStream::NextTick(std::vector<TripRecord>* out) {
@@ -129,7 +139,7 @@ bool TaxiEventStream::NextTick(std::vector<TripRecord>* out) {
     // order (and cannot, as long as slide >= tick_sec).
     rec.time_sec = rng_.UniformInt(t0, t1 - 1);
     rec.is_pickup = rng_.Bernoulli(0.5) ? 1 : 0;
-    DrawLocation(rng_, spots_, weights_, config_.extent, &rec);
+    DrawLocation(rng_, spots_, spot_dist_, config_.extent, &rec);
     out->push_back(rec);
   }
   events_emitted_ += n;

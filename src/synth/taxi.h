@@ -2,6 +2,7 @@
 #define GEOTORCH_SYNTH_TAXI_H_
 
 #include <cstdint>
+#include <random>
 #include <vector>
 
 #include "core/rng.h"
@@ -104,7 +105,7 @@ class TaxiEventStream {
   TaxiStreamConfig config_;
   Rng rng_;
   std::vector<HotSpot> spots_;
-  std::vector<double> weights_;
+  std::discrete_distribution<int64_t> spot_dist_;  ///< over spots_' weights
   int64_t next_tick_sec_ = 0;
   int64_t events_emitted_ = 0;
 };

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -314,6 +315,84 @@ TEST(BoundedQueueTest, PopBatchReleasesEveryBlockedProducer) {
   for (auto& t : producers) t.join();
 }
 
+TEST(BoundedQueueTest, PushAllBlocksWhileFullAndResumes) {
+  BoundedQueue<int> q(4);
+  std::vector<int> items(10);
+  for (int i = 0; i < 10; ++i) items[i] = i;
+  std::atomic<bool> returned{false};
+  size_t admitted = 0;
+  std::thread producer([&] {
+    admitted = q.PushAll(items.data(), items.size());
+    returned.store(true);
+  });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (q.size() < 4 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(q.size(), 4u);        // filled to capacity, never past it
+  EXPECT_FALSE(returned.load());  // parked in backpressure
+  for (int i = 0; i < 10; ++i) {
+    int v = -1;
+    ASSERT_TRUE(q.Pop(&v));
+    EXPECT_EQ(v, i);  // FIFO across the chunks
+  }
+  producer.join();
+  EXPECT_EQ(admitted, 10u);
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(BoundedQueueTest, PushAllReturnsAdmittedCountWhenClosedMidCall) {
+  BoundedQueue<std::string> q(3);
+  std::vector<std::string> items;
+  for (int i = 0; i < 10; ++i) items.push_back("item" + std::to_string(i));
+  size_t admitted = 99;
+  std::thread producer(
+      [&] { admitted = q.PushAll(items.data(), items.size()); });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (q.size() < 3 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  q.Close();  // lands while the producer waits for room
+  producer.join();
+  EXPECT_EQ(admitted, 3u);
+  // The admitted prefix stays poppable; the refused rest was not moved.
+  for (int i = 0; i < 3; ++i) {
+    std::string v;
+    ASSERT_TRUE(q.Pop(&v));
+    EXPECT_EQ(v, "item" + std::to_string(i));
+  }
+  std::string v;
+  EXPECT_FALSE(q.Pop(&v));
+  for (int i = 3; i < 10; ++i) EXPECT_EQ(items[i], "item" + std::to_string(i));
+  EXPECT_EQ(q.PushAll(items.data(), items.size()), 0u);  // closed: none
+}
+
+TEST(BoundedQueueTest, PushAllWakesBlockedPopBatch) {
+  BoundedQueue<int> q(8);
+  std::vector<int> out;
+  std::atomic<bool> popped{false};
+  std::thread consumer([&] {
+    EXPECT_EQ(q.PopBatch(8, &out), 3u);  // the whole chunk, one wake
+    popped.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  int items[] = {7, 8, 9};
+  EXPECT_EQ(q.PushAll(items, 3), 3u);
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!popped.load() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(popped.load());  // woken by the push, not by the Close below
+  q.Close();  // unblocks a consumer that missed the wake so join returns
+  consumer.join();
+  EXPECT_EQ(out, (std::vector<int>{7, 8, 9}));
+}
+
 TEST(BoundedQueueTest, UnboundedByDefault) {
   BoundedQueue<int> q;
   EXPECT_EQ(q.capacity(), BoundedQueue<int>::kUnbounded);
@@ -335,14 +414,6 @@ TEST(RngTest, UniformRange) {
     const double v = rng.Uniform(2.0, 3.0);
     EXPECT_GE(v, 2.0);
     EXPECT_LT(v, 3.0);
-  }
-}
-
-TEST(RngTest, CategoricalRespectsWeights) {
-  Rng rng(9);
-  std::vector<double> weights = {0.0, 1.0, 0.0};
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(rng.Categorical(weights), 1);
   }
 }
 

@@ -547,6 +547,54 @@ TEST(PipelineTest, StopMidStreamDrainsEverythingAdmitted) {
   EXPECT_EQ(stats.window_queue_depth, 0);
 }
 
+TEST(PipelineTest, RingSmallerThanATickDrainsLosslessly) {
+  // Ticks of hundreds of events into a 16-event ring: every tick's
+  // PushAll waits for room several times, and a mid-stream Stop lands
+  // inside one. The accounting must still cover exactly what was
+  // admitted, on both a natural end and a Stop.
+  stream::StreamOptions opts = SmallPipelineOptions();
+  opts.queue = 16;
+  for (const bool stop_mid_stream : {false, true}) {
+    SCOPED_TRACE(stop_mid_stream ? "mid-stream Stop" : "source end");
+    synth::TaxiStreamConfig config;
+    config.events_per_sec = 10.0;  // 60 s ticks of 150-1,700 events
+    config.duration_sec = stop_mid_stream ? 365LL * 24 * 3600 : 3600;
+    config.tick_sec = 60;
+    config.seed = 21;
+    stream::TaxiEventSource source(config);
+
+    spatial::GridPartitioner grid(config.extent, 4, 4);
+    serve::Fleet fleet(FastFleet(1));
+    ASSERT_TRUE(fleet
+                    .AddModel("echo", EchoFactory(),
+                              serve::SampleSpec{
+                                  {opts.len_closeness * 2, 4, 4}, {}})
+                    .ok());
+
+    stream::Pipeline pipeline(&source, &fleet, grid, "echo", opts);
+    pipeline.Start();
+    if (stop_mid_stream) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    } else {
+      ASSERT_TRUE(pipeline.WaitFinished(30000));
+    }
+    pipeline.Stop();
+
+    const stream::PipelineStats stats = pipeline.stats();
+    EXPECT_EQ(pipeline.Finished(), !stop_mid_stream);
+    EXPECT_GT(stats.events_ingested, 0);
+    EXPECT_EQ(stats.events_processed, stats.events_ingested);
+    EXPECT_EQ(stats.windows_closed,
+              stats.predictions_ok + stats.predictions_failed);
+    EXPECT_EQ(stats.queue_depth, 0);
+    EXPECT_EQ(stats.window_queue_depth, 0);
+    if (!stop_mid_stream) {
+      EXPECT_EQ(stats.events_ingested, source.stream().events_emitted());
+      EXPECT_EQ(stats.windows_closed, 6);  // 3600 s of 600 s windows
+    }
+  }
+}
+
 TEST(PipelineTest, PredictionDeadlineBoundsStalenessWithoutLosingWindows) {
   synth::TaxiStreamConfig config;
   config.events_per_sec = 10.0;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "synth/noise.h"
 #include "synth/satimage.h"
@@ -70,6 +72,86 @@ TEST(TaxiTest, Deterministic) {
     EXPECT_EQ(a[i].lon, b[i].lon);
     EXPECT_EQ(a[i].time_sec, b[i].time_sec);
   }
+}
+
+// The Deterministic tests compare two runs of one binary, so a sampler
+// change that moves a bit passes them. These literals were recorded
+// before the hot-spot draw was restructured and pin both generators
+// across builds: any change to the draw order or to a distribution's
+// arithmetic fails here.
+struct PinnedTrip {
+  double lon;
+  double lat;
+  int64_t time_sec;
+  int64_t is_pickup;
+};
+
+void ExpectPinned(const std::vector<TripRecord>& got,
+                  const std::vector<PinnedTrip>& want) {
+  ASSERT_GE(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].lon, want[i].lon) << "record " << i;
+    EXPECT_EQ(got[i].lat, want[i].lat) << "record " << i;
+    EXPECT_EQ(got[i].time_sec, want[i].time_sec) << "record " << i;
+    EXPECT_EQ(got[i].is_pickup, want[i].is_pickup) << "record " << i;
+  }
+}
+
+// 64-bit FNV-1a over the bytes of the first n records' fields.
+uint64_t TripChecksum(const std::vector<TripRecord>& trips, size_t n) {
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](const void* p) {
+    const unsigned char* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < 8; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ull;
+    }
+  };
+  for (size_t i = 0; i < n; ++i) {
+    mix(&trips[i].lon);
+    mix(&trips[i].lat);
+    mix(&trips[i].time_sec);
+    mix(&trips[i].is_pickup);
+  }
+  return h;
+}
+
+TEST(TaxiTest, EventStreamMatchesPinnedValues) {
+  TaxiStreamConfig config;
+  config.seed = 7;
+  config.tick_sec = 60;
+  TaxiEventStream stream(config);
+  std::vector<TripRecord> events;
+  while (events.size() < 100000 && stream.NextTick(&events)) {
+  }
+  ASSERT_GE(events.size(), 100000u);
+  ExpectPinned(events,
+               {{-73.870332958234968, 40.693731694748429, 40, 1},
+                {-73.837638850615789, 40.858939608448274, 2, 0},
+                {-73.841241628868715, 40.8560405734612, 33, 0},
+                {-73.996083161316704, 40.62934917867068, 5, 0},
+                {-73.937563027850899, 40.797166143712928, 47, 1},
+                {-73.841713301806109, 40.85381091231973, 0, 1},
+                {-73.964647445158832, 40.809709342322357, 22, 0},
+                {-73.997370149896042, 40.673629740613286, 8, 1}});
+  EXPECT_EQ(TripChecksum(events, 100000), 8252368407089203676u);
+}
+
+TEST(TaxiTest, BatchTripsMatchPinnedValues) {
+  TaxiTripConfig config;
+  config.num_records = 100000;
+  config.seed = 5;
+  const std::vector<TripRecord> trips = GenerateTaxiTrips(config);
+  ExpectPinned(trips,
+               {{-73.995597042274156, 40.659764836504273, 6441535, 0},
+                {-73.777205524096729, 40.700975952525077, 7054150, 1},
+                {-73.996475401578834, 40.652642255244196, 5773283, 1},
+                {-73.831189149132612, 40.687441728416147, 3345054, 0},
+                {-73.854895172020008, 40.625064636714058, 6883865, 1},
+                {-73.997964365039877, 40.649558117038062, 3833483, 0},
+                {-73.96982420915036, 40.867546873436382, 7535171, 1},
+                {-73.831017814635558, 40.678778760353438, 7226210, 0}});
+  EXPECT_EQ(TripChecksum(trips, 100000), 8731597431991492924u);
 }
 
 TEST(TaxiTest, DiurnalProfileHasRushHours) {
