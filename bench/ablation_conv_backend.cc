@@ -10,8 +10,8 @@
 #include "bench/bench_util.h"
 #include "core/rng.h"
 #include "core/stopwatch.h"
+#include "core/thread_pool.h"
 #include "tensor/conv.h"
-#include "tensor/device.h"
 #include "tensor/ops.h"
 
 namespace geotorch::bench {
@@ -87,7 +87,7 @@ void Run(const BenchArgs& args) {
     double parallel;
     ts::Tensor got;
     {
-      ts::DeviceGuard guard(ts::Device::kSerial);
+      DeviceGuard guard(Device::kSerial);
       Stopwatch t2;
       for (int r = 0; r < reps; ++r) {
         got = ts::Conv2dForward(x, w, ts::Tensor(), spec);
@@ -95,7 +95,7 @@ void Run(const BenchArgs& args) {
       serial = t2.ElapsedSeconds();
     }
     {
-      ts::DeviceGuard guard(ts::Device::kParallel);
+      DeviceGuard guard(Device::kParallel);
       Stopwatch t3;
       for (int r = 0; r < reps; ++r) {
         got = ts::Conv2dForward(x, w, ts::Tensor(), spec);

@@ -4,7 +4,7 @@
 // uniform-grid fast path maps points to cells in O(1). This bench
 // quantifies (a) why the strategy choice matters as the grid grows and
 // (b) what the partition-parallel probe engine buys over the serial
-// one, sweeping worker counts. Writes a machine-readable summary with
+// device's probe loop, sweeping worker counts. Writes a machine-readable summary with
 // --json=PATH (the committed BENCH_spatial.json); --smoke shrinks the
 // sweep for CI.
 
@@ -36,10 +36,11 @@ struct Record {
   double speedup_vs_serial = 1.0;
 };
 
-double TimeJoin(const std::vector<sp::Point>& points,
+double TimeJoin(Device device, const std::vector<sp::Point>& points,
                 const std::vector<sp::Polygon>& cells,
                 const sp::GridPartitioner* grid, const sp::JoinOptions& opts,
                 int iterations, std::vector<sp::JoinPair>* out) {
+  DeviceGuard guard(device);
   double best = 1e30;
   for (int it = 0; it < iterations; ++it) {
     Stopwatch timer;
@@ -129,9 +130,9 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
     std::vector<sp::JoinPair> nested_out;
     sp::JoinOptions nested_opts;
     nested_opts.strategy = sp::JoinStrategy::kNestedLoop;
-    nested_opts.parallel = false;
     const double nested_scaled =
-        TimeJoin(sample, cells, nullptr, nested_opts, 1, &nested_out) *
+        TimeJoin(Device::kSerial, sample, cells, nullptr, nested_opts, 1,
+                 &nested_out) *
         static_cast<double>(num_points) / static_cast<double>(nested_points);
     std::printf("%2dx%-5d %-10s %-10s %-8s %-12.3f %-10s\n", g, g, "nested",
                 "serial", "1", nested_scaled, "(extrapolated)");
@@ -145,10 +146,10 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
       serial_opts.strategy = std::strcmp(strategy, "strtree") == 0
                                  ? sp::JoinStrategy::kStrTree
                                  : sp::JoinStrategy::kGridHash;
-      serial_opts.parallel = false;
       std::vector<sp::JoinPair> serial_out;
-      const double serial_secs = TimeJoin(points, cells, &grid, serial_opts,
-                                          iterations, &serial_out);
+      const double serial_secs =
+          TimeJoin(Device::kSerial, points, cells, &grid, serial_opts,
+                   iterations, &serial_out);
       std::printf("%2dx%-5d %-10s %-10s %-8s %-12.3f %-10.2f\n", g, g,
                   strategy, "serial", "1", serial_secs, 1.0);
       records.push_back({g, strategy, "serial", 1, serial_secs,
@@ -157,11 +158,10 @@ void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
       for (int t : thread_counts) {
         ThreadPool pool(t);
         sp::JoinOptions par_opts = serial_opts;
-        par_opts.parallel = true;
         par_opts.pool = &pool;
         std::vector<sp::JoinPair> par_out;
-        const double par_secs =
-            TimeJoin(points, cells, &grid, par_opts, iterations, &par_out);
+        const double par_secs = TimeJoin(Device::kParallel, points, cells,
+                                         &grid, par_opts, iterations, &par_out);
         if (!SameResult(serial_out, par_out)) {
           std::printf("WARNING: parallel result differs from serial "
                       "(%s, %d threads)\n",

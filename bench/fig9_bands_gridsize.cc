@@ -2,7 +2,10 @@
 // (a) the number of spectral bands {3, 5, 8, 10, 13} at a fixed grid
 // and (b) the grid size, each on both execution backends. The paper
 // compares CPU vs GPU; this repo's accelerated device is the
-// multi-threaded backend (DESIGN.md §1). Grid sizes are {16, 32, 64}
+// multi-threaded backend (DESIGN.md §1). A DeviceGuard selects it: on
+// the serial device the pool runs every dispatch of the epoch inline
+// (DESIGN.md §5), except the DataLoader's one-batch prefetch, which
+// runs on a pool worker on either device. Grid sizes are {16, 32, 64}
 // (the paper's 28 is not divisible by SatCNN's three 2x poolings in
 // this implementation). Expected shape: grid size dominates epoch
 // time, band count has little effect, and the parallel backend is
@@ -14,20 +17,18 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/thread_pool.h"
 #include "datasets/raster_dataset.h"
 #include "models/raster_models.h"
 #include "models/trainer.h"
 #include "synth/satimage.h"
-#include "tensor/device.h"
 
 namespace geotorch::bench {
 namespace {
 
 namespace ds = ::geotorch::datasets;
-namespace ts = ::geotorch::tensor;
 
-double EpochSeconds(int64_t n, int64_t size, int64_t bands,
-                    ts::Device device) {
+double EpochSeconds(int64_t n, int64_t size, int64_t bands, Device device) {
   synth::SceneConfig scene;
   scene.size = size;
   scene.bands = bands;
@@ -45,7 +46,7 @@ double EpochSeconds(int64_t n, int64_t size, int64_t bands,
   models::SatCnn model(mc);
   models::TrainConfig tc;
   tc.batch_size = 16;
-  ts::DeviceGuard guard(device);
+  DeviceGuard guard(device);
   return models::TimeOneEpochClassifier(model, dataset, tc);
 }
 
@@ -61,9 +62,9 @@ void Run(const BenchArgs& args) {
   PrintRule();
   for (int64_t bands : {3, 5, 8, 10, 13}) {
     const double serial =
-        EpochSeconds(n, 32, bands, ts::Device::kSerial);
+        EpochSeconds(n, 32, bands, Device::kSerial);
     const double parallel =
-        EpochSeconds(n, 32, bands, ts::Device::kParallel);
+        EpochSeconds(n, 32, bands, Device::kParallel);
     std::printf("%-8lld %-22.3f %-22.3f\n", static_cast<long long>(bands),
                 serial, parallel);
   }
@@ -76,9 +77,9 @@ void Run(const BenchArgs& args) {
               "parallel-accel (s)");
   PrintRule();
   for (int64_t size : {16, 32, 64}) {
-    const double serial = EpochSeconds(n, size, 3, ts::Device::kSerial);
+    const double serial = EpochSeconds(n, size, 3, Device::kSerial);
     const double parallel =
-        EpochSeconds(n, size, 3, ts::Device::kParallel);
+        EpochSeconds(n, size, 3, Device::kParallel);
     std::printf("%-8lld %-22.3f %-22.3f\n", static_cast<long long>(size),
                 serial, parallel);
   }

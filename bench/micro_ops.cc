@@ -39,7 +39,6 @@
 #include "stream/taxi_source.h"
 #include "synth/taxi.h"
 #include "tensor/conv.h"
-#include "tensor/device.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 
@@ -123,7 +122,7 @@ void BM_GemmBlockedSerial(benchmark::State& state) {
   ts::Tensor a = ts::Tensor::Randn({n, n}, rng);
   ts::Tensor b = ts::Tensor::Randn({n, n}, rng);
   ts::Tensor c({n, n});
-  ts::DeviceGuard guard(ts::Device::kSerial);
+  DeviceGuard guard(Device::kSerial);
   for (auto _ : state) {
     ts::Gemm(a.data(), b.data(), c.data(), n, n, n);
     benchmark::DoNotOptimize(c.data());
@@ -138,7 +137,7 @@ void BM_GemmBlockedParallel(benchmark::State& state) {
   ts::Tensor a = ts::Tensor::Randn({n, n}, rng);
   ts::Tensor b = ts::Tensor::Randn({n, n}, rng);
   ts::Tensor c({n, n});
-  ts::DeviceGuard guard(ts::Device::kParallel);
+  DeviceGuard guard(Device::kParallel);
   for (auto _ : state) {
     ts::Gemm(a.data(), b.data(), c.data(), n, n, n);
     benchmark::DoNotOptimize(c.data());
@@ -220,9 +219,9 @@ BENCHMARK(BM_Conv2dBackward)->Apply(ConvBackwardShapes)->UseRealTime();
 // the geobench `train` shape: hidden 16, periodical (3, 1, 1), batch
 // 32, 16x16 grid. Arg 0 runs on Device::kSerial, 1 on kParallel.
 void BM_StResNetTrainStep(benchmark::State& state) {
-  const ts::Device device =
-      state.range(0) == 0 ? ts::Device::kSerial : ts::Device::kParallel;
-  ts::DeviceGuard guard(device);
+  const Device device =
+      state.range(0) == 0 ? Device::kSerial : Device::kParallel;
+  DeviceGuard guard(device);
   datasets::YellowTripConfig yc;
   yc.num_records = 20000;
   yc.duration_sec = 10LL * 24 * 3600;
@@ -276,8 +275,7 @@ void BM_EvalForward(benchmark::State& state) {
   const nn::Precision precision =
       state.range(1) == 1 ? nn::Precision::kInt8 : nn::Precision::kF32;
   const int64_t b = state.range(2);
-  ts::DeviceGuard guard(state.range(3) == 1 ? ts::Device::kParallel
-                                            : ts::Device::kSerial);
+  DeviceGuard guard(state.range(3) == 1 ? Device::kParallel : Device::kSerial);
   Rng rng(17);
   autograd::NoGradGuard no_grad;
   if (eo) {
@@ -328,7 +326,7 @@ void BM_MaxPool2d(benchmark::State& state) {
   const int64_t* p = kPools[state.range(0)];
   const int64_t b = state.range(1);
   const bool eval = state.range(2) == 1;
-  ts::DeviceGuard guard(ts::Device::kSerial);
+  DeviceGuard guard(Device::kSerial);
   Rng rng(18);
   const ts::Tensor x = ts::Tensor::Rand({b, p[0], p[1], p[2]}, rng);
   for (auto _ : state) {
@@ -560,14 +558,14 @@ int RunGemmSweep(const std::string& json_path, bool smoke) {
     });
     double serial = 0.0;
     {
-      ts::DeviceGuard guard(ts::Device::kSerial);
+      DeviceGuard guard(Device::kSerial);
       serial = MeasureGflops(s.m, s.k, s.n, [&] {
         ts::Gemm(a.data(), b.data(), c.data(), s.m, s.k, s.n);
       });
     }
     double parallel = 0.0;
     {
-      ts::DeviceGuard guard(ts::Device::kParallel);
+      DeviceGuard guard(Device::kParallel);
       parallel = MeasureGflops(s.m, s.k, s.n, [&] {
         ts::Gemm(a.data(), b.data(), c.data(), s.m, s.k, s.n);
       });
@@ -815,7 +813,7 @@ ts::Tensor UnfusedInt8ConvRelu(const ts::Tensor& x, const int8_t* w_q,
 }
 
 int RunFusionAb(const std::string& json_path, bool smoke) {
-  ts::DeviceGuard device(ts::Device::kParallel);
+  DeviceGuard device(Device::kParallel);
 
   static const FusionOpShape kShapes[] = {
       {"satcnn_conv1a", 4, 16, 28, 3, 1, 1, true},

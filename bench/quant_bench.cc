@@ -34,6 +34,7 @@
 #include "autograd/variable.h"
 #include "bench/bench_util.h"
 #include "core/stopwatch.h"
+#include "core/thread_pool.h"
 #include "data/dataloader.h"
 #include "data/dataset.h"
 #include "datasets/benchmarks.h"
@@ -42,7 +43,6 @@
 #include "models/trainer.h"
 #include "nn/precision.h"
 #include "obs/obs.h"
-#include "tensor/device.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/quant.h"
@@ -233,7 +233,7 @@ void WriteJson(const std::string& path, const std::vector<GemmRow>& gemms,
 // ----------------------------------------------------------------- run
 
 void Run(const BenchArgs& args, const std::string& json_path, bool smoke) {
-  ts::DeviceGuard device(ts::Device::kParallel);
+  DeviceGuard device(Device::kParallel);
 
   // --- 1. per-GEMM sweep ---------------------------------------------
   std::vector<std::array<int64_t, 3>> shapes =

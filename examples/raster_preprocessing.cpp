@@ -37,12 +37,13 @@ int main() {
     scenes.push_back(synth::GenerateScene(scene, i % 4, 1000 + i));
   }
   auto written =
-      prep::RasterProcessing::WriteGeotiffImages(scenes, "/tmp", "scene_");
+      prep::RasterProcessing::WriteGeotiffImages(scenes, ".", "scene_");
   if (!written.ok()) {
     std::printf("write failed: %s\n", written.status().ToString().c_str());
     return 1;
   }
-  std::printf("wrote %zu GTIF1 rasters to /tmp\n", written->size());
+  std::printf("wrote %zu GTIF1 rasters to the working directory\n",
+              written->size());
 
   // 1. load_geotiff_image (Listing 9 line 5).
   auto images = prep::RasterProcessing::LoadGeotiffImages(*written);
@@ -69,7 +70,7 @@ int main() {
 
   // 4. write_geotiff_image (Listing 9 line 9).
   auto out_paths = prep::RasterProcessing::WriteGeotiffImages(
-      transformed, "/tmp", "scene_ndi_");
+      transformed, ".", "scene_ndi_");
   if (!out_paths.ok()) {
     std::printf("write failed: %s\n",
                 out_paths.status().ToString().c_str());

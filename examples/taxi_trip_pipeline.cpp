@@ -80,7 +80,7 @@ int main() {
 
   // 3. Persist and reload (the "write the tensor to disk for further
   //    usage" step of Section III-B1).
-  const std::string path = "/tmp/yellowtrip_nyc.gten";
+  const std::string path = "yellowtrip_nyc.gten";
   if (auto s = ts::SaveTensor(path, st); !s.ok()) {
     std::printf("save failed: %s\n", s.ToString().c_str());
     return 1;

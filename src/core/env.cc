@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 
 namespace geotorch {
 namespace {
@@ -29,13 +28,6 @@ int EnvInt(const char* name, int default_value, int min_value,
            int max_value) {
   return static_cast<int>(
       EnvInt64(name, default_value, min_value, max_value));
-}
-
-bool EnvBool(const char* name, bool default_value) {
-  const char* v = EnvValue(name);
-  if (v == nullptr) return default_value;
-  return std::strcmp(v, "0") != 0 && std::strcmp(v, "off") != 0 &&
-         std::strcmp(v, "false") != 0;
 }
 
 std::string EnvString(const char* name, const std::string& default_value) {

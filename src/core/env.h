@@ -10,10 +10,6 @@
 /// unset or empty; the integer helpers also fall back when the text
 /// does not start with a number, and clamp parsed values into
 /// [min_value, max_value].
-///
-/// This is the benchmark's stand-in for src/core/env.h, compiled only
-/// when the library tree lacks that unit; it follows the API core_test
-/// pins.
 namespace geotorch {
 
 int EnvInt(const char* name, int default_value, int min_value,
@@ -21,10 +17,6 @@ int EnvInt(const char* name, int default_value, int min_value,
 
 int64_t EnvInt64(const char* name, int64_t default_value, int64_t min_value,
                  int64_t max_value = INT64_MAX);
-
-/// Kill-switch convention: "0", "off" and "false" are false, any other
-/// non-empty value is true.
-bool EnvBool(const char* name, bool default_value);
 
 std::string EnvString(const char* name, const std::string& default_value);
 

@@ -12,7 +12,27 @@ namespace {
 // worker run inline instead of re-submitting: a worker blocking on tasks
 // that no free worker can pick up would deadlock the pool.
 thread_local bool t_inside_pool_worker = false;
+std::atomic<Device> g_default_device{Device::kParallel};
+// The calling thread's DeviceGuard override; empty reads the default.
+thread_local std::optional<Device> t_device_override;
 }  // namespace
+
+Device GetDefaultDevice() {
+  if (t_device_override) return *t_device_override;
+  return g_default_device.load(std::memory_order_relaxed);
+}
+
+void SetDefaultDevice(Device device) {
+  g_default_device.store(device, std::memory_order_relaxed);
+}
+
+bool OnParallelDevice() { return GetDefaultDevice() == Device::kParallel; }
+
+DeviceGuard::DeviceGuard(Device device) : saved_(t_device_override) {
+  t_device_override = device;
+}
+
+DeviceGuard::~DeviceGuard() { t_device_override = saved_; }
 
 ThreadPool::ThreadPool(int num_threads) {
   GEO_CHECK_GE(num_threads, 1);
@@ -58,6 +78,12 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::ParallelForRange(
     int64_t n, const std::function<void(int64_t, int64_t)>& fn) {
   if (n <= 0) return;
+  // The serial device: no task, lock or shared counter, because several
+  // serve batcher threads run this at once.
+  if (!OnParallelDevice()) {
+    fn(0, n);
+    return;
+  }
   if (t_inside_pool_worker) {
     GEO_OBS_COUNT("pool.inline_runs", 1);
     fn(0, n);

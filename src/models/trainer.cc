@@ -50,49 +50,32 @@ float RunEpoch(nn::Module& model, optim::Optimizer& opt,
     GEO_OBS_SPAN(load_span, "trainer.load");
     return loader.Next(&batch);
   };
-  if (!config.cumulative) {
-    while (next_batch()) {
-      opt.ZeroGrad();
-      ag::Variable loss = [&] {
-        GEO_OBS_SPAN(fwd_span, "trainer.forward");
-        return loss_fn(batch);
-      }();
-      {
-        GEO_OBS_SPAN(bwd_span, "trainer.backward");
-        loss.Backward();
-      }
-      {
-        GEO_OBS_SPAN(step_span, "trainer.step");
-        GEO_OBS_COUNT("trainer.steps", 1);
-        if (config.grad_clip > 0.0f) opt.ClipGradNorm(config.grad_clip);
-        opt.Step();
-      }
-      total += loss.value().flat(0);
-      ++batches;
+  // One update over the gradients of the last `summed` batches; the
+  // clip threshold scales with them.
+  auto step = [&opt, &config](int64_t summed) {
+    GEO_OBS_SPAN(step_span, "trainer.step");
+    GEO_OBS_COUNT("trainer.steps", 1);
+    if (config.grad_clip > 0.0f) {
+      opt.ClipGradNorm(config.grad_clip * static_cast<float>(summed));
     }
-  } else {
-    opt.ZeroGrad();
-    while (next_batch()) {
-      ag::Variable loss = [&] {
-        GEO_OBS_SPAN(fwd_span, "trainer.forward");
-        return loss_fn(batch);
-      }();
-      {
-        GEO_OBS_SPAN(bwd_span, "trainer.backward");
-        loss.Backward();
-      }
-      total += loss.value().flat(0);
-      ++batches;
+    opt.Step();
+  };
+  if (config.cumulative) opt.ZeroGrad();
+  while (next_batch()) {
+    if (!config.cumulative) opt.ZeroGrad();
+    ag::Variable loss = [&] {
+      GEO_OBS_SPAN(fwd_span, "trainer.forward");
+      return loss_fn(batch);
+    }();
+    {
+      GEO_OBS_SPAN(bwd_span, "trainer.backward");
+      loss.Backward();
     }
-    if (batches > 0) {
-      GEO_OBS_SPAN(step_span, "trainer.step");
-      GEO_OBS_COUNT("trainer.steps", 1);
-      if (config.grad_clip > 0.0f) {
-        opt.ClipGradNorm(config.grad_clip * static_cast<float>(batches));
-      }
-      opt.Step();
-    }
+    if (!config.cumulative) step(1);
+    total += loss.value().flat(0);
+    ++batches;
   }
+  if (config.cumulative && batches > 0) step(batches);
   return batches > 0 ? static_cast<float>(total / batches) : 0.0f;
 }
 

@@ -6,7 +6,6 @@
 #include "core/check.h"
 #include "core/thread_pool.h"
 #include "obs/obs.h"
-#include "tensor/device.h"
 
 namespace geotorch::optim {
 namespace {
@@ -15,14 +14,13 @@ namespace {
 // matches the elementwise kernels' threshold order of magnitude.
 constexpr int64_t kParallelThreshold = 1 << 14;
 
-// Runs `fn` over [0, n), chunked across the thread pool on the parallel
-// device. Every optimizer update below is elementwise (element j depends
+// Runs `fn` over [0, n), chunked across the thread pool when large
+// enough. Every optimizer update below is elementwise (element j depends
 // only on index j of the parameter/grad/state buffers), so the split is
 // bitwise deterministic regardless of chunking.
 template <typename Fn>
 void ForRange(int64_t n, Fn&& fn) {
-  if (tensor::GetDefaultDevice() == tensor::Device::kParallel &&
-      n >= kParallelThreshold) {
+  if (n >= kParallelThreshold) {
     ThreadPool::Global().ParallelForRange(
         n, [&fn](int64_t begin, int64_t end) { fn(begin, end); });
   } else {

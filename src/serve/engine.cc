@@ -7,7 +7,7 @@
 
 #include "core/check.h"
 #include "obs/obs.h"
-#include "tensor/device.h"
+#include "core/thread_pool.h"
 #include "tensor/shape.h"
 
 namespace geotorch::serve {
@@ -155,7 +155,7 @@ void Engine::BatcherLoop(std::atomic<bool>* warmed,
   // Forwards run serially on this thread, whatever the process device:
   // a serving batch is too small to pay for pool dispatches, and the
   // replicas and models of a fleet are the parallelism (DESIGN.md §9).
-  ts::DeviceGuard serial(ts::Device::kSerial);
+  DeviceGuard serial(Device::kSerial);
   // Warm up here, not on the constructing thread: the workspace arena
   // is thread-local, so only this thread's forwards can warm it.
   try {

@@ -55,7 +55,7 @@ class Engine {
   /// Batched inference function: a stacked (B, ...) batch in, stacked
   /// (B, ...) outputs out (row i belongs to request i). Called only
   /// from the batcher thread, never concurrently with itself, and on
-  /// the serial device (tensor/device.h) whatever the process default.
+  /// the serial device (core/thread_pool.h) whatever the process default.
   using BatchForward = std::function<tensor::Tensor(const data::Batch&)>;
 
   /// Starts the batcher thread and returns once it has run

@@ -9,32 +9,29 @@
 namespace geotorch::spatial {
 namespace {
 
-/// Runs `probe(i, buffer)` for every probe index in [0, n), fanning
-/// contiguous index chunks out across the pool with one result buffer
-/// per chunk, then concatenating the buffers in chunk order. Within a
-/// chunk the probe loop is the serial loop; chunks partition [0, n) in
-/// order — so the merged output equals the serial output row for row,
-/// for any chunk count and any pool size.
+/// Runs `probe(i, buffer)` for every probe index in [0, n). On the
+/// parallel device it fans contiguous index chunks out across the pool
+/// with one result buffer per chunk, then concatenates the buffers in
+/// chunk order. Within a chunk the probe loop is the serial loop;
+/// chunks partition [0, n) in order — so the merged output equals the
+/// serial output row for row, for any chunk count and any pool size.
 template <typename Pair, typename ProbeFn>
 std::vector<Pair> RunProbes(int64_t n, const JoinOptions& options,
                             const ProbeFn& probe) {
   GEO_OBS_SPAN(probe_span, "spatial.probe");
   GEO_OBS_COUNT("spatial.probes", n);
   std::vector<Pair> out;
-  ThreadPool* pool = nullptr;
-  if (options.parallel && n > 0) {
-    pool = options.pool != nullptr ? options.pool : &ThreadPool::Global();
-    if (pool->num_threads() <= 1) pool = nullptr;
-  }
-  if (pool == nullptr) {
+  if (n == 0 || !OnParallelDevice()) {
     for (int64_t i = 0; i < n; ++i) probe(i, out);
     return out;
   }
+  ThreadPool& pool =
+      options.pool != nullptr ? *options.pool : ThreadPool::Global();
   const int64_t chunks =
-      std::min<int64_t>(n, int64_t{4} * pool->num_threads());
+      std::min<int64_t>(n, int64_t{4} * pool.num_threads());
   const int64_t per = (n + chunks - 1) / chunks;
   std::vector<std::vector<Pair>> buffers(chunks);
-  pool->ParallelFor(chunks, [&](int64_t c) {
+  pool.ParallelFor(chunks, [&](int64_t c) {
     const int64_t begin = c * per;
     const int64_t end = std::min<int64_t>(n, begin + per);
     std::vector<Pair>& buffer = buffers[c];
@@ -45,7 +42,7 @@ std::vector<Pair> RunProbes(int64_t n, const JoinOptions& options,
     offsets[c + 1] = offsets[c] + static_cast<int64_t>(buffers[c].size());
   }
   out.resize(offsets[chunks]);
-  pool->ParallelFor(chunks, [&](int64_t c) {
+  pool.ParallelFor(chunks, [&](int64_t c) {
     std::copy(buffers[c].begin(), buffers[c].end(),
               out.begin() + offsets[c]);
   });
@@ -83,8 +80,7 @@ std::vector<JoinPair> PointInPolygonJoin(const std::vector<Point>& points,
       for (int64_t gi = 0; gi < static_cast<int64_t>(polygons.size()); ++gi) {
         entries.push_back({polygons[gi].bounds(), gi});
       }
-      StrTree tree(std::move(entries), 10,
-                   StrTree::BuildOptions{options.parallel, options.pool});
+      StrTree tree(std::move(entries), 10, options.pool);
       return RunProbes<JoinPair>(
           num_points, options,
           [&points, &polygons, &tree](int64_t pi,
@@ -127,7 +123,7 @@ std::vector<JoinPair> PointInPolygonJoin(const std::vector<Point>& points,
 
 std::vector<int64_t> AssignPointsToCells(std::span<const Point> points,
                                          const GridPartitioner& grid,
-                                         bool parallel, ThreadPool* pool) {
+                                         ThreadPool* pool) {
   GEO_OBS_SPAN(probe_span, "spatial.probe");
   const int64_t n = static_cast<int64_t>(points.size());
   GEO_OBS_COUNT("spatial.probes", n);
@@ -138,12 +134,8 @@ std::vector<int64_t> AssignPointsToCells(std::span<const Point> points,
       if (cell.has_value()) cells[i] = *cell;
     }
   };
-  if (parallel && n > 0) {
-    ThreadPool& p = pool != nullptr ? *pool : ThreadPool::Global();
-    p.ParallelForRange(n, assign_range);
-  } else {
-    assign_range(0, n);
-  }
+  (pool != nullptr ? *pool : ThreadPool::Global())
+      .ParallelForRange(n, assign_range);
   if (GEO_OBS_ON()) {
     const int64_t hits =
         std::count_if(cells.begin(), cells.end(),
@@ -164,8 +156,7 @@ std::vector<DistancePair> DistanceJoin(const std::vector<Point>& left,
     entries.push_back(
         {Envelope(right[i].x, right[i].y, right[i].x, right[i].y), i});
   }
-  StrTree tree(std::move(entries), 10,
-               StrTree::BuildOptions{options.parallel, options.pool});
+  StrTree tree(std::move(entries), 10, options.pool);
   const double r2 = radius * radius;
   return RunProbes<DistancePair>(
       static_cast<int64_t>(left.size()), options,

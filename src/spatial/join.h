@@ -32,15 +32,12 @@ enum class JoinStrategy {
   kAuto,        ///< kGridHash when a grid is supplied, else kStrTree
 };
 
-/// How a join executes. Probe-side rows fan out across the pool in
-/// contiguous chunks with per-chunk result buffers; the buffers are
-/// concatenated in chunk order, so the output is identical to the
-/// serial join row for row (DESIGN.md §8).
+/// How a join executes. On the parallel device, probe-side rows fan
+/// out across the pool in contiguous chunks with per-chunk result
+/// buffers; the buffers are concatenated in chunk order, so the output
+/// is identical to the serial device's join row for row (DESIGN.md §8).
 struct JoinOptions {
   JoinStrategy strategy = JoinStrategy::kAuto;
-  /// Run probes in parallel (when the pool has >1 worker). Serial and
-  /// parallel probes return the same pairs in the same order.
-  bool parallel = true;
   /// Pool for parallel execution; nullptr means ThreadPool::Global().
   ThreadPool* pool = nullptr;
 };
@@ -53,8 +50,7 @@ std::vector<JoinPair> PointInPolygonJoin(const std::vector<Point>& points,
                                          const JoinOptions& options,
                                          const GridPartitioner* grid = nullptr);
 
-/// Convenience overload: `strategy` with parallel execution on the
-/// global pool.
+/// Convenience overload: `strategy` on the global pool.
 std::vector<JoinPair> PointInPolygonJoin(const std::vector<Point>& points,
                                          const std::vector<Polygon>& polygons,
                                          JoinStrategy strategy,
@@ -64,12 +60,11 @@ std::vector<JoinPair> PointInPolygonJoin(const std::vector<Point>& points,
 /// grid cell id (-1 when outside the extent) in O(1) per point — no
 /// tree walk. Takes a span so a DataFrame column can be probed straight
 /// out of a memory-mapped partition without copying. Runs
-/// partition-parallel on `pool` (nullptr: the global pool) unless
-/// disabled; every slot is written independently, so the output never
-/// depends on the execution mode.
+/// partition-parallel on `pool` (nullptr: the global pool); every slot
+/// is written independently, so the output never depends on the
+/// device.
 std::vector<int64_t> AssignPointsToCells(std::span<const Point> points,
                                          const GridPartitioner& grid,
-                                         bool parallel = true,
                                          ThreadPool* pool = nullptr);
 
 /// A (left index, right index) match from a distance join.

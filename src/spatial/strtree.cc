@@ -17,19 +17,19 @@ namespace {
 constexpr int64_t kParallelSortMin = 1 << 13;
 
 /// Sorts `data[0, n)` with `less`, fanning the initial chunk sorts and
-/// the pairwise merge passes out over `pool` (serial when pool is
-/// null). `less` must be a strict total order: the sorted permutation
-/// is then unique, so the result cannot depend on the chunking or on
-/// how many workers the pool has.
+/// the pairwise merge passes out over `pool` (one std::sort on the
+/// serial device). `less` must be a strict total order: the sorted
+/// permutation is then unique, so the result cannot depend on the
+/// chunking or on how many workers the pool has.
 template <typename Less>
-void SortIds(int32_t* data, int64_t n, const Less& less, ThreadPool* pool) {
-  if (pool == nullptr || n < kParallelSortMin) {
+void SortIds(int32_t* data, int64_t n, const Less& less, ThreadPool& pool) {
+  if (n < kParallelSortMin || !OnParallelDevice()) {
     std::sort(data, data + n, less);
     return;
   }
   const int64_t chunks =
-      std::min<int64_t>(pool->num_threads(), (n + kParallelSortMin - 1) /
-                                                 kParallelSortMin);
+      std::min<int64_t>(pool.num_threads(), (n + kParallelSortMin - 1) /
+                                                kParallelSortMin);
   if (chunks <= 1) {
     std::sort(data, data + n, less);
     return;
@@ -39,7 +39,7 @@ void SortIds(int32_t* data, int64_t n, const Less& less, ThreadPool* pool) {
   for (int64_t b = 0; b < n; b += per) bounds.push_back(b);
   bounds.push_back(n);
   const int64_t runs = static_cast<int64_t>(bounds.size()) - 1;
-  pool->ParallelFor(runs, [&](int64_t r) {
+  pool.ParallelFor(runs, [&](int64_t r) {
     std::sort(data + bounds[r], data + bounds[r + 1], less);
   });
 
@@ -56,7 +56,7 @@ void SortIds(int32_t* data, int64_t n, const Less& less, ThreadPool* pool) {
       next_bounds.push_back(bounds[std::min<int64_t>(2 * p, in_runs)]);
     }
     if (next_bounds.back() != n) next_bounds.push_back(n);
-    pool->ParallelFor(pairs, [&](int64_t p) {
+    pool.ParallelFor(pairs, [&](int64_t p) {
       std::merge(src + bounds[2 * p], src + bounds[2 * p + 1],
                  src + bounds[2 * p + 1], src + bounds[2 * p + 2],
                  dst + bounds[2 * p], less);
@@ -73,26 +73,18 @@ void SortIds(int32_t* data, int64_t n, const Less& less, ThreadPool* pool) {
 
 }  // namespace
 
-StrTree::StrTree(std::vector<Entry> entries, int node_capacity)
-    : StrTree(std::move(entries), node_capacity, BuildOptions{}) {}
-
 StrTree::StrTree(std::vector<Entry> entries, int node_capacity,
-                 const BuildOptions& options)
+                 ThreadPool* pool)
     : entries_(std::move(entries)), node_capacity_(node_capacity) {
   GEO_CHECK_GE(node_capacity_, 2);
   num_entries_ = static_cast<int64_t>(entries_.size());
   if (entries_.empty()) return;
-  Build(options);
+  Build(pool != nullptr ? *pool : ThreadPool::Global());
 }
 
-void StrTree::Build(const BuildOptions& options) {
+void StrTree::Build(ThreadPool& pool) {
   GEO_OBS_SPAN(build_span, "spatial.build");
   GEO_OBS_COUNT("spatial.build_entries", num_entries_);
-  ThreadPool* pool = nullptr;
-  if (options.parallel) {
-    pool = options.pool != nullptr ? options.pool : &ThreadPool::Global();
-    if (pool->num_threads() <= 1) pool = nullptr;
-  }
   const int64_t n = num_entries_;
   const int64_t cap = node_capacity_;
 
@@ -141,11 +133,7 @@ void StrTree::Build(const BuildOptions& options) {
       std::sort(ids.begin() + begin, ids.begin() + end, y_less);
     }
   };
-  if (pool != nullptr) {
-    pool->ParallelFor(num_slices, sort_slice);
-  } else {
-    for (int64_t s = 0; s < num_slices; ++s) sort_slice(s);
-  }
+  pool.ParallelFor(num_slices, sort_slice);
 
   // Leaf boundaries are a pure function of (n, cap): runs of `cap`
   // within each slice.
@@ -168,11 +156,7 @@ void StrTree::Build(const BuildOptions& options) {
       leaf.envelope.ExpandToInclude(entries_[ids[r]].envelope);
     }
   };
-  if (pool != nullptr) {
-    pool->ParallelFor(leaf_count, fill_leaf);
-  } else {
-    for (int64_t i = 0; i < leaf_count; ++i) fill_leaf(i);
-  }
+  pool.ParallelFor(leaf_count, fill_leaf);
 
   // Pack upward level by level; every parent slot is independent, so
   // each level fans out over the pool after a single resize.
@@ -194,11 +178,7 @@ void StrTree::Build(const BuildOptions& options) {
         parent.envelope.ExpandToInclude(nodes_[c].envelope);
       }
     };
-    if (pool != nullptr) {
-      pool->ParallelFor(parent_count, fill_parent);
-    } else {
-      for (int64_t p = 0; p < parent_count; ++p) fill_parent(p);
-    }
+    pool.ParallelFor(parent_count, fill_parent);
     level_begin = base;
     level_count = parent_count;
     ++height_;

@@ -16,7 +16,8 @@ namespace geotorch::spatial {
 /// spatial joins. Built once over (envelope, id) entries; queried with
 /// an envelope to get candidate ids whose envelopes intersect it.
 ///
-/// The bulk-load is level-wise and optionally threaded (DESIGN.md §8):
+/// The bulk-load is level-wise and threaded on the parallel device
+/// (DESIGN.md §8):
 /// entries are sorted by center-x, tiled into sqrt(#leaves) slices,
 /// each slice sorted by center-y, and nodes packed level by level. All
 /// sort comparators are strict total orders (ties broken on the entry /
@@ -30,19 +31,12 @@ class StrTree {
     int64_t id;
   };
 
-  /// How to execute the bulk-load. The default runs the sorts and the
-  /// node packing on the global thread pool; `parallel = false` keeps
-  /// every phase on the calling thread and builds the same tree.
-  struct BuildOptions {
-    bool parallel = true;
-    /// Pool for parallel phases; nullptr means ThreadPool::Global().
-    ThreadPool* pool = nullptr;
-  };
-
-  /// Builds the tree; `node_capacity` children per node.
-  explicit StrTree(std::vector<Entry> entries, int node_capacity = 10);
-  StrTree(std::vector<Entry> entries, int node_capacity,
-          const BuildOptions& options);
+  /// Builds the tree; `node_capacity` children per node. The sorts and
+  /// the node packing run on `pool` (nullptr: ThreadPool::Global()); on
+  /// the serial device every phase stays on the calling thread and
+  /// builds the same tree.
+  explicit StrTree(std::vector<Entry> entries, int node_capacity = 10,
+                   ThreadPool* pool = nullptr);
 
   /// Ids of all entries whose envelope intersects `query`.
   std::vector<int64_t> Query(const Envelope& query) const;
@@ -75,7 +69,7 @@ class StrTree {
     bool is_leaf = false;
   };
 
-  void Build(const BuildOptions& options);
+  void Build(ThreadPool& pool);
 
   template <typename Fn>
   void VisitNode(int32_t node_id, const Envelope& query, Fn&& fn) const {

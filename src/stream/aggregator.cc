@@ -135,7 +135,7 @@ void WindowAggregator::RebuildIndexIfChanged(
     entries.push_back({grid_.CellEnvelope(cell), cell});
   }
   auto tree = std::make_shared<const spatial::StrTree>(
-      std::move(entries), /*node_capacity=*/10, options_.index_build);
+      std::move(entries), /*node_capacity=*/10);
   {
     std::lock_guard<std::mutex> lock(index_mu_);
     index_ = std::move(tree);

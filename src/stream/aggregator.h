@@ -58,9 +58,8 @@ struct ClosedWindow {
 /// CellOf — the same fast path the batch join engine uses). On top of
 /// that the aggregator keeps an epoch-based STR-tree over the ACTIVE
 /// cells (nonzero count in the current window): each window close is an
-/// epoch boundary, and the tree is rebuilt — reusing
-/// StrTree::BuildOptions — only when the active-cell set actually
-/// changed since the previous epoch. Consumers query it for "where is
+/// epoch boundary, and the tree is rebuilt only when the active-cell
+/// set actually changed since the previous epoch. Consumers query it for "where is
 /// the load right now" without scanning the grid.
 ///
 /// Threading: Add/Flush run on the aggregator stage's thread only;
@@ -70,8 +69,6 @@ class WindowAggregator {
   struct Options {
     int64_t window_sec = 1800;
     int64_t slide_sec = 1800;  ///< must divide window_sec
-    /// Build options for the epoch STR-tree rebuilds.
-    spatial::StrTree::BuildOptions index_build;
   };
 
   static constexpr int64_t kChannels = 2;

@@ -10,7 +10,6 @@
 #include "core/memory.h"
 #include "core/thread_pool.h"
 #include "obs/obs.h"
-#include "tensor/device.h"
 #include "tensor/gemm.h"
 #include "tensor/quant.h"
 
@@ -22,12 +21,12 @@ namespace {
 // order is the same on every device and host.
 constexpr int64_t kConvGradParts = 8;
 
-// Device gate for per-sample (or per-plane) loops. Matmuls issued from
-// inside the loop body still go through Gemm(); nested parallel dispatch
-// collapses to serial on pool workers, so samples parallelize across the
-// pool and each sample's GEMM runs serially within its worker.
+// Per-sample (or per-plane) loops. Matmuls issued from inside the loop
+// body still go through Gemm(); nested parallel dispatch collapses to
+// serial on pool workers, so samples parallelize across the pool and
+// each sample's GEMM runs serially within its worker.
 void ForEachSample(int64_t n, const std::function<void(int64_t)>& fn) {
-  if (GetDefaultDevice() == Device::kParallel && n > 1) {
+  if (n > 1) {
     ThreadPool::Global().ParallelFor(n, fn);
   } else {
     for (int64_t i = 0; i < n; ++i) fn(i);
@@ -310,15 +309,6 @@ Tensor Conv2dForwardInt8(const Tensor& x, const Int8ConvWeights& w,
     ConvDirectInt8(view, w, act_scale, po + i * w.f * d.l, &ep);
   });
   return out;
-}
-
-Tensor Conv2dForwardInt8(const Tensor& x, const int8_t* w_q,
-                         const float* w_scales, int64_t f, int64_t c,
-                         int64_t kh, int64_t kw, float act_scale,
-                         const Tensor& bias, const ConvSpec& spec,
-                         EpilogueAct act, float leaky_slope) {
-  return Conv2dForwardInt8(x, PackInt8ConvWeights(w_q, w_scales, f, c, kh, kw),
-                           act_scale, bias, spec, act, leaky_slope);
 }
 
 Conv2dGrads Conv2dBackward(const Tensor& grad_out, const Tensor& x,

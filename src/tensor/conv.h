@@ -64,16 +64,6 @@ Tensor Conv2dForwardInt8(const Tensor& x, const Int8ConvWeights& w,
                          EpilogueAct act = EpilogueAct::kNone,
                          float leaky_slope = 0.01f);
 
-/// The same from row-major (F, C·KH·KW) int8 weights and their
-/// per-filter scales, packed on every call (tests and one-off callers;
-/// Conv2d packs once at SetPrecision).
-Tensor Conv2dForwardInt8(const Tensor& x, const int8_t* w_q,
-                         const float* w_scales, int64_t f, int64_t c,
-                         int64_t kh, int64_t kw, float act_scale,
-                         const Tensor& bias, const ConvSpec& spec,
-                         EpilogueAct act = EpilogueAct::kNone,
-                         float leaky_slope = 0.01f);
-
 struct Conv2dGrads {
   Tensor grad_x;
   Tensor grad_w;

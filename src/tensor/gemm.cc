@@ -30,7 +30,6 @@
 #include "core/memory.h"
 #include "core/thread_pool.h"
 #include "obs/obs.h"
-#include "tensor/device.h"
 
 namespace geotorch::tensor {
 namespace {
@@ -402,13 +401,12 @@ void ConvDirectKernel(const float* a, const ConvImageView<float>& b, float* c,
   }
 }
 
-// Runs fn over [0, tiles) in ranges. On Device::kParallel, problems of
-// at least kParallelMinWork spread the ranges over the pool; a call from
-// a pool worker runs inline (ThreadPool::ParallelForRange).
+// Runs fn over [0, tiles) in ranges. Problems of at least
+// kParallelMinWork spread the ranges over the pool; the serial device
+// and pool workers run them inline (ThreadPool::ParallelForRange).
 void ForEachTileRange(int64_t tiles, int64_t work,
                       const std::function<void(int64_t, int64_t)>& fn) {
-  if (GetDefaultDevice() == Device::kParallel && work >= kParallelMinWork &&
-      tiles > 1) {
+  if (work >= kParallelMinWork && tiles > 1) {
     ThreadPool::Global().ParallelForRange(tiles, fn);
   } else {
     fn(0, tiles);
@@ -430,9 +428,8 @@ void GemmBlocked(const OperandView& v, float* c, const GemmOptions& opts,
                  int64_t work) {
   const int64_t mt = CeilDiv(v.m, kMC);
   const int64_t nt = CeilDiv(v.n, kNC);
-  const bool parallel = opts.allow_parallel &&
-                        GetDefaultDevice() == Device::kParallel &&
-                        work >= kParallelMinWork && mt * nt > 1;
+  const bool parallel =
+      OnParallelDevice() && work >= kParallelMinWork && mt * nt > 1;
   if (!parallel) {
     GEO_OBS_COUNT("gemm.path.blocked_serial", 1);
     GemmRegion(v, c, opts.beta, 0, v.m, 0, v.n, opts.epilogue);

@@ -49,12 +49,6 @@ struct GemmOptions {
   bool trans_a = false;
   /// When set, `b` holds B^T: stored (n, k) row-major.
   bool trans_b = false;
-  /// Permit tiling the M×N macro-block grid across the thread pool when
-  /// the default device is Device::kParallel and the problem is large
-  /// enough. Calls made from inside pool workers (e.g. per-sample conv
-  /// loops) degrade to serial automatically, so leaving this on is safe
-  /// everywhere; set false only to force serial execution.
-  bool allow_parallel = true;
   /// Optional fused epilogue (bias + activation in the write-back).
   /// Must stay valid for the duration of the call; null means the
   /// plain write-back, byte-identical to the pre-fusion kernel.
@@ -90,7 +84,6 @@ struct Int8GemmOptions {
   int64_t b_scales_len = 1;
   /// C := dequant(A·B) + beta·C (beta in {0, 1} fast paths as in Gemm).
   float beta = 0.0f;
-  bool allow_parallel = true;
   /// Optional fused epilogue, applied after dequantization (the int8
   /// "dequant scale" is already part of the kernel write-back): c =
   /// act(sa·sb·acc + bias). Same validity/bitwise contract as

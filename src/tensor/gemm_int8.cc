@@ -32,7 +32,6 @@
 #include "core/memory.h"
 #include "core/thread_pool.h"
 #include "obs/obs.h"
-#include "tensor/device.h"
 #include "tensor/gemm.h"
 
 #if defined(__AVX512VNNI__) && defined(__AVX512BW__)
@@ -262,9 +261,8 @@ void GemmInt8Impl(const Int8View& v, float* c, const Int8GemmOptions& opts) {
   GEO_OBS_COUNT("gemm.flops", 2 * work);
   const int64_t mt = CeilDiv(v.m, kMC);
   const int64_t nt = CeilDiv(v.n, kNC);
-  const bool parallel = opts.allow_parallel &&
-                        GetDefaultDevice() == Device::kParallel &&
-                        work >= kParallelMinWork && mt * nt > 1;
+  const bool parallel =
+      OnParallelDevice() && work >= kParallelMinWork && mt * nt > 1;
   if (!parallel) {
     GemmRegionInt8(v, c, opts.beta, 0, v.m, 0, v.n);
     return;

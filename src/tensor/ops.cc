@@ -6,7 +6,6 @@
 
 #include "core/check.h"
 #include "core/thread_pool.h"
-#include "tensor/device.h"
 #include "tensor/gemm.h"
 
 namespace geotorch::tensor {
@@ -15,13 +14,9 @@ namespace {
 // Minimum element count before a kernel bothers with the thread pool.
 constexpr int64_t kParallelThreshold = 1 << 15;
 
-bool UseParallel(int64_t n) {
-  return GetDefaultDevice() == Device::kParallel && n >= kParallelThreshold;
-}
-
-// Runs fn over [0, n) ranges, parallel when profitable.
+// Runs fn over [0, n) ranges, on the pool when profitable.
 void RunRanges(int64_t n, const std::function<void(int64_t, int64_t)>& fn) {
-  if (UseParallel(n)) {
+  if (n >= kParallelThreshold) {
     ThreadPool::Global().ParallelForRange(n, fn);
   } else {
     fn(0, n);

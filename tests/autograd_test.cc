@@ -7,8 +7,8 @@
 #include <limits>
 #include <vector>
 
+#include "core/thread_pool.h"
 #include "tensor/conv.h"
-#include "tensor/device.h"
 #include "tensor/ops.h"
 #include "tests/gradcheck.h"
 
@@ -222,7 +222,7 @@ TEST(GradCheckTest, Conv2dStride2PaddedParallelDevice) {
   // backend, with bias: covers the pool-dispatched sample loop, the
   // beta=1 weight-gradient accumulation, and the transposed-operand
   // GEMM paths in Conv2dBackward.
-  ts::DeviceGuard guard(ts::Device::kParallel);
+  DeviceGuard guard(Device::kParallel);
   Rng rng(21);
   ts::Tensor x = ts::Tensor::Randn({2, 3, 6, 6}, rng);
   ts::Tensor w = ts::Tensor::Randn({4, 3, 3, 3}, rng, 0.0f, 0.5f);
@@ -238,7 +238,7 @@ TEST(GradCheckTest, Conv2dStride2PaddedParallelDevice) {
 }
 
 TEST(GradCheckTest, ConvTranspose2dStride2PaddedParallelDevice) {
-  ts::DeviceGuard guard(ts::Device::kParallel);
+  DeviceGuard guard(Device::kParallel);
   Rng rng(22);
   ts::Tensor x = ts::Tensor::Randn({2, 3, 4, 4}, rng);
   ts::Tensor w = ts::Tensor::Randn({3, 2, 3, 3}, rng, 0.0f, 0.5f);
@@ -300,8 +300,8 @@ TEST(MaxPoolEvalTest, EqualsGradPathBitwise) {
     for (int64_t i = 0; i < x.numel(); ++i) {
       x.flat(i) = values[rng.UniformInt(0, (i / plane) % 2 == 0 ? 5 : 3)];
     }
-    for (const ts::Device dev : {ts::Device::kSerial, ts::Device::kParallel}) {
-      ts::DeviceGuard guard(dev);
+    for (const Device dev : {Device::kSerial, Device::kParallel}) {
+      DeviceGuard guard(dev);
       const Variable grad_path = MaxPool2d(Variable(x, true), cs.k);
       ASSERT_TRUE(grad_path.requires_grad());
       const std::vector<uint32_t> want = Bits(grad_path.value());

@@ -5,9 +5,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <future>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/bounded_queue.h"
@@ -16,6 +19,10 @@
 #include "core/rng.h"
 #include "core/stopwatch.h"
 #include "core/thread_pool.h"
+#include "df/dataframe.h"
+#include "obs/obs.h"
+#include "spatial/join.h"
+#include "spatial/strtree.h"
 
 namespace geotorch {
 namespace {
@@ -82,20 +89,6 @@ TEST(EnvTest, Int64HandlesValuesBeyondIntRange) {
   ScopedEnv var("GEOTORCH_TEST_ENV_INT64");
   var.Set("8589934592");  // 8 GiB in bytes: > INT32_MAX
   EXPECT_EQ(EnvInt64("GEOTORCH_TEST_ENV_INT64", 0, 0), 8589934592LL);
-}
-
-TEST(EnvTest, BoolFollowsKillSwitchConvention) {
-  ScopedEnv var("GEOTORCH_TEST_ENV_BOOL");
-  EXPECT_TRUE(EnvBool("GEOTORCH_TEST_ENV_BOOL", true));
-  EXPECT_FALSE(EnvBool("GEOTORCH_TEST_ENV_BOOL", false));
-  for (const char* off : {"0", "off", "false"}) {
-    var.Set(off);
-    EXPECT_FALSE(EnvBool("GEOTORCH_TEST_ENV_BOOL", true)) << off;
-  }
-  for (const char* on : {"1", "on", "yes", "anything"}) {
-    var.Set(on);
-    EXPECT_TRUE(EnvBool("GEOTORCH_TEST_ENV_BOOL", false)) << on;
-  }
 }
 
 TEST(EnvTest, StringFallsBackWhenUnsetOrEmpty) {
@@ -185,6 +178,175 @@ TEST(ThreadPoolTest, DestructorRunsQueuedTasks) {
   opener.join();
   EXPECT_EQ(ran.load(), 10);
   for (auto& f : futs) f.get();  // no broken promise: every task ran
+}
+
+// --- Device -----------------------------------------------------------------
+
+TEST(DeviceTest, GuardOverridesOnlyTheCallingThread) {
+  const Device process = GetDefaultDevice();
+  const Device other =
+      process == Device::kSerial ? Device::kParallel : Device::kSerial;
+  DeviceGuard guard(other);
+  EXPECT_EQ(GetDefaultDevice(), other);
+  Device seen = other;
+  std::thread([&seen] { seen = GetDefaultDevice(); }).join();
+  EXPECT_EQ(seen, process);
+}
+
+TEST(DeviceTest, GuardRestoresTheThreadsPreviousOverride) {
+  const Device process = GetDefaultDevice();
+  {
+    DeviceGuard outer(Device::kSerial);
+    {
+      DeviceGuard inner(Device::kParallel);
+      EXPECT_EQ(GetDefaultDevice(), Device::kParallel);
+    }
+    EXPECT_EQ(GetDefaultDevice(), Device::kSerial);
+    // With an override active, the process default is not read.
+    SetDefaultDevice(Device::kParallel);
+    EXPECT_EQ(GetDefaultDevice(), Device::kSerial);
+    SetDefaultDevice(process);
+  }
+  EXPECT_EQ(GetDefaultDevice(), process);
+}
+
+// Turns observability on for one test and restores it afterwards.
+class ScopedObsOn {
+ public:
+  ScopedObsOn() : was_on_(obs::Enabled()) { obs::SetEnabled(true); }
+  ~ScopedObsOn() { obs::SetEnabled(was_on_); }
+
+ private:
+  bool was_on_;
+};
+
+// The pool's pool.tasks_submitted counter (observability must be on).
+int64_t TasksSubmitted() {
+  return obs::GetCounter("pool.tasks_submitted")->value();
+}
+
+// Runs fn() on `device` and stores how many pool tasks it submitted.
+template <typename Fn>
+auto CountTasks(Device device, int64_t* tasks, const Fn& fn) {
+  DeviceGuard guard(device);
+  const int64_t before = TasksSubmitted();
+  auto out = fn();
+  *tasks = TasksSubmitted() - before;
+  return out;
+}
+
+TEST(DeviceTest, SerialDeviceRunsParallelForRangeOnceOnTheCallingThread) {
+  ScopedObsOn obs_on;
+  ThreadPool pool(4);
+  DeviceGuard serial(Device::kSerial);
+  std::mutex mu;
+  std::vector<std::pair<int64_t, int64_t>> ranges;
+  std::vector<std::thread::id> threads;
+  const int64_t before = TasksSubmitted();
+  pool.ParallelForRange(1000, [&](int64_t begin, int64_t end) {
+    std::lock_guard<std::mutex> lock(mu);
+    ranges.emplace_back(begin, end);
+    threads.push_back(std::this_thread::get_id());
+  });
+  EXPECT_EQ(TasksSubmitted(), before);
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_EQ(ranges[0], (std::pair<int64_t, int64_t>{0, 1000}));
+  EXPECT_EQ(threads[0], std::this_thread::get_id());
+}
+
+// DeviceGuard(kSerial) covers the spatial and DataFrame layers too: none
+// of them submits a pool task, and each returns bitwise what the
+// parallel device returns.
+TEST(DeviceTest, SerialDeviceKeepsSpatialAndDataFrameWorkOffThePool) {
+  namespace sp = ::geotorch::spatial;
+  ScopedObsOn obs_on;
+  ThreadPool pool(4);
+  Rng rng(17);
+  const sp::GridPartitioner grid(sp::Envelope(0, 0, 10, 10), 8, 8);
+  const std::vector<sp::Polygon> cells = grid.CellPolygons();
+  std::vector<sp::Point> points;
+  for (int i = 0; i < 20000; ++i) {  // some fall outside the grid
+    points.push_back({rng.Uniform(-1, 11), rng.Uniform(-1, 11)});
+  }
+  std::vector<sp::StrTree::Entry> entries;
+  for (int64_t i = 0; i < 10000; ++i) {  // past the parallel sort cutoff
+    const double x = rng.Uniform(0, 100);
+    const double y = rng.Uniform(0, 100);
+    entries.push_back({sp::Envelope(x, y, x + 1, y + 1), i});
+  }
+  std::vector<int64_t> keys;
+  std::vector<double> values;
+  for (int i = 0; i < 20000; ++i) {
+    keys.push_back(static_cast<int64_t>(rng.Uniform(0, 300)));
+    values.push_back(rng.Uniform(-1, 1));
+  }
+  const df::DataFrame frame =
+      df::DataFrame::FromColumns({{"k", df::Column::FromInt64s(keys)},
+                                  {"v", df::Column::FromDoubles(values)}})
+          .Repartition(4);
+
+  int64_t serial_tasks = 0;
+  int64_t parallel_tasks = 0;
+  const auto expect_off_pool = [&](const char* what) {
+    EXPECT_EQ(serial_tasks, 0) << what;
+    EXPECT_GT(parallel_tasks, 0) << what;
+  };
+
+  sp::JoinOptions opts;
+  opts.strategy = sp::JoinStrategy::kStrTree;
+  opts.pool = &pool;
+  const auto join = [&] { return sp::PointInPolygonJoin(points, cells, opts); };
+  const auto serial_join = CountTasks(Device::kSerial, &serial_tasks, join);
+  const auto parallel_join =
+      CountTasks(Device::kParallel, &parallel_tasks, join);
+  expect_off_pool("PointInPolygonJoin");
+  EXPECT_EQ(serial_join, parallel_join);
+
+  const auto build = [&] { return sp::StrTree(entries, 10, &pool); };
+  const auto serial_tree = CountTasks(Device::kSerial, &serial_tasks, build);
+  const auto parallel_tree =
+      CountTasks(Device::kParallel, &parallel_tasks, build);
+  expect_off_pool("StrTree");
+  EXPECT_TRUE(serial_tree.IdenticalTo(parallel_tree));
+
+  const auto assign = [&] {
+    return sp::AssignPointsToCells(points, grid, &pool);
+  };
+  const auto serial_cells = CountTasks(Device::kSerial, &serial_tasks, assign);
+  const auto parallel_cells =
+      CountTasks(Device::kParallel, &parallel_tasks, assign);
+  expect_off_pool("AssignPointsToCells");
+  EXPECT_EQ(serial_cells, parallel_cells);
+
+  // GroupByAgg runs on ThreadPool::Global(), which has one worker on a
+  // single-core host; the bitwise check holds there too.
+  const auto group = [&] {
+    return frame.GroupByAgg({"k"}, {{df::AggKind::kCount, "", "n"},
+                                    {df::AggKind::kSum, "v", "sum_v"},
+                                    {df::AggKind::kMean, "v", "mean_v"}});
+  };
+  const df::DataFrame serial_agg =
+      CountTasks(Device::kSerial, &serial_tasks, group);
+  const df::DataFrame parallel_agg =
+      CountTasks(Device::kParallel, &parallel_tasks, group);
+  EXPECT_EQ(serial_tasks, 0) << "GroupByAgg";
+  if (ThreadPool::Global().num_threads() > 1) {
+    EXPECT_GT(parallel_tasks, 0) << "GroupByAgg";
+  }
+  ASSERT_EQ(serial_agg.num_partitions(), parallel_agg.num_partitions());
+  for (int p = 0; p < serial_agg.num_partitions(); ++p) {
+    EXPECT_EQ(serial_agg.partition(p).num_rows(),
+              parallel_agg.partition(p).num_rows());
+  }
+  EXPECT_EQ(serial_agg.CollectInt64("k"), parallel_agg.CollectInt64("k"));
+  EXPECT_EQ(serial_agg.CollectInt64("n"), parallel_agg.CollectInt64("n"));
+  for (const char* column : {"sum_v", "mean_v"}) {
+    const std::vector<double> s = serial_agg.CollectDouble(column);
+    const std::vector<double> p = parallel_agg.CollectDouble(column);
+    ASSERT_EQ(s.size(), p.size()) << column;
+    EXPECT_EQ(std::memcmp(s.data(), p.data(), s.size() * sizeof(double)), 0)
+        << column;
+  }
 }
 
 // --- BoundedQueue -----------------------------------------------------------

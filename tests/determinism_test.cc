@@ -16,6 +16,7 @@
 
 #include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "core/thread_pool.h"
 #include "data/dataloader.h"
 #include "datasets/benchmarks.h"
 #include "models/grid_models.h"
@@ -23,12 +24,13 @@
 #include "models/segmentation_models.h"
 #include "models/trainer.h"
 #include "nn/precision.h"
-#include "tensor/device.h"
 
 namespace {
 
 namespace ag = ::geotorch::autograd;
 namespace ts = ::geotorch::tensor;
+using ::geotorch::Device;
+using ::geotorch::DeviceGuard;
 namespace data = ::geotorch::data;
 namespace datasets = ::geotorch::datasets;
 namespace models = ::geotorch::models;
@@ -50,9 +52,9 @@ struct StepResult {
 // Runs one forward/backward of a freshly built model on `device` and
 // captures the bit patterns of the loss and every parameter gradient.
 template <typename MakeModel, typename LossFn>
-StepResult RunStep(ts::Device device, const MakeModel& make_model,
+StepResult RunStep(Device device, const MakeModel& make_model,
                    const LossFn& loss_fn) {
-  ts::DeviceGuard guard(device);
+  DeviceGuard guard(device);
   auto model = make_model();
   ag::Variable loss = loss_fn(*model);
   loss.Backward();
@@ -70,9 +72,9 @@ template <typename MakeModel, typename LossFn>
 void ExpectDeterministic(const std::string& label,
                          const MakeModel& make_model, const LossFn& loss_fn) {
   const StepResult serial =
-      RunStep(ts::Device::kSerial, make_model, loss_fn);
+      RunStep(Device::kSerial, make_model, loss_fn);
   const StepResult parallel =
-      RunStep(ts::Device::kParallel, make_model, loss_fn);
+      RunStep(Device::kParallel, make_model, loss_fn);
   EXPECT_EQ(serial.loss_bits, parallel.loss_bits)
       << label << ": loss differs between serial and parallel";
   ASSERT_EQ(serial.grad_bits.size(), parallel.grad_bits.size()) << label;
@@ -306,6 +308,59 @@ TEST(DeterminismTest, ResumeMatchesStraightThroughTraining) {
   std::remove(path.c_str());
 }
 
+// 64-bit FNV-1a over the bytes of every parameter, in NamedParameters
+// order.
+uint64_t ParameterHash(const geotorch::nn::Module& model) {
+  uint64_t h = 14695981039346656037ull;
+  for (const auto& [name, p] : model.NamedParameters()) {
+    const ts::Tensor& value = p.value();
+    const auto* bytes = reinterpret_cast<const unsigned char*>(value.data());
+    for (size_t i = 0; i < value.numel() * sizeof(float); ++i) {
+      h = (h ^ bytes[i]) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// The weights after one epoch of each training mode, pinned bitwise: a
+// reordered ZeroGrad, clip or step in either mode moves the hash. The
+// clip threshold is low enough to clip in both modes. The model is
+// small enough that every GEMM stays on the reference loop, so the pins
+// hold with and without -march=native.
+TEST(DeterminismTest, OneEpochWeightsArePinned) {
+  datasets::GridDataset ds = datasets::MakeTemperature(
+      /*timesteps=*/200, /*height=*/8, /*width=*/8, /*seed=*/7);
+  ds.MinMaxNormalize();
+  ds.SetPeriodicalRepresentation(3, 2, 1);
+  data::SplitIndices split = data::ChronologicalSplit(ds.Size());
+  data::SubsetDataset train(&ds, split.train);
+
+  models::GridModelConfig mc;
+  mc.channels = ds.channels();
+  mc.height = ds.height();
+  mc.width = ds.width();
+  mc.len_closeness = 3;
+  mc.len_period = 2;
+  mc.len_trend = 1;
+  mc.hidden = 4;
+  mc.seed = 42;
+
+  models::TrainConfig tc;
+  tc.batch_size = 8;
+  tc.lr = 1e-2f;
+  tc.grad_clip = 0.05f;
+  tc.seed = 9;
+
+  models::PeriodicalCnn incremental(mc);
+  models::TimeOneEpochGrid(incremental, train, tc);
+  tc.cumulative = true;
+  models::PeriodicalCnn cumulative(mc);
+  models::TimeOneEpochGrid(cumulative, train, tc);
+
+  EXPECT_EQ(ParameterHash(incremental), 15250187714398992420u);
+  EXPECT_EQ(ParameterHash(cumulative), 9678724303755660329u);
+}
+
 TEST(DeterminismTest, Fcn) { RunSegDeterminism<models::Fcn>("Fcn"); }
 TEST(DeterminismTest, UNet) { RunSegDeterminism<models::UNet>("UNet"); }
 TEST(DeterminismTest, UNetPlusPlus) {
@@ -323,10 +378,10 @@ namespace nn = ::geotorch::nn;
 // Runs an eval-mode forward of a freshly built model at `precision` on
 // `device` and returns the output bit patterns.
 template <typename MakeModel, typename ForwardFn>
-std::vector<uint32_t> EvalBits(ts::Device device, nn::Precision precision,
+std::vector<uint32_t> EvalBits(Device device, nn::Precision precision,
                                const MakeModel& make_model,
                                const ForwardFn& forward) {
-  ts::DeviceGuard guard(device);
+  DeviceGuard guard(device);
   ag::NoGradGuard no_grad;
   auto model = make_model();
   model->SetTraining(false);
@@ -339,9 +394,9 @@ void ExpectLowPrecisionBehaved(const std::string& label,
                                const MakeModel& make_model,
                                const ForwardFn& forward) {
   const std::vector<uint32_t> serial =
-      EvalBits(ts::Device::kSerial, nn::Precision::kInt8, make_model, forward);
+      EvalBits(Device::kSerial, nn::Precision::kInt8, make_model, forward);
   const std::vector<uint32_t> parallel = EvalBits(
-      ts::Device::kParallel, nn::Precision::kInt8, make_model, forward);
+      Device::kParallel, nn::Precision::kInt8, make_model, forward);
   EXPECT_EQ(serial, parallel)
       << label << ": int8 eval differs between serial and parallel";
 }
@@ -487,13 +542,13 @@ void ExpectFusionTransparentEval(const std::string& label,
                                  const ForwardFn& forward) {
   std::vector<uint32_t> unfused;
   {
-    ts::DeviceGuard guard(ts::Device::kSerial);
+    DeviceGuard guard(Device::kSerial);
     ASSERT_TRUE(ag::GradEnabled());
     auto model = make_model();
     model->SetTraining(false);
     unfused = Bits(forward(*model));
   }
-  for (const ts::Device dev : {ts::Device::kSerial, ts::Device::kParallel}) {
+  for (const Device dev : {Device::kSerial, Device::kParallel}) {
     EXPECT_EQ(unfused, EvalBits(dev, nn::Precision::kF32, make_model, forward))
         << label << ": fused eval differs from unfused on device "
         << static_cast<int>(dev);

@@ -20,11 +20,11 @@
 
 #include "autograd/variable.h"
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "nn/layers.h"
 #include "nn/precision.h"
 #include "obs/obs.h"
 #include "tensor/conv.h"
-#include "tensor/device.h"
 #include "tensor/gemm.h"
 #include "tensor/quant.h"
 #include "tensor/tensor.h"
@@ -34,6 +34,8 @@ namespace {
 namespace ag = ::geotorch::autograd;
 namespace nn = ::geotorch::nn;
 namespace ts = ::geotorch::tensor;
+using ::geotorch::Device;
+using ::geotorch::DeviceGuard;
 
 ts::Tensor RandomTensor(std::initializer_list<int64_t> shape, uint64_t seed,
                         float lo = -1.5f, float hi = 1.5f) {
@@ -122,8 +124,8 @@ TEST(FusionTest, ConvFusedBitwiseMatchesUnfusedF32) {
       const float v = ref.flat(i);
       ref.flat(i) = v > 0.0f ? v : 0.0f;  // the ops.cc Relu formula
     }
-    for (const ts::Device dev : {ts::Device::kSerial, ts::Device::kParallel}) {
-      ts::DeviceGuard guard(dev);
+    for (const Device dev : {Device::kSerial, Device::kParallel}) {
+      DeviceGuard guard(dev);
       const ts::Tensor fused =
           ts::Conv2dForward(x, w, bias, spec, ts::EpilogueAct::kRelu, 0.01f);
       EXPECT_EQ(BitsOf(ref), BitsOf(fused)) << "device=" << int(dev);
@@ -166,6 +168,8 @@ TEST(FusionTest, ConvInt8BitwiseMatchesMaterializedReference) {
     std::vector<int8_t> w_q(cs.f * ck);
     std::vector<float> w_scales(cs.f);
     ts::QuantizeRowsInt8(w.data(), cs.f, ck, w_q.data(), w_scales.data());
+    const ts::Int8ConvWeights packed = ts::PackInt8ConvWeights(
+        w_q.data(), w_scales.data(), cs.f, cs.c, cs.k, cs.k);
     // 0 selects the dynamic scale; 1/127 clips inputs beyond ±1.
     for (const float static_scale : {0.0f, 1.0f / 127.0f}) {
       const float scale =
@@ -201,12 +205,10 @@ TEST(FusionTest, ConvInt8BitwiseMatchesMaterializedReference) {
             ref.flat(i) = v > 0.0f ? v : slope * v;
           }
         }
-        for (const ts::Device dev :
-             {ts::Device::kSerial, ts::Device::kParallel}) {
-          ts::DeviceGuard guard(dev);
+        for (const Device dev : {Device::kSerial, Device::kParallel}) {
+          DeviceGuard guard(dev);
           const ts::Tensor got = ts::Conv2dForwardInt8(
-              x, w_q.data(), w_scales.data(), cs.f, cs.c, cs.k, cs.k,
-              static_scale, bias, spec, act, slope);
+              x, packed, static_scale, bias, spec, act, slope);
           EXPECT_EQ(BitsOf(ref), BitsOf(got)) << "device=" << int(dev);
         }
       }

@@ -18,8 +18,8 @@
 
 #include "autograd/variable.h"
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "nn/layers.h"
-#include "tensor/device.h"
 #include "tensor/tensor.h"
 
 namespace {
@@ -27,6 +27,8 @@ namespace {
 namespace ag = ::geotorch::autograd;
 namespace nn = ::geotorch::nn;
 namespace ts = ::geotorch::tensor;
+using ::geotorch::Device;
+using ::geotorch::DeviceGuard;
 
 ts::Tensor RandomTensor(std::initializer_list<int64_t> shape, uint64_t seed) {
   ts::Tensor t = ts::Tensor::Uninitialized(shape);
@@ -60,7 +62,9 @@ struct Replica {
 }  // namespace
 
 int main() {
-  ts::SetDefaultDevice(ts::Device::kSerial);
+  // Every thread of this test runs its forwards serially, as a serving
+  // batcher does.
+  DeviceGuard serial(Device::kSerial);
 
   auto live = std::make_unique<Replica>(11);
   auto offline = std::make_unique<Replica>(12);
@@ -78,6 +82,7 @@ int main() {
   clients.reserve(kClients);
   for (int t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t] {
+      DeviceGuard serial(Device::kSerial);
       ag::NoGradGuard no_grad;
       const ts::Tensor x = RandomTensor({1, 3, 8, 8}, 100 + t);
       while (!stop.load(std::memory_order_acquire)) {
@@ -92,6 +97,7 @@ int main() {
 
   // Reloader: mutate whichever replica is NOT published, then swap.
   std::thread reloader([&] {
+    DeviceGuard serial(Device::kSerial);
     Replica* a = live.get();
     Replica* b = offline.get();
     for (int round = 0; round < 20; ++round) {

@@ -16,12 +16,15 @@
 #include <thread>
 #include <vector>
 
+#include "core/thread_pool.h"
 #include "tensor/conv.h"
-#include "tensor/device.h"
 #include "tensor/gemm.h"
 #include "tensor/quant.h"
 
 namespace ts = geotorch::tensor;
+using ::geotorch::Device;
+using ::geotorch::DeviceGuard;
+using ::geotorch::SetDefaultDevice;
 
 namespace {
 
@@ -65,9 +68,10 @@ void CheckInt8Once(int64_t m, int64_t k, int64_t n, uint64_t seed) {
   opts.b_scales_len = 1;
 
   std::vector<float> c_serial(m * n, 0.0f);
-  ts::Int8GemmOptions serial_opts = opts;
-  serial_opts.allow_parallel = false;
-  ts::GemmInt8(a_q.data(), b_q.data(), c_serial.data(), m, k, n, serial_opts);
+  {
+    DeviceGuard serial(Device::kSerial);
+    ts::GemmInt8(a_q.data(), b_q.data(), c_serial.data(), m, k, n, opts);
+  }
 
   std::vector<float> c_parallel(m * n, 0.0f);
   ts::GemmInt8(a_q.data(), b_q.data(), c_parallel.data(), m, k, n, opts);
@@ -131,14 +135,14 @@ void CheckConvInt8Once(int64_t n, int64_t c, int64_t f, int64_t h, int64_t w,
 
   const ts::Tensor xt = ts::Tensor::FromVector({n, c, h, w}, x);
   const ts::Tensor no_bias;
-  for (const ts::Device dev : {ts::Device::kSerial, ts::Device::kParallel}) {
-    ts::DeviceGuard guard(dev);
+  for (const Device dev : {Device::kSerial, Device::kParallel}) {
+    DeviceGuard guard(dev);
     const ts::Tensor got = ts::Conv2dForwardInt8(
         xt, packed, act_scale, no_bias, ts::ConvSpec{stride, pad});
     const std::vector<float> out(got.data(), got.data() + got.numel());
     BitwiseEqual(ref, out,
-                 dev == ts::Device::kSerial ? "conv int8 serial"
-                                            : "conv int8 parallel",
+                 dev == Device::kSerial ? "conv int8 serial"
+                                        : "conv int8 parallel",
                  n * f, ck, oh * ow);
   }
 }
@@ -146,7 +150,7 @@ void CheckConvInt8Once(int64_t n, int64_t c, int64_t f, int64_t h, int64_t w,
 }  // namespace
 
 int main() {
-  ts::SetDefaultDevice(ts::Device::kParallel);
+  SetDefaultDevice(Device::kParallel);
 
   // Sizes past kParallelMinWork so the pool actually runs, with ragged
   // edges straddling the MC/NC macro-tile boundaries. Repeats re-use
@@ -185,6 +189,7 @@ int main() {
     std::vector<std::thread> clients;
     for (int t = 0; t < 4; ++t) {
       clients.emplace_back([&, t] {
+        DeviceGuard serial(Device::kSerial);  // each client computes serially
         std::vector<float> a(m * k);
         FillUniform(a, 1000 + t);
         const float a_scale = ts::SymmetricScale(ts::AbsMax(a.data(), m * k));
@@ -193,7 +198,6 @@ int main() {
         ts::Int8GemmOptions opts;
         opts.a_scales = &a_scale;
         opts.b_scales = &b_scale;
-        opts.allow_parallel = false;  // each client computes serially
         std::vector<float> c(m * n);
         for (int i = 0; i < 8; ++i) {
           ts::GemmInt8(a_q.data(), ts::Int8PackedB{packed_int8.data()},

@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
-#include "tensor/device.h"
+#include "core/thread_pool.h"
 
 namespace geotorch::tensor {
 namespace {
@@ -39,7 +39,7 @@ void ExpectMatchesReference(int64_t m, int64_t k, int64_t n, float beta,
   FillRandom(c_blocked, rng);
   std::vector<float> c_ref = c_blocked;
 
-  const GemmOptions opts{beta, trans_a, trans_b, true};
+  const GemmOptions opts{beta, trans_a, trans_b};
   Gemm(a.data(), b.data(), c_blocked.data(), m, k, n, opts);
   ReferenceGemm(a.data(), b.data(), c_ref.data(), m, k, n, opts);
 

@@ -11,10 +11,12 @@
 #include <random>
 #include <vector>
 
-#include "tensor/device.h"
+#include "core/thread_pool.h"
 #include "tensor/gemm.h"
 
 namespace ts = geotorch::tensor;
+using ::geotorch::Device;
+using ::geotorch::SetDefaultDevice;
 
 namespace {
 
@@ -32,7 +34,7 @@ void CheckGemmOnce(int64_t m, int64_t k, int64_t n, float beta, bool trans_a,
   for (auto& x : c) x = dist(engine);
   std::vector<float> c_ref = c;
 
-  const ts::GemmOptions opts{beta, trans_a, trans_b, true};
+  const ts::GemmOptions opts{beta, trans_a, trans_b};
   ts::Gemm(a.data(), b.data(), c.data(), m, k, n, opts);
   ts::ReferenceGemm(a.data(), b.data(), c_ref.data(), m, k, n, opts);
 
@@ -54,7 +56,7 @@ void CheckGemmOnce(int64_t m, int64_t k, int64_t n, float beta, bool trans_a,
 }  // namespace
 
 int main() {
-  ts::SetDefaultDevice(ts::Device::kParallel);
+  SetDefaultDevice(Device::kParallel);
 
   // Sizes chosen to exceed kParallelMinWork so the pool actually runs,
   // with edges that straddle MC/NC macro-tile boundaries. Repeated

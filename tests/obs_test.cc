@@ -260,7 +260,6 @@ TEST_F(ObsTest, SpatialJoinSpansAndCountersInTrace) {
 
   sp::JoinOptions tree_opts;
   tree_opts.strategy = sp::JoinStrategy::kStrTree;
-  tree_opts.parallel = true;
   tree_opts.pool = &pool;
   const auto tree_pairs = sp::PointInPolygonJoin(points, cells, tree_opts);
 

@@ -24,7 +24,6 @@
 #include "spatial/join.h"
 #include "spatial/strtree.h"
 #include "tensor/conv.h"
-#include "tensor/device.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 
@@ -299,13 +298,13 @@ TEST_P(ConvBackwardSweep, MatchesIm2ColGemmCol2ImBitwise) {
   const auto [x, w, g, spec] = MakeConvBackwardOperands(GetParam());
   ts::Conv2dGrads want;
   {
-    ts::DeviceGuard serial(ts::Device::kSerial);
+    DeviceGuard serial(Device::kSerial);
     want = ReferenceConvBackward(g, x, w, spec);
   }
-  for (const ts::Device device : {ts::Device::kSerial, ts::Device::kParallel}) {
-    ts::DeviceGuard guard(device);
+  for (const Device device : {Device::kSerial, Device::kParallel}) {
+    DeviceGuard guard(device);
     const ts::Conv2dGrads got = ts::Conv2dBackward(g, x, w, true, spec);
-    const char* dev = device == ts::Device::kSerial ? "serial" : "parallel";
+    const char* dev = device == Device::kSerial ? "serial" : "parallel";
     EXPECT_EQ(BitsOrNaN(got.grad_x), BitsOrNaN(want.grad_x))
         << "grad_x " << dev;
     EXPECT_EQ(BitsOrNaN(got.grad_w), BitsOrNaN(want.grad_w))
@@ -523,16 +522,14 @@ TEST_P(ParallelJoinSweep, ParallelOutputIdenticalToSerial) {
   inputs.emplace_back("all_in_one_cell", std::move(one_cell));
 
   for (const auto& [label, points] : inputs) {
-    spatial::JoinOptions serial_opts;
-    serial_opts.strategy = strategy;
-    serial_opts.parallel = false;
-    spatial::JoinOptions parallel_opts = serial_opts;
-    parallel_opts.parallel = true;
-    parallel_opts.pool = &pool;
-    auto serial = spatial::PointInPolygonJoin(points, cells, serial_opts,
-                                              &grid);
-    auto parallel = spatial::PointInPolygonJoin(points, cells,
-                                                parallel_opts, &grid);
+    spatial::JoinOptions opts;
+    opts.strategy = strategy;
+    opts.pool = &pool;
+    const auto serial = [&] {
+      DeviceGuard guard(Device::kSerial);
+      return spatial::PointInPolygonJoin(points, cells, opts, &grid);
+    }();
+    auto parallel = spatial::PointInPolygonJoin(points, cells, opts, &grid);
     ASSERT_EQ(serial.size(), parallel.size()) << label;
     for (size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(serial[i].point_idx, parallel[i].point_idx)

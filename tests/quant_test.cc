@@ -17,9 +17,9 @@
 
 #include "autograd/variable.h"
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "nn/layers.h"
 #include "nn/precision.h"
-#include "tensor/device.h"
 #include "tensor/gemm.h"
 #include "tensor/quant.h"
 #include "tensor/tensor.h"
@@ -29,6 +29,8 @@ namespace {
 namespace ag = ::geotorch::autograd;
 namespace nn = ::geotorch::nn;
 namespace ts = ::geotorch::tensor;
+using ::geotorch::Device;
+using ::geotorch::DeviceGuard;
 
 std::vector<float> RandomVec(int64_t n, uint64_t seed, float lo = -2.0f,
                              float hi = 2.0f) {
@@ -259,11 +261,11 @@ TEST(QuantTest, LowPrecisionGemmSerialEqualsParallelBitwise) {
 
   std::vector<float> int8_serial(m * n), int8_parallel(m * n);
   {
-    ts::DeviceGuard guard(ts::Device::kSerial);
+    DeviceGuard guard(Device::kSerial);
     ts::GemmInt8(aq.data(), bq.data(), int8_serial.data(), m, k, n, iopts);
   }
   {
-    ts::DeviceGuard guard(ts::Device::kParallel);
+    DeviceGuard guard(Device::kParallel);
     ts::GemmInt8(aq.data(), bq.data(), int8_parallel.data(), m, k, n, iopts);
   }
   EXPECT_EQ(0, std::memcmp(int8_serial.data(), int8_parallel.data(),

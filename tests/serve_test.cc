@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/thread_pool.h"
 #include "datasets/benchmarks.h"
 #include "io/checkpoint.h"
 #include "models/grid_models.h"
@@ -28,7 +29,6 @@
 #include "serve/adapters.h"
 #include "serve/config.h"
 #include "serve/engine.h"
-#include "tensor/device.h"
 #include "tensor/shape.h"
 #include "tensor/tensor.h"
 #include "tests/temp_path.h"
@@ -37,6 +37,9 @@ namespace {
 
 namespace ag = ::geotorch::autograd;
 namespace ts = ::geotorch::tensor;
+using ::geotorch::Device;
+using ::geotorch::DeviceGuard;
+using ::geotorch::GetDefaultDevice;
 namespace data = ::geotorch::data;
 namespace datasets = ::geotorch::datasets;
 namespace models = ::geotorch::models;
@@ -188,16 +191,16 @@ TEST(EngineTest, ForwardsRunSeriallyOnTheBatcherThread) {
   // The batcher pins its own thread to the serial device, whatever the
   // constructing thread's override, and runs the warmup forwards there
   // too, before the constructor returns.
-  ts::DeviceGuard device(ts::Device::kParallel);
+  DeviceGuard device(Device::kParallel);
   std::mutex mu;
-  std::vector<ts::Device> devices;
+  std::vector<Device> devices;
   std::vector<std::thread::id> threads;
   serve::EngineOptions opts = FastOptions();
   opts.warmup_batches = 2;
   serve::Engine engine(
       [&](const data::Batch& batch) {
         std::lock_guard<std::mutex> lock(mu);
-        devices.push_back(ts::GetDefaultDevice());
+        devices.push_back(GetDefaultDevice());
         threads.push_back(std::this_thread::get_id());
         return batch.x;
       },
@@ -209,11 +212,11 @@ TEST(EngineTest, ForwardsRunSeriallyOnTheBatcherThread) {
   data::Sample s;
   s.x = ts::Tensor::Full({4}, 2.0f);
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(engine.Submit(s).ok());
-  EXPECT_EQ(ts::GetDefaultDevice(), ts::Device::kParallel);
+  EXPECT_EQ(GetDefaultDevice(), Device::kParallel);
   std::lock_guard<std::mutex> lock(mu);
   ASSERT_EQ(devices.size(), 5u);
   for (size_t i = 0; i < devices.size(); ++i) {
-    EXPECT_EQ(devices[i], ts::Device::kSerial) << "forward " << i;
+    EXPECT_EQ(devices[i], Device::kSerial) << "forward " << i;
     EXPECT_EQ(threads[i], threads[0]) << "forward " << i;
     EXPECT_NE(threads[i], std::this_thread::get_id()) << "forward " << i;
   }
@@ -588,7 +591,7 @@ TEST(EngineTest, DrainRacingSubmitsNeitherDeadlocksNorStarves) {
 // --- Against a real model ---------------------------------------------------
 
 TEST(EngineTest, BatchedForwardMatchesDirectSingleSampleForward) {
-  ts::DeviceGuard device(ts::Device::kParallel);
+  DeviceGuard device(Device::kParallel);
 
   datasets::GridDataset ds = datasets::MakeTemperature(
       /*timesteps=*/200, /*height=*/8, /*width=*/8, /*seed=*/7);

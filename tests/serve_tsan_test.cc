@@ -14,16 +14,18 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "models/grid_models.h"
 #include "models/raster_models.h"
 #include "serve/adapters.h"
 #include "serve/engine.h"
-#include "tensor/device.h"
 #include "tensor/tensor.h"
 
 namespace {
 
 namespace ts = ::geotorch::tensor;
+using ::geotorch::Device;
+using ::geotorch::DeviceGuard;
 namespace data = ::geotorch::data;
 namespace serve = ::geotorch::serve;
 namespace models = ::geotorch::models;
@@ -178,7 +180,7 @@ TEST(ServeTsanTest, DeviceFlipsElsewhereLeaveServedAnswersBitwise) {
   constexpr int kSamples = 6;
   geotorch::Rng rng(9);
   for (Model& m : served) {
-    ts::DeviceGuard serial(ts::Device::kSerial);
+    DeviceGuard serial(Device::kSerial);
     for (int i = 0; i < kSamples; ++i) {
       data::Sample s;
       s.x = ts::Tensor::Rand(m.spec.x, rng);
@@ -216,9 +218,9 @@ TEST(ServeTsanTest, DeviceFlipsElsewhereLeaveServedAnswersBitwise) {
   }
   int flips = 0;
   do {
-    const ts::Device dev =
-        flips % 2 == 0 ? ts::Device::kParallel : ts::Device::kSerial;
-    ts::DeviceGuard guard(dev);
+    const Device dev =
+        flips % 2 == 0 ? Device::kParallel : Device::kSerial;
+    DeviceGuard guard(dev);
     const Model& m = served[(flips / 2) % 2];
     const int k = flips % kSamples;
     if (direct(m, k) != m.want[k]) mismatches.fetch_add(1);

@@ -194,8 +194,11 @@ TEST(StrTreeTest, ParallelBuildIdenticalToSerial) {
                     int64_t{5000}, int64_t{20000}}) {
     for (int cap : {2, 10}) {
       auto entries = RandomEntries(n, static_cast<uint64_t>(n + cap));
-      StrTree serial(entries, cap, StrTree::BuildOptions{false, nullptr});
-      StrTree parallel(entries, cap, StrTree::BuildOptions{true, &pool});
+      const StrTree serial = [&] {
+        DeviceGuard guard(Device::kSerial);
+        return StrTree(entries, cap, &pool);
+      }();
+      StrTree parallel(entries, cap, &pool);
       EXPECT_TRUE(serial.IdenticalTo(parallel))
           << "n=" << n << " cap=" << cap;
       EXPECT_TRUE(parallel.IdenticalTo(serial));
@@ -206,7 +209,7 @@ TEST(StrTreeTest, ParallelBuildIdenticalToSerial) {
 TEST(StrTreeTest, ParallelBuildQueriesMatchBruteForce) {
   ThreadPool pool(3);
   auto entries = RandomEntries(3000, 11);
-  StrTree tree(entries, 10, StrTree::BuildOptions{true, &pool});
+  StrTree tree(entries, 10, &pool);
   Rng rng(5);
   for (int q = 0; q < 25; ++q) {
     const double x = rng.Uniform(0, 100);
@@ -260,8 +263,11 @@ TEST(JoinTest, ParallelAssignMatchesSerial) {
     points.push_back({rng.Uniform(-5, 55), rng.Uniform(-5, 55)});
   }
   ThreadPool pool(4);
-  auto serial = AssignPointsToCells(points, grid, /*parallel=*/false);
-  auto parallel = AssignPointsToCells(points, grid, /*parallel=*/true, &pool);
+  const auto serial = [&] {
+    DeviceGuard guard(Device::kSerial);
+    return AssignPointsToCells(points, grid, &pool);
+  }();
+  auto parallel = AssignPointsToCells(points, grid, &pool);
   EXPECT_EQ(serial, parallel);
 }
 
@@ -274,19 +280,19 @@ TEST(JoinTest, DistanceJoinParallelMatchesSerial) {
     right.push_back({rng.Uniform(0, 20), rng.Uniform(0, 20)});
   }
   ThreadPool pool(3);
-  JoinOptions serial_opts;
-  serial_opts.parallel = false;
-  JoinOptions par_opts;
-  par_opts.parallel = true;
-  par_opts.pool = &pool;
-  auto serial = DistanceJoin(left, right, 0.8, serial_opts);
-  auto parallel = DistanceJoin(left, right, 0.8, par_opts);
+  JoinOptions opts;
+  opts.pool = &pool;
+  const auto serial = [&] {
+    DeviceGuard guard(Device::kSerial);
+    return DistanceJoin(left, right, 0.8, opts);
+  }();
+  auto parallel = DistanceJoin(left, right, 0.8, opts);
   EXPECT_EQ(serial, parallel);
   EXPECT_FALSE(serial.empty());
 }
 
 TEST(JoinTest, StrTreeJoinSerialOptionMatchesParallel) {
-  // `parallel = false` keeps the probes on the calling thread and must
+  // The serial device keeps the probes on the calling thread and must
   // produce the same pairs in the same order.
   Rng rng(30);
   GridPartitioner grid(Envelope(0, 0, 10, 10), 5, 5);
@@ -298,10 +304,9 @@ TEST(JoinTest, StrTreeJoinSerialOptionMatchesParallel) {
   ThreadPool pool(4);
   JoinOptions opts;
   opts.strategy = JoinStrategy::kStrTree;
-  opts.parallel = true;
   opts.pool = &pool;
   auto with_parallel = PointInPolygonJoin(points, cells, opts);
-  opts.parallel = false;
+  DeviceGuard guard(Device::kSerial);
   auto serial = PointInPolygonJoin(points, cells, opts);
   EXPECT_EQ(with_parallel, serial);
 }

@@ -48,9 +48,11 @@ TEST(SpatialTsanTest, ConcurrentParallelBuilds) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([c, &pool] {
       auto entries = MakeEntries(4000, 7);
-      StrTree serial(entries, 10, StrTree::BuildOptions{false, nullptr});
-      StrTree parallel(std::move(entries), 10,
-                       StrTree::BuildOptions{true, &pool});
+      const StrTree serial = [&] {
+        DeviceGuard guard(Device::kSerial);
+        return StrTree(entries, 10, &pool);
+      }();
+      StrTree parallel(std::move(entries), 10, &pool);
       EXPECT_TRUE(parallel.IdenticalTo(serial)) << "client " << c;
     });
   }
@@ -63,33 +65,31 @@ TEST(SpatialTsanTest, ConcurrentParallelJoinsAndFastPath) {
   const std::vector<Polygon> cells = grid.CellPolygons();
   const std::vector<Point> points = MakePoints(8000, 3);
 
-  JoinOptions serial_opts;
-  serial_opts.strategy = JoinStrategy::kStrTree;
-  serial_opts.parallel = false;
-  const auto expected_tree =
-      PointInPolygonJoin(points, cells, serial_opts, &grid);
-  const auto expected_cells =
-      AssignPointsToCells(points, grid, /*parallel=*/false);
+  JoinOptions tree_opts;
+  tree_opts.strategy = JoinStrategy::kStrTree;
+  tree_opts.pool = &pool;
+  std::vector<JoinPair> expected_tree;
+  std::vector<int64_t> expected_cells;
+  {
+    DeviceGuard guard(Device::kSerial);
+    expected_tree = PointInPolygonJoin(points, cells, tree_opts, &grid);
+    expected_cells = AssignPointsToCells(points, grid, &pool);
+  }
 
   std::vector<std::thread> clients;
   for (int c = 0; c < 2; ++c) {
     clients.emplace_back([&] {
-      JoinOptions opts;
-      opts.strategy = JoinStrategy::kStrTree;
-      opts.parallel = true;
-      opts.pool = &pool;
-      const auto got = PointInPolygonJoin(points, cells, opts, &grid);
+      const auto got = PointInPolygonJoin(points, cells, tree_opts, &grid);
       EXPECT_EQ(got, expected_tree);
     });
   }
   clients.emplace_back([&] {
-    const auto got = AssignPointsToCells(points, grid, true, &pool);
+    const auto got = AssignPointsToCells(points, grid, &pool);
     EXPECT_EQ(got, expected_cells);
   });
   clients.emplace_back([&] {
     JoinOptions opts;
     opts.strategy = JoinStrategy::kGridHash;
-    opts.parallel = true;
     opts.pool = &pool;
     const auto got = PointInPolygonJoin(points, cells, opts, &grid);
     ASSERT_EQ(got.size(), expected_cells.size());
@@ -101,16 +101,16 @@ TEST(SpatialTsanTest, ParallelDistanceJoinSharedPool) {
   ThreadPool pool(3);
   const std::vector<Point> left = MakePoints(2000, 11);
   const std::vector<Point> right = MakePoints(2000, 13);
-  JoinOptions serial_opts;
-  serial_opts.parallel = false;
-  const auto expected = DistanceJoin(left, right, 2.0, serial_opts);
+  JoinOptions opts;
+  opts.pool = &pool;
+  const auto expected = [&] {
+    DeviceGuard guard(Device::kSerial);
+    return DistanceJoin(left, right, 2.0, opts);
+  }();
 
   std::vector<std::thread> clients;
   for (int c = 0; c < 2; ++c) {
     clients.emplace_back([&] {
-      JoinOptions opts;
-      opts.parallel = true;
-      opts.pool = &pool;
       EXPECT_EQ(DistanceJoin(left, right, 2.0, opts), expected);
     });
   }

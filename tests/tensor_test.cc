@@ -7,11 +7,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <thread>
 #include <vector>
 
 #include "core/rng.h"
-#include "tensor/device.h"
+#include "core/thread_pool.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 #include "tensor/shape.h"
@@ -204,34 +203,6 @@ TEST(OpsTest, MatMulSerialEqualsParallel) {
     parallel = MatMul(a, b);
   }
   EXPECT_TRUE(AllClose(serial, parallel, 1e-4f, 1e-5f));
-}
-
-TEST(DeviceTest, GuardOverridesOnlyTheCallingThread) {
-  const Device process = GetDefaultDevice();
-  const Device other =
-      process == Device::kSerial ? Device::kParallel : Device::kSerial;
-  DeviceGuard guard(other);
-  EXPECT_EQ(GetDefaultDevice(), other);
-  Device seen = other;
-  std::thread([&seen] { seen = GetDefaultDevice(); }).join();
-  EXPECT_EQ(seen, process);
-}
-
-TEST(DeviceTest, GuardRestoresTheThreadsPreviousOverride) {
-  const Device process = GetDefaultDevice();
-  {
-    DeviceGuard outer(Device::kSerial);
-    {
-      DeviceGuard inner(Device::kParallel);
-      EXPECT_EQ(GetDefaultDevice(), Device::kParallel);
-    }
-    EXPECT_EQ(GetDefaultDevice(), Device::kSerial);
-    // With an override active, the process default is not read.
-    SetDefaultDevice(Device::kParallel);
-    EXPECT_EQ(GetDefaultDevice(), Device::kSerial);
-    SetDefaultDevice(process);
-  }
-  EXPECT_EQ(GetDefaultDevice(), process);
 }
 
 TEST(OpsTest, Transpose2d) {
