@@ -47,6 +47,24 @@ namespace {
 
 namespace ts = ::geotorch::tensor;
 
+// One fork-join of the global pool with an empty body: n = 8 items that
+// each earn a chunk, so the pool splits them min(8, threads) wide. This
+// is the fixed cost every fanned-out kernel pays per call.
+void BM_ParallelForRange(benchmark::State& state) {
+  DeviceGuard guard(Device::kParallel);
+  ThreadPool& pool = ThreadPool::Global();
+  const int64_t n = state.range(0);
+  for (auto _ : state) {
+    pool.ParallelForRange(n, [](int64_t begin, int64_t end) {
+      benchmark::DoNotOptimize(begin + end);
+    });
+  }
+}
+BENCHMARK(BM_ParallelForRange)->Arg(8)->UseRealTime();
+
+// The elementwise rows sweep 1 << 14 .. 1 << 20 elements, the range over
+// which the pool's work-size rule goes from one chunk to every worker.
+// Real time: past one chunk pool workers do part of the work.
 void BM_ElementwiseAdd(benchmark::State& state) {
   Rng rng(1);
   const int64_t n = state.range(0);
@@ -57,13 +75,16 @@ void BM_ElementwiseAdd(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_ElementwiseAdd)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_ElementwiseAdd)
+    ->Arg(1 << 12)
+    ->RangeMultiplier(2)
+    ->Range(1 << 14, 1 << 20)
+    ->UseRealTime();
 
 // ReLU forward and backward mask on zero-mean data: the sign of each
 // element is a coin flip, so a branchy select mispredicts about half
 // the time (BM_ElementwiseAdd has no data-dependent branch to miss).
-// 131072 = one ST-ResNet activation, (32, 16, 16, 16). Real time: past
-// the parallel threshold pool workers do the work.
+// 131072 = one ST-ResNet activation, (32, 16, 16, 16).
 void BM_Relu(benchmark::State& state) {
   Rng rng(11);
   const int64_t n = state.range(0);
@@ -73,7 +94,11 @@ void BM_Relu(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_Relu)->Arg(1 << 12)->Arg(131072)->Arg(1 << 20)->UseRealTime();
+BENCHMARK(BM_Relu)
+    ->Arg(1 << 12)
+    ->RangeMultiplier(2)
+    ->Range(1 << 14, 1 << 20)
+    ->UseRealTime();
 
 void BM_ReluMaskInPlace(benchmark::State& state) {
   Rng rng(12);
@@ -145,8 +170,16 @@ void BM_GemmBlockedParallel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 // Real time: pool workers do the work, so the main thread's CPU time
-// would overstate items/s.
-BENCHMARK(BM_GemmBlockedParallel)->Arg(256)->Arg(512)->UseRealTime();
+// would overstate items/s. 64..256 crosses the pool's fan-out rule (one
+// to three kMC row tiles); 512 is a whole-pool problem.
+BENCHMARK(BM_GemmBlockedParallel)
+    ->Arg(64)
+    ->Arg(96)
+    ->Arg(128)
+    ->Arg(192)
+    ->Arg(256)
+    ->Arg(512)
+    ->UseRealTime();
 
 void BM_GemmReference(benchmark::State& state) {
   Rng rng(3);

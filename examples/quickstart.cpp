@@ -3,9 +3,11 @@
 // keep the handcrafted spectral/GLCM features, train DeepSAT-V2, and
 // report test accuracy.
 //
-// Run:  ./build/examples/quickstart
+// Run:  ./build/examples/quickstart [--smoke]
+// (--smoke: a fifth of the images and one epoch, for sanitizer builds)
 
 #include <cstdio>
+#include <cstring>
 
 #include "data/dataset.h"
 #include "datasets/benchmarks.h"
@@ -16,7 +18,8 @@ namespace ds = geotorch::datasets;
 namespace models = geotorch::models;
 namespace data = geotorch::data;
 
-int main() {
+int main(int argc, char** argv) {
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   std::printf("== GeoTorch-CPP quickstart ==\n");
 
   // 1. Dataset with automatic feature extraction (Listing 1:
@@ -24,7 +27,7 @@ int main() {
   ds::RasterDatasetOptions options;
   options.include_additional_features = true;
   ds::RasterClassificationDataset eurosat =
-      ds::MakeEuroSat(/*n=*/300, options, /*seed=*/7);
+      ds::MakeEuroSat(smoke ? 60 : 300, options, /*seed=*/7);
   std::printf("dataset: %lld images, %lld bands, %lld extra features\n",
               static_cast<long long>(eurosat.Size()),
               static_cast<long long>(eurosat.bands()),
@@ -51,7 +54,7 @@ int main() {
 
   // 4. Train with Adam + early stopping (the paper's protocol).
   models::TrainConfig tc;
-  tc.max_epochs = 6;
+  tc.max_epochs = smoke ? 1 : 6;
   tc.batch_size = 16;
   tc.lr = 1e-3f;
   tc.verbose = true;

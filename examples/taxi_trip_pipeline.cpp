@@ -5,9 +5,11 @@
 // grid dataset with the periodical representation, and used to train
 // the DeepSTN+ traffic predictor.
 //
-// Run:  ./build/examples/taxi_trip_pipeline
+// Run:  ./build/examples/taxi_trip_pipeline [--smoke]
+// (--smoke: a fifth of the trips and one epoch, for sanitizer builds)
 
 #include <cstdio>
+#include <cstring>
 
 #include "core/stopwatch.h"
 #include "data/dataset.h"
@@ -27,14 +29,15 @@ namespace models = geotorch::models;
 namespace data = geotorch::data;
 namespace ts = geotorch::tensor;
 
-int main() {
+int main(int argc, char** argv) {
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   std::printf("== Raw trips -> ST tensor -> DeepSTN+ ==\n");
   geotorch::Stopwatch timer;
 
   // 1. Raw data: one month of synthetic NYC-like trip events, loaded
   //    as a partitioned DataFrame (4 "executors").
   synth::TaxiTripConfig trip_config;
-  trip_config.num_records = 150000;
+  trip_config.num_records = smoke ? 30000 : 150000;
   trip_config.duration_sec = 30LL * 24 * 3600;
   trip_config.seed = 42;
   df::DataFrame raw = synth::TripsToDataFrame(
@@ -118,7 +121,7 @@ int main() {
   models::DeepStnPlus model(mc);
 
   models::TrainConfig tc;
-  tc.max_epochs = 5;
+  tc.max_epochs = smoke ? 1 : 5;
   tc.batch_size = 32;
   tc.verbose = true;
   models::RegressionResult result =

@@ -4,9 +4,11 @@
 // the ConvLSTM nowcasting model, compared against the persistence
 // baseline (tomorrow == today).
 //
-// Run:  ./build/examples/weather_forecasting
+// Run:  ./build/examples/weather_forecasting [--smoke]
+// (--smoke: a fifth of the timesteps and one epoch, for sanitizer builds)
 
 #include <cstdio>
+#include <cstring>
 
 #include "data/dataset.h"
 #include "data/metrics.h"
@@ -20,11 +22,12 @@ namespace models = geotorch::models;
 namespace data = geotorch::data;
 namespace ts = geotorch::tensor;
 
-int main() {
+int main(int argc, char** argv) {
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   std::printf("== ConvLSTM temperature forecasting ==\n");
 
   // Scaled-down WeatherBench temperature: 16x32 grid, ~25 days hourly.
-  ds::GridDataset dataset = ds::MakeTemperature(/*timesteps=*/600,
+  ds::GridDataset dataset = ds::MakeTemperature(smoke ? 120 : 600,
                                                 /*height=*/16,
                                                 /*width=*/32, /*seed=*/11);
   auto [mn, mx] = dataset.MinMaxNormalize();
@@ -66,7 +69,7 @@ int main() {
               static_cast<long long>(model.NumParameters()));
 
   models::TrainConfig tc;
-  tc.max_epochs = 3;
+  tc.max_epochs = smoke ? 1 : 3;
   tc.batch_size = 8;
   tc.lr = 3e-3f;
   tc.verbose = true;

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -33,12 +35,6 @@ Device GetDefaultDevice();
 /// Sets the process-wide default device, which every thread without
 /// an override reads (pool workers included).
 void SetDefaultDevice(Device device);
-
-/// True when the calling thread's device is kParallel. Kernels whose
-/// serial path is a different body from their fan-out (the GEMM
-/// dispatchers, the spatial probe loop, the STR-tree sort) choose with
-/// this.
-bool OnParallelDevice();
 
 /// RAII per-thread device override (DESIGN.md §5). Sets the calling
 /// thread's override and restores the thread's previous one (or none)
@@ -70,20 +66,37 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Work of an item that earns a chunk of its own: the default for
+  /// partition-sized items (DataFrame partitions, CSV chunks, raster
+  /// planes, point ranges), which fan out min(n, num_threads()) wide.
+  static constexpr int64_t kItemIsChunk = std::numeric_limits<int64_t>::max();
+
   /// Enqueues a task; the future resolves when it completes. Submitting
   /// to a pool that is being destroyed is a checked error.
   std::future<void> Submit(std::function<void()> task);
 
-  /// Runs fn(i) for i in [0, n) across the pool and blocks until all
-  /// iterations finish. Iterations are chunked to limit scheduling
-  /// overhead. Runs inline on the calling thread when that thread's
-  /// device is kSerial, when it is a pool worker, or when the pool has
-  /// one worker. Safe to call with n == 0.
-  void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn);
+  /// Runs fn(i) for i in [0, n) in Chunks(n, work_per_item) contiguous
+  /// ranges and blocks until all iterations finish. Safe with n == 0.
+  void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn,
+                   int64_t work_per_item = kItemIsChunk);
 
-  /// Like ParallelFor but hands each worker a [begin, end) range.
-  void ParallelForRange(
-      int64_t n, const std::function<void(int64_t, int64_t)>& fn);
+  /// Like ParallelFor but hands each chunk a [begin, end) range. The
+  /// calling thread runs chunks too; the pool's workers pick up the
+  /// rest. A call nested in a chunk (on a worker, or in one the caller
+  /// runs) runs inline.
+  void ParallelForRange(int64_t n,
+                        const std::function<void(int64_t, int64_t)>& fn,
+                        int64_t work_per_item = kItemIsChunk);
+
+  /// The one fan-out rule (DESIGN.md §5): the number of equal contiguous
+  /// ranges ParallelFor[Range] splits n items of `work_per_item`
+  /// multiply-adds each into. It is min(n, num_threads(), n *
+  /// work_per_item / a private minimum chunk of work), at least 1, and 1
+  /// on the serial device, on a pool worker and inside a running chunk.
+  /// 0 when n <= 0. Kernels whose serial path is a different body (the
+  /// GEMM dispatchers, the spatial probe loop, the STR-tree sort) take it
+  /// when this returns 1.
+  int64_t Chunks(int64_t n, int64_t work_per_item = kItemIsChunk) const;
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
@@ -91,10 +104,15 @@ class ThreadPool {
   static ThreadPool& Global();
 
  private:
-  /// A queued task plus its enqueue timestamp (0 when observability is
-  /// off — the latency histogram is skipped for such tasks).
+  /// One ParallelForRange call; shared by the caller and its tickets.
+  struct Job;
+
+  /// A queued Submit task or a ParallelForRange ticket (a claim on one
+  /// chunk of `job`), plus its enqueue timestamp (0 when observability
+  /// is off — the latency histogram is skipped for such entries).
   struct PendingTask {
     std::packaged_task<void()> task;
+    std::shared_ptr<Job> job;
     int64_t enqueue_ns = 0;
   };
 

@@ -67,8 +67,12 @@ struct Checkpoint {
   const double* FindFloat(const std::string& name) const;
 };
 
-/// Serializes `ckpt` to `path` (atomically enough for our purposes:
-/// buffer fully in memory, then one write).
+/// Serializes `ckpt` to `path`. The bytes go to a sibling temp file
+/// that is renamed over `path` once closed, so a concurrent reader (a
+/// fleet reload racing a trainer's per-epoch write) opens the old file
+/// or the new one, never a torn one, and a crash mid-write leaves `path`
+/// as it was. There is no fsync: the guarantee covers process crashes,
+/// not power loss. On error the temp file is removed.
 Status WriteCheckpoint(const std::string& path, const Checkpoint& ckpt);
 
 /// Parses a checkpoint written by WriteCheckpoint. Any structural

@@ -10,23 +10,11 @@
 namespace geotorch::optim {
 namespace {
 
-// Minimum parameter count before an update loop bothers with the pool;
-// matches the elementwise kernels' threshold order of magnitude.
-constexpr int64_t kParallelThreshold = 1 << 14;
-
-// Runs `fn` over [0, n), chunked across the thread pool when large
-// enough. Every optimizer update below is elementwise (element j depends
-// only on index j of the parameter/grad/state buffers), so the split is
-// bitwise deterministic regardless of chunking.
-template <typename Fn>
-void ForRange(int64_t n, Fn&& fn) {
-  if (n >= kParallelThreshold) {
-    ThreadPool::Global().ParallelForRange(
-        n, [&fn](int64_t begin, int64_t end) { fn(begin, end); });
-  } else {
-    fn(0, n);
-  }
-}
+// Work of one parameter's update for the pool's fan-out rule, in GEMM
+// multiply-adds (DESIGN.md §5): the old 1 << 14-parameter threshold then
+// weighs 1 << 18, the old GEMM one. Every update below is elementwise, so
+// any chunking gives the same bits.
+constexpr int64_t kParamWork = 16;
 
 // Flattens a per-parameter state list into ("<kind>.<i>", tensor)
 // pairs for checkpointing; the tensors alias the optimizer's buffers.
@@ -92,21 +80,23 @@ void Sgd::Step() {
       const float momentum = momentum_;
       const float weight_decay = weight_decay_;
       const float lr = lr_;
-      ForRange(n, [=](int64_t begin, int64_t end) {
+      const auto update = [=](int64_t begin, int64_t end) {
         for (int64_t j = begin; j < end; ++j) {
           const float grad = g[j] + weight_decay * w[j];
           v[j] = momentum * v[j] + grad;
           w[j] -= lr * v[j];
         }
-      });
+      };
+      ThreadPool::Global().ParallelForRange(n, update, kParamWork);
     } else {
       const float weight_decay = weight_decay_;
       const float lr = lr_;
-      ForRange(n, [=](int64_t begin, int64_t end) {
+      const auto update = [=](int64_t begin, int64_t end) {
         for (int64_t j = begin; j < end; ++j) {
           w[j] -= lr * (g[j] + weight_decay * w[j]);
         }
-      });
+      };
+      ThreadPool::Global().ParallelForRange(n, update, kParamWork);
     }
   }
 }
@@ -151,7 +141,7 @@ void Adam::Step() {
     const float eps = eps_;
     const float weight_decay = weight_decay_;
     const float lr = lr_;
-    ForRange(n, [=](int64_t begin, int64_t end) {
+    const auto update = [=](int64_t begin, int64_t end) {
       for (int64_t j = begin; j < end; ++j) {
         const float grad = g[j] + weight_decay * w[j];
         m[j] = beta1 * m[j] + (1.0f - beta1) * grad;
@@ -160,7 +150,8 @@ void Adam::Step() {
         const float v_hat = v[j] / bc2;
         w[j] -= lr * m_hat / (std::sqrt(v_hat) + eps);
       }
-    });
+    };
+    ThreadPool::Global().ParallelForRange(n, update, kParamWork);
   }
 }
 
@@ -193,12 +184,13 @@ void RmsProp::Step() {
     const float alpha = alpha_;
     const float eps = eps_;
     const float lr = lr_;
-    ForRange(n, [=](int64_t begin, int64_t end) {
+    const auto update = [=](int64_t begin, int64_t end) {
       for (int64_t j = begin; j < end; ++j) {
         s[j] = alpha * s[j] + (1.0f - alpha) * g[j] * g[j];
         w[j] -= lr * g[j] / (std::sqrt(s[j]) + eps);
       }
-    });
+    };
+    ThreadPool::Global().ParallelForRange(n, update, kParamWork);
   }
 }
 

@@ -9,24 +9,25 @@
 namespace geotorch::spatial {
 namespace {
 
-/// Runs `probe(i, buffer)` for every probe index in [0, n). On the
-/// parallel device it fans contiguous index chunks out across the pool
-/// with one result buffer per chunk, then concatenates the buffers in
-/// chunk order. Within a chunk the probe loop is the serial loop;
-/// chunks partition [0, n) in order — so the merged output equals the
-/// serial output row for row, for any chunk count and any pool size.
+/// Runs `probe(i, buffer)` for every probe index in [0, n). When the
+/// pool would fan out (ThreadPool::Chunks) it spreads contiguous index
+/// chunks across the pool with one result buffer per chunk, then
+/// concatenates the buffers in chunk order. Within a chunk the probe
+/// loop is the serial loop; chunks partition [0, n) in order — so the
+/// merged output equals the serial output row for row, for any chunk
+/// count and any pool size.
 template <typename Pair, typename ProbeFn>
 std::vector<Pair> RunProbes(int64_t n, const JoinOptions& options,
                             const ProbeFn& probe) {
   GEO_OBS_SPAN(probe_span, "spatial.probe");
   GEO_OBS_COUNT("spatial.probes", n);
+  ThreadPool& pool =
+      options.pool != nullptr ? *options.pool : ThreadPool::Global();
   std::vector<Pair> out;
-  if (n == 0 || !OnParallelDevice()) {
+  if (pool.Chunks(n) <= 1) {
     for (int64_t i = 0; i < n; ++i) probe(i, out);
     return out;
   }
-  ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : ThreadPool::Global();
   const int64_t chunks =
       std::min<int64_t>(n, int64_t{4} * pool.num_threads());
   const int64_t per = (n + chunks - 1) / chunks;

@@ -13,23 +13,20 @@
 namespace geotorch::spatial {
 namespace {
 
-// Below this many elements a parallel sort is pure overhead.
-constexpr int64_t kParallelSortMin = 1 << 13;
+// Work of sorting one id for the pool's fan-out rule, in GEMM
+// multiply-adds (DESIGN.md §5): the old 1 << 13-id threshold then weighs
+// 1 << 18, the old GEMM one.
+constexpr int64_t kSortWorkPerId = 32;
 
 /// Sorts `data[0, n)` with `less`, fanning the initial chunk sorts and
-/// the pairwise merge passes out over `pool` (one std::sort on the
-/// serial device). `less` must be a strict total order: the sorted
-/// permutation is then unique, so the result cannot depend on the
-/// chunking or on how many workers the pool has.
+/// the pairwise merge passes out over `pool` (one std::sort when the
+/// pool gives one chunk: small arrays, the serial device, a nested
+/// call). `less` must be a strict total order: the sorted permutation
+/// is then unique, so the result cannot depend on the chunking or on
+/// how many workers the pool has.
 template <typename Less>
 void SortIds(int32_t* data, int64_t n, const Less& less, ThreadPool& pool) {
-  if (n < kParallelSortMin || !OnParallelDevice()) {
-    std::sort(data, data + n, less);
-    return;
-  }
-  const int64_t chunks =
-      std::min<int64_t>(pool.num_threads(), (n + kParallelSortMin - 1) /
-                                                kParallelSortMin);
+  const int64_t chunks = pool.Chunks(n, kSortWorkPerId);
   if (chunks <= 1) {
     std::sort(data, data + n, less);
     return;

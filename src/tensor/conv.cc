@@ -21,17 +21,11 @@ namespace {
 // order is the same on every device and host.
 constexpr int64_t kConvGradParts = 8;
 
-// Per-sample (or per-plane) loops. Matmuls issued from inside the loop
-// body still go through Gemm(); nested parallel dispatch collapses to
-// serial on pool workers, so samples parallelize across the pool and
-// each sample's GEMM runs serially within its worker.
-void ForEachSample(int64_t n, const std::function<void(int64_t)>& fn) {
-  if (n > 1) {
-    ThreadPool::Global().ParallelFor(n, fn);
-  } else {
-    for (int64_t i = 0; i < n; ++i) fn(i);
-  }
-}
+// Sample and plane loops go to the pool with their multiply-adds as the
+// per-item work (DESIGN.md §5). Matmuls issued from inside a loop body
+// still go through Gemm(); a call nested in a pool chunk runs serially
+// there, so samples spread over the pool and each sample's GEMM runs on
+// the thread that took it.
 
 // Output positions o in [lo, hi) whose input tap o*stride + k - padding
 // lands inside [0, in). Computed once per kernel tap, so the im2col and
@@ -249,7 +243,7 @@ Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& bias,
   if (direct) GEO_OBS_COUNT("fusion.conv_1x1", d.n);
   const bool implicit =
       !direct && (spec.stride == 1 || d.ck <= kImplicitGatherMaxK);
-  ForEachSample(d.n, [&](int64_t i) {
+  const auto sample = [&](int64_t i) {
     float* out_i = po + i * f * d.l;
     const float* plane = px + i * c * h * wd;
     GemmOptions opts;
@@ -267,7 +261,8 @@ Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& bias,
       Im2ColInto(x, i, kh, kw, spec, cols);
       Gemm(pw, cols, out_i, f, d.ck, d.l, opts);
     }
-  });
+  };
+  ThreadPool::Global().ParallelFor(d.n, sample, f * d.ck * d.l);
   return out;
 }
 
@@ -301,13 +296,14 @@ Tensor Conv2dForwardInt8(const Tensor& x, const Int8ConvWeights& w,
   ep.leaky_slope = leaky_slope;
   const float* px = x.data();
   float* po = out.data();
-  ForEachSample(d.n, [&](int64_t i) {
+  const auto sample = [&](int64_t i) {
     int8_t* plane = xq + i * plane_size;
     QuantizeInt8(px + i * plane_size, plane_size, act_scale, plane);
     const ConvImageView<int8_t> view =
         MakeConvView(plane, w.c, h, wd, w.kh, w.kw, spec, d.oh, d.ow);
     ConvDirectInt8(view, w, act_scale, po + i * w.f * d.l, &ep);
-  });
+  };
+  ThreadPool::Global().ParallelFor(d.n, sample, w.f * d.ck * d.l);
   return out;
 }
 
@@ -371,7 +367,7 @@ Conv2dGrads Conv2dBackward(const Tensor& grad_out, const Tensor& x,
     if (has_bias) gb_parts.push_back(Tensor::Zeros({f}));
   }
 
-  ForEachSample(parts, [&](int64_t part) {
+  const auto part_grads = [&](int64_t part) {
     float* gw = gw_parts[part].data();
     float* gb = has_bias ? gb_parts[part].data() : nullptr;
     const int64_t end = std::min<int64_t>(n, (part + 1) * per);
@@ -410,7 +406,8 @@ Conv2dGrads Conv2dBackward(const Tensor& grad_out, const Tensor& x,
         }
       }
     }
-  });
+  };
+  ThreadPool::Global().ParallelFor(parts, part_grads, per * f * ck * l);
 
   for (int64_t t = 0; t < parts; ++t) {
     grads.grad_w.Reshape({f, ck}).AddInPlace(gw_parts[t]);
@@ -441,13 +438,14 @@ Tensor ConvTranspose2dForward(const Tensor& x, const Tensor& w,
   const int64_t l = h * wd;
   const float* px = x.data();
   const float* pw = w.data();
-  ForEachSample(n, [&](int64_t i) {
+  const auto sample = [&](int64_t i) {
     // cols = W^T (fk, c) x x[i] (c, l); W (c, fk) is consumed
     // transposed in place of the old materialized (fk, c) matrix.
     float* cols = ThreadLocalWorkspace(kWorkspaceConvCols, fk * l);
     Gemm(pw, px + i * c * l, cols, fk, c, l, {.beta = 0.0f, .trans_a = true});
     Col2ImAddRaw(cols, out, i, kh, kw, spec);
-  });
+  };
+  ThreadPool::Global().ParallelFor(n, sample, fk * c * l);
   if (has_bias) {
     GEO_CHECK_EQ(bias.numel(), f);
     float* po = out.data();
@@ -545,9 +543,8 @@ std::pair<Tensor, std::vector<int64_t>> MaxPool2dForward(const Tensor& x,
   const float* px = x.data();
   float* po = out.data();
   int64_t* pam = argmax.data();
-  // Each (n, c) plane is independent; parallelize with the same device
-  // gate as the conv sample loops.
-  ForEachSample(n * c, [&](int64_t nc) {
+  // Each (n, c) plane is independent.
+  const auto per_plane = [&](int64_t nc) {
     const float* plane = px + nc * h * w;
     const int64_t plane_off = nc * h * w;
     int64_t oidx = nc * oh * ow;
@@ -569,7 +566,8 @@ std::pair<Tensor, std::vector<int64_t>> MaxPool2dForward(const Tensor& x,
         ++oidx;
       }
     }
-  });
+  };
+  ThreadPool::Global().ParallelFor(n * c, per_plane, h * w);
   return {out, std::move(argmax)};
 }
 
@@ -584,7 +582,7 @@ Tensor MaxPool2dEval(const Tensor& x, int64_t kernel) {
   // same order, each kept by `v > best ? v : best` exactly where the
   // argmax loop's `if (v > best)` keeps it, so NaN and -0/+0 resolve
   // the same and the output is bitwise equal.
-  ForEachSample(x.size(0) * x.size(1), [&](int64_t nc) {
+  const auto per_plane = [&](int64_t nc) {
     const float* plane = px + nc * oh * kernel * w;
     float* out_plane = po + nc * oh * ow;
     for (int64_t oi = 0; oi < oh; ++oi) {
@@ -616,7 +614,9 @@ Tensor MaxPool2dEval(const Tensor& x, int64_t kernel) {
         orow[oj] = best;
       }
     }
-  });
+  };
+  ThreadPool::Global().ParallelFor(x.size(0) * x.size(1), per_plane,
+                                   kernel * kernel * oh * ow);
   return out;
 }
 
@@ -645,7 +645,7 @@ Tensor AvgPool2dForward(const Tensor& x, int64_t kernel) {
   const float inv = 1.0f / static_cast<float>(kernel * kernel);
   const float* px = x.data();
   float* po = out.data();
-  ForEachSample(n * c, [&](int64_t nc) {
+  const auto per_plane = [&](int64_t nc) {
     const float* plane = px + nc * h * w;
     float* out_plane = po + nc * oh * ow;
     for (int64_t oi = 0; oi < oh; ++oi) {
@@ -659,7 +659,8 @@ Tensor AvgPool2dForward(const Tensor& x, int64_t kernel) {
         out_plane[oi * ow + oj] = acc * inv;
       }
     }
-  });
+  };
+  ThreadPool::Global().ParallelFor(n * c, per_plane, h * w);
   return out;
 }
 
@@ -675,7 +676,7 @@ Tensor AvgPool2dBackward(const Tensor& grad_out, const Shape& input_shape,
   const float inv = 1.0f / static_cast<float>(kernel * kernel);
   const float* pg = grad_out.data();
   float* px = grad_x.data();
-  ForEachSample(n * c, [&](int64_t nc) {
+  const auto per_plane = [&](int64_t nc) {
     const float* g_plane = pg + nc * oh * ow;
     float* x_plane = px + nc * h * w;
     for (int64_t oi = 0; oi < oh; ++oi) {
@@ -688,7 +689,8 @@ Tensor AvgPool2dBackward(const Tensor& grad_out, const Shape& input_shape,
         }
       }
     }
-  });
+  };
+  ThreadPool::Global().ParallelFor(n * c, per_plane, h * w);
   return grad_x;
 }
 
@@ -701,7 +703,7 @@ Tensor UpsampleNearest2x(const Tensor& x) {
   Tensor out = Tensor::Uninitialized({n, c, h * 2, w * 2});
   const float* px = x.data();
   float* po = out.data();
-  ForEachSample(n * c, [&](int64_t nc) {
+  const auto per_plane = [&](int64_t nc) {
     const float* in_plane = px + nc * h * w;
     float* out_plane = po + nc * h * w * 4;
     for (int64_t i = 0; i < h; ++i) {
@@ -714,7 +716,8 @@ Tensor UpsampleNearest2x(const Tensor& x) {
         base[2 * w + 1] = v;
       }
     }
-  });
+  };
+  ThreadPool::Global().ParallelFor(n * c, per_plane, 4 * h * w);
   return out;
 }
 
@@ -730,7 +733,7 @@ Tensor UpsampleNearest2xBackward(const Tensor& grad_out) {
   Tensor grad_x = Tensor::Zeros({n, c, h, w});
   const float* pg = grad_out.data();
   float* px = grad_x.data();
-  ForEachSample(n * c, [&](int64_t nc) {
+  const auto per_plane = [&](int64_t nc) {
     const float* g_plane = pg + nc * oh * ow;
     float* x_plane = px + nc * h * w;
     for (int64_t i = 0; i < h; ++i) {
@@ -739,7 +742,8 @@ Tensor UpsampleNearest2xBackward(const Tensor& grad_out) {
         x_plane[i * w + j] = base[0] + base[1] + base[ow] + base[ow + 1];
       }
     }
-  });
+  };
+  ThreadPool::Global().ParallelFor(n * c, per_plane, oh * ow);
   return grad_x;
 }
 

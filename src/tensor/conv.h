@@ -98,8 +98,8 @@ ConvTranspose2dGrads ConvTranspose2dBackward(const Tensor& grad_out,
 
 /// Max pooling with stride == kernel. Returns the pooled tensor and the
 /// flat input offset of each winner (needed by the backward pass).
-/// Pooling and upsampling kernels parallelize over the N*C plane loop
-/// on Device::kParallel, with the same gate as the conv sample loops.
+/// Pooling and upsampling kernels spread the N*C plane loop over the
+/// pool, each plane weighted by its size (ThreadPool::Chunks).
 std::pair<Tensor, std::vector<int64_t>> MaxPool2dForward(const Tensor& x,
                                                          int64_t kernel);
 

@@ -16,15 +16,14 @@
 // packing stage, so callers never materialize a transpose.
 //
 // Parallel execution tiles the M×N macro-block grid across the thread
-// pool; each task packs into its own per-thread workspace. Nested calls
-// from pool workers (per-sample conv loops) collapse to serial inside
-// ThreadPool::ParallelForRange, so the kernel is re-entrant under the
-// device dispatch rules in DESIGN.md.
+// pool; each chunk packs into its own per-thread workspace. The pool
+// decides the fan-out (ThreadPool::Chunks): a call nested in a pool
+// chunk (per-sample conv loops) runs the whole region serially, so the
+// kernel is re-entrant under the dispatch rules in DESIGN.md §5.
 
 #include "tensor/gemm.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "core/check.h"
 #include "core/memory.h"
@@ -401,18 +400,6 @@ void ConvDirectKernel(const float* a, const ConvImageView<float>& b, float* c,
   }
 }
 
-// Runs fn over [0, tiles) in ranges. Problems of at least
-// kParallelMinWork spread the ranges over the pool; the serial device
-// and pool workers run them inline (ThreadPool::ParallelForRange).
-void ForEachTileRange(int64_t tiles, int64_t work,
-                      const std::function<void(int64_t, int64_t)>& fn) {
-  if (work >= kParallelMinWork && tiles > 1) {
-    ThreadPool::Global().ParallelForRange(tiles, fn);
-  } else {
-    fn(0, tiles);
-  }
-}
-
 // C := beta*C for the degenerate k == 0 case.
 void ScaleC(float* c, int64_t count, float beta) {
   if (beta == 0.0f) {
@@ -428,20 +415,21 @@ void GemmBlocked(const OperandView& v, float* c, const GemmOptions& opts,
                  int64_t work) {
   const int64_t mt = CeilDiv(v.m, kMC);
   const int64_t nt = CeilDiv(v.n, kNC);
-  const bool parallel =
-      OnParallelDevice() && work >= kParallelMinWork && mt * nt > 1;
-  if (!parallel) {
+  const int64_t tile_work = work / (mt * nt);
+  ThreadPool& pool = ThreadPool::Global();
+  if (pool.Chunks(mt * nt, tile_work) <= 1) {
     GEO_OBS_COUNT("gemm.path.blocked_serial", 1);
     GemmRegion(v, c, opts.beta, 0, v.m, 0, v.n, opts.epilogue);
     return;
   }
   GEO_OBS_COUNT("gemm.path.blocked_parallel", 1);
-  ThreadPool::Global().ParallelFor(mt * nt, [&](int64_t t) {
+  const auto tile = [&](int64_t t) {
     const int64_t ti = t / nt;
     const int64_t tj = t % nt;
     GemmRegion(v, c, opts.beta, ti * kMC, std::min(v.m, (ti + 1) * kMC),
                tj * kNC, std::min(v.n, (tj + 1) * kNC), opts.epilogue);
-  });
+  };
+  pool.ParallelFor(mt * nt, tile, tile_work);
 }
 
 }  // namespace
@@ -525,7 +513,8 @@ void ConvBackwardWeight(const float* g, const ConvImageView<float>& b,
     for (int64_t fi = 0; fi < m; ++fi) row[fi] = g[fi * n + j];
     for (int64_t fi = m; fi < mp; ++fi) row[fi] = 0.0f;
   }
-  ForEachTileRange(CeilDiv(k, kMR), m * n * k, [&](int64_t t0, int64_t t1) {
+  const int64_t tiles = CeilDiv(k, kMR);
+  const auto tile_range = [&](int64_t t0, int64_t t1) {
     int32_t pos[kKC];  // padded-image offset of each output position
     for (int64_t pc = 0; pc < n; pc += kKC) {
       const int64_t kc = std::min(kKC, n - pc);
@@ -571,7 +560,8 @@ void ConvBackwardWeight(const float* g, const ConvImageView<float>& b,
         }
       }
     }
-  });
+  };
+  ThreadPool::Global().ParallelForRange(tiles, tile_range, m * n * k / tiles);
 }
 
 int64_t ConvBackwardInputWSize(const ConvImageView<float>& b, int64_t m) {
@@ -677,7 +667,7 @@ void ConvBackwardInput(const float* w_packed, const float* g,
   const int64_t gws = b.w + 2 * b.pad;  // padded image-gradient row
   const int64_t plane = b.h * gws;
   float* gxp = ThreadLocalWorkspace(kWorkspaceIm2Col, ctiles * kMR * plane);
-  ForEachTileRange(ctiles, m * n * b.K(), [&](int64_t t0, int64_t t1) {
+  const auto tile_range = [&](int64_t t0, int64_t t1) {
     std::fill(gxp + t0 * kMR * plane, gxp + t1 * kMR * plane, 0.0f);
     for (int64_t ct = t0; ct < t1; ++ct) {
       for (int64_t ki = 0; ki < b.kh; ++ki) {
@@ -713,7 +703,9 @@ void ConvBackwardInput(const float* w_packed, const float* g,
                          static_cast<size_t>(b.w) * sizeof(float));
       }
     }
-  });
+  };
+  ThreadPool::Global().ParallelForRange(ctiles, tile_range,
+                                        m * n * b.K() / ctiles);
 }
 
 }  // namespace geotorch::tensor

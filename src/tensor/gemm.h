@@ -233,8 +233,8 @@ void ConvDirectInt8(const ConvImageView<int8_t>& b, const Int8ConvWeights& w,
 /// merge of the blocked Gemm it replaces, so the results are bitwise
 /// those of im2col + Gemm (+ col2im). Callers route only stride-1
 /// problems with m·K·N >= kBlockedMinWork here; below that, Gemm's
-/// reference loop rounds differently. On Device::kParallel, a call made
-/// outside a pool worker splits its disjoint tiles across the pool.
+/// reference loop rounds differently. The pool splits the disjoint
+/// tiles across its workers when ThreadPool::Chunks allows.
 ///
 /// Weight gradient: gw (m, b.K()) += g · im2col(b)ᵀ, as
 /// Gemm(g, cols, gw, m, b.N(), b.K(), {.beta = 1, .trans_b = true}).
@@ -268,9 +268,6 @@ inline constexpr int64_t kNC = 512;  // B block columns   (KC×NC panel in L3)
 // Problems with m*n*k below this run the reference loop (packing would
 // dominate); at or above it the blocked kernel engages.
 inline constexpr int64_t kBlockedMinWork = int64_t{1} << 15;
-
-// Minimum m*n*k before the M×N macro-tile grid is spread over the pool.
-inline constexpr int64_t kParallelMinWork = int64_t{1} << 18;
 
 // The int8 kernel widens the register tile to kNRLp columns (its
 // micro-kernel targets 512-bit lanes) and blocks K at kKCInt8 so the

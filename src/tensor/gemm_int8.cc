@@ -261,18 +261,19 @@ void GemmInt8Impl(const Int8View& v, float* c, const Int8GemmOptions& opts) {
   GEO_OBS_COUNT("gemm.flops", 2 * work);
   const int64_t mt = CeilDiv(v.m, kMC);
   const int64_t nt = CeilDiv(v.n, kNC);
-  const bool parallel =
-      OnParallelDevice() && work >= kParallelMinWork && mt * nt > 1;
-  if (!parallel) {
+  const int64_t tile_work = work / (mt * nt);
+  ThreadPool& pool = ThreadPool::Global();
+  if (pool.Chunks(mt * nt, tile_work) <= 1) {
     GemmRegionInt8(v, c, opts.beta, 0, v.m, 0, v.n);
     return;
   }
-  ThreadPool::Global().ParallelFor(mt * nt, [&](int64_t t) {
+  const auto tile = [&](int64_t t) {
     const int64_t ti = t / nt;
     const int64_t tj = t % nt;
     GemmRegionInt8(v, c, opts.beta, ti * kMC, std::min(v.m, (ti + 1) * kMC),
                    tj * kNC, std::min(v.n, (tj + 1) * kNC));
-  });
+  };
+  pool.ParallelFor(mt * nt, tile, tile_work);
 }
 
 // --- Direct int8 convolution ----------------------------------------------

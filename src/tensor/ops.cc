@@ -11,17 +11,10 @@
 namespace geotorch::tensor {
 namespace {
 
-// Minimum element count before a kernel bothers with the thread pool.
-constexpr int64_t kParallelThreshold = 1 << 15;
-
-// Runs fn over [0, n) ranges, on the pool when profitable.
-void RunRanges(int64_t n, const std::function<void(int64_t, int64_t)>& fn) {
-  if (n >= kParallelThreshold) {
-    ThreadPool::Global().ParallelForRange(n, fn);
-  } else {
-    fn(0, n);
-  }
-}
+// Work of one elementwise element for the pool's fan-out rule, in GEMM
+// multiply-adds (DESIGN.md §5): the old 1 << 15-element threshold then
+// weighs 1 << 18, the old GEMM one.
+constexpr int64_t kElementWork = 8;
 
 // Aligned (right-justified) strides of `shape` against a broadcast result
 // of rank `rank`; broadcast dimensions get stride 0.
@@ -42,10 +35,11 @@ Tensor BinaryBroadcastOp(const Tensor& a, const Tensor& b, BinaryFn fn) {
     const float* pa = a.data();
     const float* pb = b.data();
     float* po = out.data();
-    RunRanges(a.numel(), [&](int64_t begin, int64_t end) {
+    const auto range = [&](int64_t begin, int64_t end) {
       const BinaryFn f = fn;  // local copy: po stores cannot alias it
       for (int64_t i = begin; i < end; ++i) po[i] = f(pa[i], pb[i]);
-    });
+    };
+    ThreadPool::Global().ParallelForRange(a.numel(), range, kElementWork);
     return out;
   }
   const Shape out_shape = BroadcastShapes(a.shape(), b.shape());
@@ -58,7 +52,7 @@ Tensor BinaryBroadcastOp(const Tensor& a, const Tensor& b, BinaryFn fn) {
   const float* pb = b.data();
   float* po = out.data();
   const int64_t n = out.numel();
-  RunRanges(n, [&](int64_t begin, int64_t end) {
+  const auto range = [&](int64_t begin, int64_t end) {
     std::vector<int64_t> index(rank, 0);
     // Decompose `begin` into a multi-index once, then iterate.
     int64_t rem = begin;
@@ -85,7 +79,8 @@ Tensor BinaryBroadcastOp(const Tensor& a, const Tensor& b, BinaryFn fn) {
         ib -= sb[d] * out_shape[d];
       }
     }
-  });
+  };
+  ThreadPool::Global().ParallelForRange(n, range, kElementWork);
   return out;
 }
 
@@ -94,10 +89,11 @@ Tensor UnaryOp(const Tensor& a, UnaryFn fn) {
   Tensor out = Tensor::Uninitialized(a.shape());
   const float* pa = a.data();
   float* po = out.data();
-  RunRanges(a.numel(), [&](int64_t begin, int64_t end) {
+  const auto range = [&](int64_t begin, int64_t end) {
     const UnaryFn f = fn;  // local copy: po stores cannot alias it
     for (int64_t i = begin; i < end; ++i) po[i] = f(pa[i]);
-  });
+  };
+  ThreadPool::Global().ParallelForRange(a.numel(), range, kElementWork);
   return out;
 }
 
@@ -184,13 +180,14 @@ void BinaryInPlace(Tensor& a, const Tensor& b, const char* name, BinaryFn fn) {
       << ShapeToString(b.shape());
   float* pd = a.data();
   const float* ps = b.data();
-  RunRanges(a.numel(), [&](int64_t begin, int64_t end) {
+  const auto range = [&](int64_t begin, int64_t end) {
     // A local copy of fn (and of any scalar it captures, e.g. a slope):
     // read through the outer capture it could alias the pd stores, and
     // the loop would not vectorize.
     const BinaryFn f = fn;
     for (int64_t i = begin; i < end; ++i) pd[i] = f(pd[i], ps[i]);
-  });
+  };
+  ThreadPool::Global().ParallelForRange(a.numel(), range, kElementWork);
 }
 
 }  // namespace
@@ -201,9 +198,10 @@ void MulInPlace(Tensor& a, const Tensor& b) {
 
 void NegInPlace(Tensor& a) {
   float* pd = a.data();
-  RunRanges(a.numel(), [&](int64_t begin, int64_t end) {
+  const auto range = [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) pd[i] = -pd[i];
-  });
+  };
+  ThreadPool::Global().ParallelForRange(a.numel(), range, kElementWork);
 }
 
 void AddScaledInPlace(Tensor& a, const Tensor& b, float s) {
@@ -239,7 +237,7 @@ Tensor BroadcastTo(const Tensor& a, const Shape& shape) {
   const std::vector<int64_t> so = ContiguousStrides(shape);
   const float* pa = a.data();
   float* po = out.data();
-  RunRanges(out.numel(), [&](int64_t begin, int64_t end) {
+  const auto range = [&](int64_t begin, int64_t end) {
     std::vector<int64_t> index(rank, 0);
     int64_t rem = begin;
     for (size_t d = 0; d < rank; ++d) {
@@ -258,7 +256,8 @@ Tensor BroadcastTo(const Tensor& a, const Shape& shape) {
         ia -= sa[d] * shape[d];
       }
     }
-  });
+  };
+  ThreadPool::Global().ParallelForRange(out.numel(), range, kElementWork);
   return out;
 }
 

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <future>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -347,6 +349,179 @@ TEST(DeviceTest, SerialDeviceKeepsSpatialAndDataFrameWorkOffThePool) {
     EXPECT_EQ(std::memcmp(s.data(), p.data(), s.size() * sizeof(double)), 0)
         << column;
   }
+}
+
+// --- Fork-join --------------------------------------------------------------
+
+// One ParallelForRange call as the test saw it: each range handed out
+// (sorted by begin), the thread that ran it, and the pool tasks the call
+// submitted.
+struct ForkJoinRecord {
+  std::vector<std::pair<int64_t, int64_t>> ranges;
+  std::vector<std::thread::id> threads;
+  int64_t tasks = 0;
+};
+
+ForkJoinRecord RecordForkJoin(ThreadPool& pool, int64_t n,
+                              int64_t work_per_item) {
+  std::mutex mu;
+  std::vector<std::pair<std::pair<int64_t, int64_t>, std::thread::id>> runs;
+  const int64_t before = TasksSubmitted();
+  pool.ParallelForRange(
+      n,
+      [&](int64_t begin, int64_t end) {
+        std::lock_guard<std::mutex> lock(mu);
+        runs.push_back({{begin, end}, std::this_thread::get_id()});
+      },
+      work_per_item);
+  ForkJoinRecord rec;
+  rec.tasks = TasksSubmitted() - before;
+  std::sort(runs.begin(), runs.end());
+  for (const auto& [range, thread] : runs) {
+    rec.ranges.push_back(range);
+    rec.threads.push_back(thread);
+  }
+  return rec;
+}
+
+// Every pool size from 1 to 8, sizes around the worker count, and two
+// per-item costs: one that earns each item a chunk, and one far too
+// small to fan out. A call hands out Chunks(n, w) contiguous ranges of
+// ceil(n / chunks) items covering [0, n) once, submits one task per
+// chunk past the first, and runs one of the ranges on the caller.
+TEST(ForkJoinTest, SplitsAsChunksSaysAndTheCallerRunsARange) {
+  ScopedObsOn obs_on;
+  DeviceGuard parallel(Device::kParallel);
+  for (int threads = 1; threads <= 8; ++threads) {
+    ThreadPool pool(threads);
+    for (const int64_t n : {0, 1, threads - 1, threads, threads + 1, 1000}) {
+      for (const int64_t work : {ThreadPool::kItemIsChunk, int64_t{1}}) {
+        SCOPED_TRACE(testing::Message() << threads << " threads, n " << n
+                                        << ", work " << work);
+        const int64_t chunks = pool.Chunks(n, work);
+        if (n <= 0) {
+          EXPECT_EQ(chunks, 0);
+        } else if (work == 1) {
+          EXPECT_EQ(chunks, 1);
+        } else {
+          // min(n, threads) wide, less any chunk equal ranges leave empty.
+          const int64_t wide = std::min<int64_t>(n, threads);
+          const int64_t per = (n + wide - 1) / wide;
+          EXPECT_EQ(chunks, (n + per - 1) / per);
+        }
+        const ForkJoinRecord rec = RecordForkJoin(pool, n, work);
+        ASSERT_EQ(static_cast<int64_t>(rec.ranges.size()), chunks);
+        EXPECT_EQ(rec.tasks, std::max<int64_t>(chunks - 1, 0));
+        const int64_t per = chunks > 0 ? (n + chunks - 1) / chunks : 0;
+        int64_t next = 0;
+        for (const auto& [begin, end] : rec.ranges) {
+          EXPECT_EQ(begin, next);
+          EXPECT_EQ(end, std::min(n, begin + per));
+          next = end;
+        }
+        EXPECT_EQ(next, n);
+        if (chunks > 0) {
+          EXPECT_NE(std::find(rec.threads.begin(), rec.threads.end(),
+                              std::this_thread::get_id()),
+                    rec.threads.end());
+        }
+      }
+    }
+  }
+}
+
+TEST(ForkJoinTest, ChunksIsOneOnTheSerialDeviceAndNeverWiderThanThePool) {
+  ThreadPool pool(4);
+  {
+    DeviceGuard serial(Device::kSerial);
+    EXPECT_EQ(pool.Chunks(1000), 1);
+    EXPECT_EQ(pool.Chunks(0), 0);
+  }
+  DeviceGuard parallel(Device::kParallel);
+  EXPECT_EQ(pool.Chunks(1000), 4);
+  EXPECT_EQ(pool.Chunks(1000, 1), 1);
+  // More work per item never means fewer chunks.
+  int64_t last = 1;
+  for (int64_t work = 1; work < (int64_t{1} << 40); work *= 2) {
+    const int64_t chunks = pool.Chunks(1000, work);
+    EXPECT_GE(chunks, last) << work;
+    EXPECT_LE(chunks, 4) << work;
+    last = chunks;
+  }
+  EXPECT_EQ(last, 4);
+}
+
+// Four threads outside the pool fork-join on one shared pool at once;
+// every call still covers its range exactly once.
+TEST(ForkJoinTest, FourOutsideThreadsShareOnePool) {
+  DeviceGuard parallel(Device::kParallel);
+  ThreadPool pool(3);
+  constexpr int kCallers = 4;
+  constexpr int kCalls = 200;
+  constexpr int64_t kN = 1000;
+  std::vector<std::vector<int>> hits(kCallers, std::vector<int>(kN, 0));
+  std::atomic<int> bad{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      DeviceGuard caller_parallel(Device::kParallel);
+      for (int call = 0; call < kCalls; ++call) {
+        std::vector<std::atomic<int>> seen(kN);
+        pool.ParallelFor(kN, [&](int64_t i) { seen[i] += 1; });
+        for (int64_t i = 0; i < kN; ++i) {
+          if (seen[i].load() != 1) bad += 1;
+          hits[t][i] += seen[i].load();
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(bad.load(), 0);
+  for (int t = 0; t < kCallers; ++t) {
+    for (int64_t i = 0; i < kN; ++i) ASSERT_EQ(hits[t][i], kCalls);
+  }
+}
+
+// A call nested in a chunk runs inline as one range on that chunk's
+// thread: on a worker, and on the caller while it runs its own chunk.
+TEST(ForkJoinTest, CallNestedInAChunkRunsInline) {
+  DeviceGuard parallel(Device::kParallel);
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> caller_chunks{0};
+  std::atomic<int> bad{0};
+  pool.ParallelForRange(8, [&](int64_t, int64_t) {
+    const std::thread::id self = std::this_thread::get_id();
+    if (self == caller) caller_chunks += 1;
+    if (pool.Chunks(100) != 1) bad += 1;
+    int ranges = 0;
+    pool.ParallelForRange(100, [&](int64_t begin, int64_t end) {
+      ranges += 1;
+      if (begin != 0 || end != 100 || std::this_thread::get_id() != self) {
+        bad += 1;
+      }
+    });
+    if (ranges != 1) bad += 1;
+  });
+  EXPECT_GE(caller_chunks.load(), 1);
+  EXPECT_EQ(bad.load(), 0);
+  // Back outside the chunk, the caller fans out again.
+  EXPECT_EQ(pool.Chunks(100), 4);
+}
+
+TEST(ForkJoinTest, ExceptionInAChunkReachesTheCallerAfterAllChunksRan) {
+  DeviceGuard parallel(Device::kParallel);
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.ParallelForRange(4,
+                                     [&](int64_t begin, int64_t) {
+                                       ran += 1;
+                                       if (begin == 2) {
+                                         throw std::runtime_error("chunk 2");
+                                       }
+                                     }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 4);
 }
 
 // --- BoundedQueue -----------------------------------------------------------

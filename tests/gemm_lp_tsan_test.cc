@@ -20,11 +20,14 @@
 #include "tensor/conv.h"
 #include "tensor/gemm.h"
 #include "tensor/quant.h"
+#include "tests/gemm_chunks.h"
 
 namespace ts = geotorch::tensor;
 using ::geotorch::Device;
 using ::geotorch::DeviceGuard;
+using ::geotorch::RunsPooled;
 using ::geotorch::SetDefaultDevice;
+using ::geotorch::ThreadPool;
 
 namespace {
 
@@ -152,9 +155,10 @@ void CheckConvInt8Once(int64_t n, int64_t c, int64_t f, int64_t h, int64_t w,
 int main() {
   SetDefaultDevice(Device::kParallel);
 
-  // Sizes past kParallelMinWork so the pool actually runs, with ragged
-  // edges straddling the MC/NC macro-tile boundaries. Repeats re-use
-  // the thread-local pack workspaces across pool wakeups.
+  // Sizes the pool splits over its workers, with ragged edges
+  // straddling the MC/NC macro-tile boundaries, plus one single-tile
+  // shape for the multi-block K path. Repeats re-use the thread-local
+  // pack workspaces across pool wakeups.
   struct Shape {
     int64_t m, k, n;
   };
@@ -162,8 +166,17 @@ int main() {
       {192, 128, 512},  // one M split, one N tile
       {97, 300, 1030},  // ragged edges in every dimension
       {1, 4096, 640},   // single-row: N-only parallelism (the serve shape)
-      {64, 9000, 96},   // K past kKCInt8: multi-block i32 accumulation
+      {64, 9000, 96},   // K past kKCInt8: one tile, multi-block i32 sums
   };
+  if (ThreadPool::Global().num_threads() == 1) {
+    std::printf("gemm_lp_tsan_test: the global pool has one worker, so no "
+                "GEMM fans out; running the shapes serially\n");
+  } else {
+    for (int i = 0; i < 3; ++i) {
+      failures += !RunsPooled(shapes[i].m, shapes[i].k, shapes[i].n);
+    }
+    failures += !RunsPooled(192, 512, 512);
+  }
   uint64_t seed = 1234;
   for (int iter = 0; iter < 4; ++iter) {
     for (const Shape& s : shapes) {

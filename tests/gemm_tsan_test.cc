@@ -13,10 +13,13 @@
 
 #include "core/thread_pool.h"
 #include "tensor/gemm.h"
+#include "tests/gemm_chunks.h"
 
 namespace ts = geotorch::tensor;
 using ::geotorch::Device;
+using ::geotorch::RunsPooled;
 using ::geotorch::SetDefaultDevice;
+using ::geotorch::ThreadPool;
 
 namespace {
 
@@ -58,10 +61,10 @@ void CheckGemmOnce(int64_t m, int64_t k, int64_t n, float beta, bool trans_a,
 int main() {
   SetDefaultDevice(Device::kParallel);
 
-  // Sizes chosen to exceed kParallelMinWork so the pool actually runs,
-  // with edges that straddle MC/NC macro-tile boundaries. Repeated
-  // iterations re-use the thread-local workspaces, which is exactly the
-  // lifetime TSan needs to see across pool wakeups.
+  // Sizes the pool splits over its workers, with edges that straddle
+  // MC/NC macro-tile boundaries. Repeated iterations re-use the
+  // thread-local workspaces, which is exactly the lifetime TSan needs to
+  // see across pool wakeups.
   struct Shape {
     int64_t m, k, n;
   };
@@ -71,6 +74,13 @@ int main() {
       {256, 64, 256},   // square-ish, multiple tiles both ways
       {1, 4096, 640},   // single-row: N-only parallelism
   };
+  if (ThreadPool::Global().num_threads() == 1) {
+    std::printf("gemm_tsan_test: the global pool has one worker, so no "
+                "GEMM fans out; running the shapes serially\n");
+  } else {
+    for (const Shape& s : shapes) failures += !RunsPooled(s.m, s.k, s.n);
+    failures += !RunsPooled(192, 160, 512);
+  }
   uint64_t seed = 42;
   for (int iter = 0; iter < 8; ++iter) {
     for (const Shape& s : shapes) {

@@ -9,9 +9,11 @@
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "autograd/variable.h"
@@ -155,6 +157,42 @@ TEST(CheckpointTest, TruncationAtEveryPrefixIsAnErrorNotACrash) {
     auto r = io::ReadCheckpoint(trunc);
     EXPECT_FALSE(r.ok()) << "prefix of " << keep << " bytes was accepted";
   }
+}
+
+// A reader racing a writer (a fleet reload during a trainer's per-epoch
+// write) must always see a whole checkpoint, old or new, and the writer
+// must leave no temp file behind.
+TEST(CheckpointTest, ReadsRacingRewritesNeverSeeATornFile) {
+  const ScopedTempPath dir("ckpt_race");
+  std::filesystem::create_directory(dir.str());
+  const std::string path = dir.str() + "/model.ckpt";
+  io::Checkpoint ckpt;
+  geotorch::Rng rng(9);
+  ckpt.tensors.emplace_back("w", ts::Tensor::Randn({256, 256}, rng));
+  ASSERT_TRUE(io::WriteCheckpoint(path, ckpt).ok());
+
+  constexpr int kRounds = 200;
+  std::thread writer([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      ckpt.ints.assign({{"epoch", i}});
+      EXPECT_TRUE(io::WriteCheckpoint(path, ckpt).ok()) << i;
+    }
+  });
+  int bad_reads = 0;
+  std::string first_error;
+  for (int i = 0; i < kRounds; ++i) {
+    auto r = io::ReadCheckpoint(path);
+    if (!r.ok()) {
+      if (bad_reads++ == 0) first_error = r.status().ToString();
+    }
+  }
+  writer.join();
+  EXPECT_EQ(bad_reads, 0) << first_error;
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.str())) {
+    left.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(left, std::vector<std::string>{"model.ckpt"});
 }
 
 TEST(CheckpointTest, BadMagicIsAnError) {

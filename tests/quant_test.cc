@@ -23,6 +23,7 @@
 #include "tensor/gemm.h"
 #include "tensor/quant.h"
 #include "tensor/tensor.h"
+#include "tests/gemm_chunks.h"
 
 namespace {
 
@@ -242,10 +243,19 @@ TEST(QuantTest, PrepackedInt8BitwiseEqualsOnTheFly) {
 
 // --- serial vs parallel ----------------------------------------------------
 
-// The int8 kernel accumulates exactly in i32, so crossing the
-// parallel-dispatch threshold must not change a single bit.
+// The int8 kernel accumulates exactly in i32, so splitting the tile
+// grid over the pool must not change a single bit.
 TEST(QuantTest, LowPrecisionGemmSerialEqualsParallelBitwise) {
-  const int64_t m = 128, k = 96, n = 128;  // m*k*n > kParallelMinWork
+  const int64_t m = 128, k = 96, n = 128;  // two kMC row tiles
+  {
+    // The GEMM dispatcher's question: this problem must fan out, or the
+    // parallel arm below is a second serial run.
+    DeviceGuard guard(Device::kParallel);
+    if (geotorch::ThreadPool::Global().num_threads() == 1) {
+      GTEST_SKIP() << "the global pool has one worker: nothing fans out";
+    }
+    ASSERT_GT(geotorch::GemmChunks(m, k, n), 1);
+  }
   const std::vector<float> a = RandomVec(m * k, 41);
   const std::vector<float> b = RandomVec(k * n, 43);
   std::vector<int8_t> aq(m * k), bq(k * n);
