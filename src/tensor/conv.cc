@@ -307,6 +307,32 @@ Tensor Conv2dForwardInt8(const Tensor& x, const Int8ConvWeights& w,
   return out;
 }
 
+namespace {
+
+// gb[r] += Σ_j g[r·l + j] for r < rows: one double chain per row in j
+// order, run kBiasChains rows side by side so that the chains' add
+// latencies overlap. Each chain keeps its own order, so the sums are
+// bitwise those of one row at a time.
+constexpr int64_t kBiasChains = 8;
+
+void SumRowsInto(const float* g, int64_t rows, int64_t l, float* gb) {
+  for (int64_t r0 = 0; r0 < rows; r0 += kBiasChains) {
+    const int64_t live = std::min(kBiasChains, rows - r0);
+    const float* row[kBiasChains];
+    for (int64_t t = 0; t < kBiasChains; ++t) {
+      // Chains past the last row repeat it and are discarded.
+      row[t] = g + (r0 + std::min(t, live - 1)) * l;
+    }
+    double s[kBiasChains] = {};
+    for (int64_t j = 0; j < l; ++j) {
+      for (int64_t t = 0; t < kBiasChains; ++t) s[t] += row[t][j];
+    }
+    for (int64_t t = 0; t < live; ++t) gb[r0 + t] += static_cast<float>(s[t]);
+  }
+}
+
+}  // namespace
+
 Conv2dGrads Conv2dBackward(const Tensor& grad_out, const Tensor& x,
                            const Tensor& w, bool has_bias,
                            const ConvSpec& spec, bool need_grad_x) {
@@ -397,14 +423,7 @@ Conv2dGrads Conv2dBackward(const Tensor& grad_out, const Tensor& x,
           Col2ImAddRaw(gcols, grads.grad_x, i, kh, kw, spec);
         }
       }
-      if (has_bias) {
-        for (int64_t fi = 0; fi < f; ++fi) {
-          const float* row = g_i + fi * l;
-          double s = 0.0;
-          for (int64_t j = 0; j < l; ++j) s += row[j];
-          gb[fi] += static_cast<float>(s);
-        }
-      }
+      if (has_bias) SumRowsInto(g_i, f, l, gb);
     }
   };
   ThreadPool::Global().ParallelFor(parts, part_grads, per * f * ck * l);
@@ -500,15 +519,7 @@ ConvTranspose2dGrads ConvTranspose2dBackward(const Tensor& grad_out,
     // grad_w += x[i] (c, l) x dcols^T (l, fk); dcols is consumed
     // transposed, dropping the old materialized Transpose2d.
     Gemm(px + i * c * l, dcols, pgw, c, l, fk, {.beta = 1.0f, .trans_b = true});
-    if (has_bias) {
-      const float* pg = grad_out.data() + i * f * gl;
-      for (int64_t fi = 0; fi < f; ++fi) {
-        double s = 0.0;
-        const float* plane = pg + fi * gl;
-        for (int64_t j = 0; j < gl; ++j) s += plane[j];
-        pgb[fi] += static_cast<float>(s);
-      }
-    }
+    if (has_bias) SumRowsInto(grad_out.data() + i * f * gl, f, gl, pgb);
   }
   return grads;
 }

@@ -44,6 +44,11 @@ namespace {
 
 using namespace gemm_internal;
 
+// Register-tile rows. The i32 sums are exact at any tile shape, so this
+// row count is free of the f32 kernels' (gemm.cc).
+constexpr int64_t kMR = 6;
+static_assert(kMC % kMR == 0);
+
 inline int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
 // Packs A(ic:ic+mc, pc:pc+kc) into kMR-row micro-panels of sign-extended
