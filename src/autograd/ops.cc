@@ -22,14 +22,19 @@ ts::Tensor Broadcast(const ts::Tensor& t, const ts::Shape& shape) {
 
 // Note on the in-place backward kernels below: a node's grad is fully
 // accumulated before its backward_fn runs (reverse topological order),
-// it is privately owned (AccumulateGrad copies incoming gradients), and
-// PushGrad copies out of its argument immediately — so a backward_fn may
-// freely mutate n.grad after (or instead of) materializing a temporary.
+// and it is privately owned: AccumulateGrad adopts only a gradient no
+// other tensor shares, and copies (or adds) any other, such as n.grad
+// itself or a view of it — so a backward_fn may freely mutate n.grad
+// after (or instead of) materializing a temporary.
 
 // Accumulates `g` into parent i of `n` when that parent wants a grad.
-void PushGrad(Node& n, size_t i, const ts::Tensor& g) {
+// Pass a freshly computed gradient as a temporary, or std::move(n.grad)
+// from an op with one parent (Backward drops an interior grad once its
+// backward_fn has run): the parent then takes the buffer over instead
+// of cloning it. An op that pushes n.grad twice passes it as an lvalue.
+void PushGrad(Node& n, size_t i, ts::Tensor g) {
   Node* parent = n.parents[i].get();
-  if (parent->requires_grad) parent->AccumulateGrad(g);
+  if (parent->requires_grad) parent->AccumulateGrad(std::move(g));
 }
 
 }  // namespace
@@ -77,19 +82,19 @@ Variable Div(const Variable& a, const Variable& b) {
   return Variable::FromOp(std::move(out), {a, b}, [va, vb](Node& n) {
     PushGrad(n, 0, ts::SumToShape(ts::Div(n.grad, vb), va.shape()));
     ts::Tensor gb = ts::Neg(ts::Div(ts::Mul(n.grad, va), ts::Mul(vb, vb)));
-    PushGrad(n, 1, ts::SumToShape(gb, vb.shape()));
+    PushGrad(n, 1, ts::SumToShape(std::move(gb), vb.shape()));
   });
 }
 
 Variable AddScalar(const Variable& a, float s) {
   return Variable::FromOp(ts::AddScalar(a.value(), s), {a},
-                          [](Node& n) { PushGrad(n, 0, n.grad); });
+                          [](Node& n) { PushGrad(n, 0, std::move(n.grad)); });
 }
 
 Variable MulScalar(const Variable& a, float s) {
   return Variable::FromOp(ts::MulScalar(a.value(), s), {a}, [s](Node& n) {
     n.grad.ScaleInPlace(s);
-    PushGrad(n, 0, n.grad);
+    PushGrad(n, 0, std::move(n.grad));
   });
 }
 
@@ -104,7 +109,7 @@ Variable PowScalar(const Variable& a, float p) {
 Variable Neg(const Variable& a) {
   return Variable::FromOp(ts::Neg(a.value()), {a}, [](Node& n) {
     ts::NegInPlace(n.grad);
-    PushGrad(n, 0, n.grad);
+    PushGrad(n, 0, std::move(n.grad));
   });
 }
 
@@ -113,7 +118,7 @@ Variable Exp(const Variable& a) {
   ts::Tensor y = out;
   return Variable::FromOp(std::move(out), {a}, [y](Node& n) {
     ts::MulInPlace(n.grad, y);
-    PushGrad(n, 0, n.grad);
+    PushGrad(n, 0, std::move(n.grad));
   });
 }
 
@@ -136,7 +141,7 @@ Variable Relu(const Variable& a) {
   ts::Tensor va = a.value();
   return Variable::FromOp(ts::Relu(va), {a}, [va](Node& n) {
     ts::ReluMaskInPlace(n.grad, va);
-    PushGrad(n, 0, n.grad);
+    PushGrad(n, 0, std::move(n.grad));
   });
 }
 
@@ -144,7 +149,7 @@ Variable LeakyRelu(const Variable& a, float slope) {
   ts::Tensor va = a.value();
   return Variable::FromOp(ts::LeakyRelu(va, slope), {a}, [va, slope](Node& n) {
     ts::ReluMaskInPlace(n.grad, va, slope);
-    PushGrad(n, 0, n.grad);
+    PushGrad(n, 0, std::move(n.grad));
   });
 }
 
@@ -153,7 +158,7 @@ Variable Sigmoid(const Variable& a) {
   ts::Tensor y = out;
   return Variable::FromOp(std::move(out), {a}, [y](Node& n) {
     ts::SigmoidGradInPlace(n.grad, y);
-    PushGrad(n, 0, n.grad);
+    PushGrad(n, 0, std::move(n.grad));
   });
 }
 
@@ -162,7 +167,7 @@ Variable Tanh(const Variable& a) {
   ts::Tensor y = out;
   return Variable::FromOp(std::move(out), {a}, [y](Node& n) {
     ts::TanhGradInPlace(n.grad, y);
-    PushGrad(n, 0, n.grad);
+    PushGrad(n, 0, std::move(n.grad));
   });
 }
 
@@ -241,7 +246,7 @@ Variable Slice(const Variable& a, int dim, int64_t start, int64_t end) {
                       pg + o * out_dim * inner,
                       sizeof(float) * out_dim * inner);
         }
-        PushGrad(n, 0, gin);
+        PushGrad(n, 0, std::move(gin));
       });
 }
 
@@ -298,9 +303,9 @@ Variable Conv2d(const Variable& x, const Variable& w, const Variable& bias,
         ts::Conv2dGrads grads =
             ts::Conv2dBackward(n.grad, vx, vw, has_bias, spec,
                                n.parents[0]->requires_grad);
-        PushGrad(n, 0, grads.grad_x);
-        PushGrad(n, 1, grads.grad_w);
-        if (has_bias) PushGrad(n, 2, grads.grad_bias);
+        PushGrad(n, 0, std::move(grads.grad_x));
+        PushGrad(n, 1, std::move(grads.grad_w));
+        if (has_bias) PushGrad(n, 2, std::move(grads.grad_bias));
       });
 }
 
@@ -319,9 +324,9 @@ Variable ConvTranspose2d(const Variable& x, const Variable& w,
       [vx, vw, has_bias, spec](Node& n) {
         ts::ConvTranspose2dGrads grads =
             ts::ConvTranspose2dBackward(n.grad, vx, vw, has_bias, spec);
-        PushGrad(n, 0, grads.grad_x);
-        PushGrad(n, 1, grads.grad_w);
-        if (has_bias) PushGrad(n, 2, grads.grad_bias);
+        PushGrad(n, 0, std::move(grads.grad_x));
+        PushGrad(n, 1, std::move(grads.grad_w));
+        if (has_bias) PushGrad(n, 2, std::move(grads.grad_bias));
       });
 }
 
@@ -367,7 +372,7 @@ Variable Dropout(const Variable& x, float p, bool training, Rng& rng) {
   ts::Tensor out = ts::Mul(x.value(), mask);
   return Variable::FromOp(std::move(out), {x}, [mask](Node& n) {
     ts::MulInPlace(n.grad, mask);
-    PushGrad(n, 0, n.grad);
+    PushGrad(n, 0, std::move(n.grad));
   });
 }
 
@@ -426,7 +431,7 @@ Variable CrossEntropyLoss(const Variable& logits,
         }
         const float s = n.grad.flat(0) / static_cast<float>(count);
         grad.ScaleInPlace(s);
-        PushGrad(n, 0, grad);
+        PushGrad(n, 0, std::move(grad));
       });
 }
 
@@ -452,7 +457,7 @@ Variable BceWithLogitsLoss(const Variable& logits,
                             ts::Tensor grad = ts::Sub(ts::Sigmoid(vz), tgt);
                             grad.ScaleInPlace(n.grad.flat(0) /
                                               static_cast<float>(count));
-                            PushGrad(n, 0, grad);
+                            PushGrad(n, 0, std::move(grad));
                           });
 }
 

@@ -1,6 +1,7 @@
 #include "autograd/variable.h"
 
 #include <unordered_set>
+#include <utility>
 
 #include "core/check.h"
 
@@ -11,13 +12,13 @@ thread_local bool t_grad_enabled = true;
 
 namespace internal {
 
-void Node::AccumulateGrad(const tensor::Tensor& g) {
+void Node::AccumulateGrad(tensor::Tensor g) {
   GEO_CHECK(tensor::SameShape(g.shape(), value.shape()))
       << "gradient shape " << tensor::ShapeToString(g.shape())
       << " does not match value shape "
       << tensor::ShapeToString(value.shape());
   if (!has_grad()) {
-    grad = g.Clone();
+    grad = g.HoldsStorageAlone() ? std::move(g) : g.Clone();
   } else {
     grad.AddInPlace(g);
   }

@@ -27,8 +27,10 @@ struct Node {
   /// Reads `grad` (guaranteed allocated) and accumulates into parents.
   std::function<void(Node&)> backward_fn;
 
-  /// grad += g, allocating a zero tensor on first use.
-  void AccumulateGrad(const tensor::Tensor& g);
+  /// grad += g. The first gradient is adopted when `g` holds its buffer
+  /// alone, and copied when anything else shares it (an op may push one
+  /// tensor to two parents, or mutate it after pushing).
+  void AccumulateGrad(tensor::Tensor g);
   bool has_grad() const { return grad.numel() > 0; }
 };
 

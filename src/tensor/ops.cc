@@ -320,12 +320,12 @@ Tensor Mean(const Tensor& a, int dim, bool keepdim) {
   return s;
 }
 
-Tensor SumToShape(const Tensor& a, const Shape& target) {
+Tensor SumToShape(Tensor a, const Shape& target) {
   if (SameShape(a.shape(), target)) return a;
   GEO_CHECK(BroadcastableTo(target, a.shape()))
       << "SumToShape " << ShapeToString(a.shape()) << " -> "
       << ShapeToString(target);
-  Tensor cur = a;
+  Tensor cur = std::move(a);
   // Collapse extra leading dims.
   while (cur.ndim() > static_cast<int>(target.size())) {
     cur = Sum(cur, 0, /*keepdim=*/false);

@@ -81,7 +81,7 @@ Tensor Mean(const Tensor& a, int dim, bool keepdim = false);
 
 /// Reduces `a` (by summation) to `target` shape, inverting broadcasting.
 /// Used by autograd to fold gradients of broadcast operands.
-Tensor SumToShape(const Tensor& a, const Shape& target);
+Tensor SumToShape(Tensor a, const Shape& target);
 
 /// Index of the maximum along `dim` (ties pick the first). Output drops
 /// `dim`; values are exact integers stored as float.

@@ -76,6 +76,9 @@ class Tensor {
   bool SharesStorageWith(const Tensor& other) const {
     return storage_ == other.storage_;
   }
+  /// True when no other Tensor shares this one's buffer, so the holder
+  /// of this handle may take the buffer over instead of copying it.
+  bool HoldsStorageAlone() const { return storage_.use_count() == 1; }
 
   // --- Mutation ---------------------------------------------------------
   void Fill(float value);

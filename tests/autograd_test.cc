@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/thread_pool.h"
@@ -57,6 +58,48 @@ TEST(VariableTest, DiamondGraphGradient) {
   loss.Backward();
   EXPECT_TRUE(
       ts::AllClose(a.grad(), ts::Tensor::FromVector({2}, {5, 7})));
+}
+
+// Add pushes its one gradient tensor to both parents. Each must get a
+// buffer of its own: sharing one would let an update of a.grad (an
+// optimizer step, a later accumulation) change b.grad.
+TEST(VariableTest, AddGivesEachParentItsOwnGradient) {
+  Variable a(ts::Tensor::FromVector({2}, {1, 2}), true);
+  Variable b(ts::Tensor::FromVector({2}, {3, 4}), true);
+  Variable loss = SumAll(MulScalar(Add(a, b), 3.0f));
+  loss.Backward();
+  EXPECT_FALSE(a.grad().SharesStorageWith(b.grad()));
+  EXPECT_TRUE(ts::AllClose(a.grad(), ts::Tensor::Full({2}, 3.0f)));
+  EXPECT_TRUE(ts::AllClose(b.grad(), ts::Tensor::Full({2}, 3.0f)));
+}
+
+// Sub pushes its gradient to a, then negates it in place and pushes it
+// to b. Had a adopted that buffer, the negation would flip a.grad too.
+TEST(VariableTest, SubNegatesOnlyTheSecondParentsGradient) {
+  Variable a(ts::Tensor::FromVector({2}, {1, 2}), true);
+  Variable b(ts::Tensor::FromVector({2}, {3, 4}), true);
+  Variable loss = SumAll(MulScalar(Sub(a, b), 2.0f));
+  loss.Backward();
+  EXPECT_TRUE(ts::AllClose(a.grad(), ts::Tensor::Full({2}, 2.0f)));
+  EXPECT_TRUE(ts::AllClose(b.grad(), ts::Tensor::Full({2}, -2.0f)));
+}
+
+// The first gradient is taken over when its buffer has no other holder,
+// and copied when it has one.
+TEST(VariableTest, FirstGradientIsAdoptedOnlyWhenUnshared) {
+  internal::Node adopter;
+  adopter.value = ts::Tensor::Zeros({3});
+  ts::Tensor fresh = ts::Tensor::Ones({3});
+  const float* buffer = fresh.data();
+  adopter.AccumulateGrad(std::move(fresh));
+  EXPECT_EQ(adopter.grad.data(), buffer);
+
+  internal::Node copier;
+  copier.value = ts::Tensor::Zeros({3});
+  const ts::Tensor shared = ts::Tensor::Ones({3});
+  copier.AccumulateGrad(shared);
+  EXPECT_FALSE(copier.grad.SharesStorageWith(shared));
+  EXPECT_TRUE(ts::AllClose(copier.grad, shared));
 }
 
 TEST(GradCheckTest, ElementwiseOps) {
