@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "core/atomic_file.h"
 #include "core/check.h"
 #include "io/crc32.h"
 
@@ -176,64 +177,58 @@ Status WriteGtdf(const std::string& path,
     at = AlignUp8(at + payload);
   }
 
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot open for write: " + path);
-  CrcFile out(f);
-  out.Write(kMagic, sizeof(kMagic));
-  out.Put(kGtdfVersion);
-  out.Put(static_cast<uint32_t>(columns.size()));
-  out.Put(num_rows);
-  for (const Entry& e : dir) {
-    out.Put(e.type);
-    out.Put(e.offset);
-    out.Put(e.size);
-  }
-  size_t written = kHeaderSize + columns.size() * kDirEntrySize;
-  for (size_t c = 0; c < columns.size(); ++c) {
-    out.Pad(dir[c].offset - written);
-    const Column& col = *columns[c];
-    switch (col.type()) {
-      case DataType::kDouble: {
-        const auto v = col.doubles();
-        out.Write(v.data(), v.size() * sizeof(double));
-        break;
-      }
-      case DataType::kInt64: {
-        const auto v = col.int64s();
-        out.Write(v.data(), v.size() * sizeof(int64_t));
-        break;
-      }
-      case DataType::kGeometry: {
-        const auto v = col.points();
-        out.Write(v.data(), v.size() * sizeof(spatial::Point));
-        break;
-      }
-      case DataType::kString: {
-        const auto v = col.strings();
-        std::vector<uint64_t> offsets;
-        offsets.reserve(v.size() + 1);
-        uint64_t off = 0;
-        offsets.push_back(off);
-        for (const auto& s : v) {
-          off += s.size();
-          offsets.push_back(off);
-        }
-        out.Write(offsets.data(), offsets.size() * sizeof(uint64_t));
-        for (const auto& s : v) out.Write(s.data(), s.size());
-        break;
-      }
+  return WriteFileAtomically(path, [&](std::FILE* f) {
+    CrcFile out(f);
+    out.Write(kMagic, sizeof(kMagic));
+    out.Put(kGtdfVersion);
+    out.Put(static_cast<uint32_t>(columns.size()));
+    out.Put(num_rows);
+    for (const Entry& e : dir) {
+      out.Put(e.type);
+      out.Put(e.offset);
+      out.Put(e.size);
     }
-    written = dir[c].offset + dir[c].size;
-  }
-  const uint32_t crc = out.crc();
-  out.Put(crc);
-  const bool ok = out.ok() && std::fflush(f) == 0;
-  std::fclose(f);
-  if (!ok) {
-    std::remove(path.c_str());
-    return Status::IoError("write failed: " + path);
-  }
-  return Status::OK();
+    size_t written = kHeaderSize + columns.size() * kDirEntrySize;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      out.Pad(dir[c].offset - written);
+      const Column& col = *columns[c];
+      switch (col.type()) {
+        case DataType::kDouble: {
+          const auto v = col.doubles();
+          out.Write(v.data(), v.size() * sizeof(double));
+          break;
+        }
+        case DataType::kInt64: {
+          const auto v = col.int64s();
+          out.Write(v.data(), v.size() * sizeof(int64_t));
+          break;
+        }
+        case DataType::kGeometry: {
+          const auto v = col.points();
+          out.Write(v.data(), v.size() * sizeof(spatial::Point));
+          break;
+        }
+        case DataType::kString: {
+          const auto v = col.strings();
+          std::vector<uint64_t> offsets;
+          offsets.reserve(v.size() + 1);
+          uint64_t off = 0;
+          offsets.push_back(off);
+          for (const auto& s : v) {
+            off += s.size();
+            offsets.push_back(off);
+          }
+          out.Write(offsets.data(), offsets.size() * sizeof(uint64_t));
+          for (const auto& s : v) out.Write(s.data(), s.size());
+          break;
+        }
+      }
+      written = dir[c].offset + dir[c].size;
+    }
+    const uint32_t crc = out.crc();
+    out.Put(crc);
+    return out.ok();
+  });
 }
 
 Result<GtdfPartition> ReadGtdf(const std::string& path) {

@@ -35,7 +35,9 @@ inline constexpr uint32_t kGtdfVersion = 1;
 /// Writes the columns of one partition to `path`, streaming column by
 /// column with an incrementally chained CRC (the file image is never
 /// buffered whole — spilling a partition must not momentarily double
-/// its footprint). All columns must have `num_rows` entries.
+/// its footprint). All columns must have `num_rows` entries. The bytes
+/// go to a sibling temp file renamed over `path`, so a reader never
+/// sees a torn partition.
 Status WriteGtdf(const std::string& path,
                  const std::vector<std::shared_ptr<const Column>>& columns,
                  int64_t num_rows);

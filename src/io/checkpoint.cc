@@ -1,6 +1,5 @@
 #include "io/checkpoint.h"
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -8,8 +7,7 @@
 #include <set>
 #include <string>
 
-#include <unistd.h>
-
+#include "core/atomic_file.h"
 #include "core/check.h"
 #include "io/crc32.h"
 #include "tensor/quant.h"
@@ -170,28 +168,11 @@ Status WriteCheckpoint(const std::string& path, const Checkpoint& ckpt) {
   }
   const uint32_t crc = Crc32(w.buffer().data(), w.buffer().size());
 
-  // Write a sibling temp file, then rename it over `path`: a reader
-  // sees the old file or the new one, never a torn one. The pid and a
-  // process-wide counter keep concurrent writers off each other's temps.
-  static std::atomic<uint64_t> temp_counter{0};
-  const std::string temp = path + ".tmp." + std::to_string(getpid()) + "." +
-                           std::to_string(temp_counter.fetch_add(1));
-  std::FILE* f = std::fopen(temp.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot open for write: " + temp);
-  const bool written =
-      std::fwrite(w.buffer().data(), 1, w.buffer().size(), f) ==
-          w.buffer().size() &&
-      std::fwrite(&crc, sizeof(crc), 1, f) == 1 && std::fflush(f) == 0;
-  const bool closed = std::fclose(f) == 0;
-  if (!written || !closed) {
-    std::remove(temp.c_str());
-    return Status::IoError("write failed: " + temp);
-  }
-  if (std::rename(temp.c_str(), path.c_str()) != 0) {
-    std::remove(temp.c_str());
-    return Status::IoError("cannot rename " + temp + " to " + path);
-  }
-  return Status::OK();
+  return WriteFileAtomically(path, [&](std::FILE* f) {
+    return std::fwrite(w.buffer().data(), 1, w.buffer().size(), f) ==
+               w.buffer().size() &&
+           std::fwrite(&crc, sizeof(crc), 1, f) == 1;
+  });
 }
 
 Result<Checkpoint> ReadCheckpoint(const std::string& path) {

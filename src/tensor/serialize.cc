@@ -6,6 +6,8 @@
 #include <memory>
 #include <vector>
 
+#include "core/atomic_file.h"
+
 namespace geotorch::tensor {
 namespace {
 constexpr char kMagic[4] = {'G', 'T', 'E', 'N'};
@@ -19,25 +21,16 @@ using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 }  // namespace
 
 Status SaveTensor(const std::string& path, const Tensor& t) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return Status::IoError("cannot open for write: " + path);
-  if (std::fwrite(kMagic, 1, 4, f.get()) != 4) {
-    return Status::IoError("write failed: " + path);
-  }
-  const int32_t rank = t.ndim();
-  if (std::fwrite(&rank, sizeof(rank), 1, f.get()) != 1) {
-    return Status::IoError("write failed: " + path);
-  }
-  for (int64_t d : t.shape()) {
-    if (std::fwrite(&d, sizeof(d), 1, f.get()) != 1) {
-      return Status::IoError("write failed: " + path);
+  return WriteFileAtomically(path, [&](std::FILE* f) {
+    if (std::fwrite(kMagic, 1, 4, f) != 4) return false;
+    const int32_t rank = t.ndim();
+    if (std::fwrite(&rank, sizeof(rank), 1, f) != 1) return false;
+    for (int64_t d : t.shape()) {
+      if (std::fwrite(&d, sizeof(d), 1, f) != 1) return false;
     }
-  }
-  const size_t n = static_cast<size_t>(t.numel());
-  if (n > 0 && std::fwrite(t.data(), sizeof(float), n, f.get()) != n) {
-    return Status::IoError("write failed: " + path);
-  }
-  return Status::OK();
+    const size_t n = static_cast<size_t>(t.numel());
+    return n == 0 || std::fwrite(t.data(), sizeof(float), n, f) == n;
+  });
 }
 
 Result<Tensor> LoadTensor(const std::string& path) {

@@ -11,7 +11,9 @@ namespace geotorch::tensor {
 /// Writes a tensor to a compact binary file ("GTEN" magic, rank,
 /// int64 dims, float32 payload). Used to persist preprocessed
 /// spatiotemporal tensors to disk, the final step of the paper's
-/// preprocessing pipeline (Section III-B1).
+/// preprocessing pipeline (Section III-B1). Like WriteCheckpoint, it
+/// writes a sibling temp file and renames it over `path`, so a reader
+/// never sees a torn tensor.
 Status SaveTensor(const std::string& path, const Tensor& t);
 
 /// Reads a tensor written by SaveTensor.

@@ -202,6 +202,41 @@ TEST(GtdfTest, NewerVersionRejected) {
   EXPECT_FALSE(ReadGtdf(path).ok());
 }
 
+// A reader racing rewrites of one partition (a spill re-writing a
+// faulted-in partition while another reader maps it) sees the old file
+// or the new one, never a torn one, and no temp file is left behind.
+TEST(GtdfTest, ReadsRacingRewritesNeverSeeATornFile) {
+  const ScopedTempPath dir("df_spill_test_race");
+  fs::create_directory(dir.str());
+  const std::string path = dir.str() + "/part.gtdf";
+  constexpr int64_t kRows = 1 << 16;
+  std::vector<double> values(kRows);
+  for (int64_t i = 0; i < kRows; ++i) values[i] = 0.5 * static_cast<double>(i);
+  const std::vector<std::shared_ptr<const Column>> cols = {
+      TrackColumn(Column::FromDoubles(std::move(values)))};
+  ASSERT_TRUE(WriteGtdf(path, cols, kRows).ok());
+
+  constexpr int kRounds = 200;
+  std::thread writer([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      EXPECT_TRUE(WriteGtdf(path, cols, kRows).ok()) << i;
+    }
+  });
+  int bad_reads = 0;
+  std::string first_error;
+  for (int i = 0; i < kRounds; ++i) {
+    auto r = ReadGtdf(path);
+    if (!r.ok() && bad_reads++ == 0) first_error = r.status().ToString();
+  }
+  writer.join();
+  EXPECT_EQ(bad_reads, 0) << first_error;
+  std::vector<std::string> left;
+  for (const auto& entry : fs::directory_iterator(dir.str())) {
+    left.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(left, std::vector<std::string>{"part.gtdf"});
+}
+
 TEST(GtdfTest, MissingFileFailsViaStatus) {
   EXPECT_FALSE(ReadGtdf("no_such_file.gtdf").ok());
 }

@@ -6,7 +6,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/rng.h"
@@ -552,6 +555,37 @@ TEST(SerializeTest, RoundTrip) {
   auto loaded = LoadTensor(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(AllClose(*loaded, a, 0.0f, 0.0f));
+}
+
+// A reader racing rewrites of one tensor file sees the old file or the
+// new one, never a torn one, and no temp file is left behind.
+TEST(SerializeTest, ReadsRacingRewritesNeverSeeATornFile) {
+  const ScopedTempPath dir("gten_race");
+  std::filesystem::create_directory(dir.str());
+  const std::string path = dir.str() + "/grid.gten";
+  Rng rng(12);
+  const Tensor t = Tensor::Randn({64, 32, 32}, rng);
+  ASSERT_TRUE(SaveTensor(path, t).ok());
+
+  constexpr int kRounds = 200;
+  std::thread writer([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      EXPECT_TRUE(SaveTensor(path, t).ok()) << i;
+    }
+  });
+  int bad_reads = 0;
+  std::string first_error;
+  for (int i = 0; i < kRounds; ++i) {
+    auto r = LoadTensor(path);
+    if (!r.ok() && bad_reads++ == 0) first_error = r.status().ToString();
+  }
+  writer.join();
+  EXPECT_EQ(bad_reads, 0) << first_error;
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.str())) {
+    left.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(left, std::vector<std::string>{"grid.gten"});
 }
 
 TEST(SerializeTest, MissingFileIsIoError) {
