@@ -12,6 +12,14 @@
 
 #include "core/memory.h"
 
+// Set per bench target by bench/CMakeLists.txt.
+#ifndef GEO_BENCH_GIT_REV
+#define GEO_BENCH_GIT_REV "unknown"
+#endif
+#ifndef GEO_BENCH_BUILD_TYPE
+#define GEO_BENCH_BUILD_TYPE "unknown"
+#endif
+
 namespace geotorch::bench {
 
 /// Command-line knobs shared by the table/figure harnesses. Every bench
@@ -42,11 +50,11 @@ struct BenchArgs {
 };
 
 /// Streams one BENCH_*.json report with the envelope every committed
-/// result carries: the bench name, the report schema version, and the
-/// machine's hardware thread count up front; the process peak
-/// resident-set size (VmHWM) stamped at Finish(). The envelope makes
-/// reports comparable across hosts and revisions without parsing
-/// bench-specific fields.
+/// result carries: the bench name, the report schema version, the git
+/// revision and build type it was built from, and the machine's
+/// hardware thread count up front; the process peak resident-set size
+/// (VmHWM) stamped at Finish(). The envelope makes reports comparable
+/// across hosts and revisions without parsing bench-specific fields.
 ///
 ///   BenchJsonWriter json(path, "my_bench");
 ///   if (json.ok()) {
@@ -59,7 +67,7 @@ struct BenchArgs {
 class BenchJsonWriter {
  public:
   /// Bump when the shared envelope changes shape.
-  static constexpr int kSchemaVersion = 2;
+  static constexpr int kSchemaVersion = 3;
 
   BenchJsonWriter(const std::string& path, const char* bench)
       : path_(path), f_(std::fopen(path.c_str(), "wb")) {
@@ -69,6 +77,8 @@ class BenchJsonWriter {
     }
     std::fprintf(f_, "{\n  \"bench\": \"%s\",\n", bench);
     std::fprintf(f_, "  \"schema_version\": %d,\n", kSchemaVersion);
+    std::fprintf(f_, "  \"git_revision\": \"%s\",\n", GEO_BENCH_GIT_REV);
+    std::fprintf(f_, "  \"build_type\": \"%s\",\n", GEO_BENCH_BUILD_TYPE);
     std::fprintf(f_, "  \"hardware_threads\": %u,\n",
                  std::max(1u, std::thread::hardware_concurrency()));
   }
